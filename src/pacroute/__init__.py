@@ -45,11 +45,10 @@ from .simulate import (
     DemoReport,
     EnumerationBudgetError,
     McConfig,
-    enumerate_exact,
-    mc_conditional_profile,
+    audit_profile,
+    demo_with_replications,
+    enumerate_distribution,
     mc_joint_risk,
-    run_impossibility_demo,
-    triviality_audit,
 )
 from .worlds import (
     CalibrationSet,
@@ -85,29 +84,28 @@ __all__ = [
     "PerturbationSpec",
     "RouterThreshold",
     "WorldValidationError",
+    "audit_profile",
     "auto_threshold_grid",
     "binomial_pvalue",
     "cell_at",
+    "demo_with_replications",
     "disagreement_region",
     "empirical_exceedances",
-    "enumerate_exact",
+    "enumerate_distribution",
     "exact_deferral_mass",
     "exact_miscoverage",
     "find_radius",
     "interval_mass",
     "load_world",
     "make_perturbation",
-    "mc_conditional_profile",
     "mc_joint_risk",
     "normalized_masses",
     "perturb",
     "pointwise_risk",
     "route",
-    "run_impossibility_demo",
     "sample_calibration",
     "select_threshold",
     "split_at",
-    "triviality_audit",
     "trivial_algorithm",
     "tv_product_bound",
     "tv_single",

@@ -1,48 +1,22 @@
-"""Hot replication kernels: numba-jitted with a pure-numpy fallback.
+"""The hot replication kernel, vectorized in numpy.
 
 The kernel turns a block of uniform draws into one selected-threshold index
-per replication. Backend selection:
-
-  * ``PACROUTE_BACKEND=numba``  force the jitted kernel (error if numba is missing)
-  * ``PACROUTE_BACKEND=numpy``  force the vectorized numpy kernel
-  * unset / ``auto``            numba when importable, else numpy
-
-Both rails consume the same pre-drawn uniforms and perform the same integer
-comparisons, so their outputs are identical bit-for-bit; reports never depend
-on the backend. ``python -m pacroute.bench`` times the two side by side.
+per replication. It performs only integer comparisons on pre-drawn uniforms,
+so its output depends on nothing but its inputs.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["active_backend", "tau_indices", "HAS_NUMBA"]
-
-_ENV_VAR = "PACROUTE_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
+__all__ = ["active_backend", "tau_indices"]
 
 
 def active_backend() -> str:
-    """Resolve the backend name from the environment ("numba" or "numpy")."""
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"{_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {choice!r}")
+    """Name of the kernel implementation, for environment records."""
+    return "numpy"
 
 
 def _tau_indices_numpy(
@@ -66,36 +40,6 @@ def _tau_indices_numpy(
     return (n_rejected - 1).astype(np.int64)
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _tau_indices_numba(u, cdf, first_k, b_star, n_grid):  # pragma: no cover - jitted
-        m, n = u.shape
-        n_cells = cdf.shape[0]
-        out = np.empty(m, np.int64)
-        exc_at = np.zeros(n_grid, np.int64)
-        for r in range(m):
-            for k in range(n_grid):
-                exc_at[k] = 0
-            for i in range(n):
-                c = np.searchsorted(cdf, u[r, i], side="right")
-                if c >= n_cells:
-                    c = n_cells - 1
-                k = first_k[c]
-                if k < n_grid:
-                    exc_at[k] += 1
-            b = 0
-            n_rejected = 0
-            for k in range(n_grid):
-                b += exc_at[k]
-                if b <= b_star:
-                    n_rejected += 1
-                else:
-                    break
-            out[r] = n_rejected - 1
-        return out
-
-
 def tau_indices(
     u: np.ndarray,
     cdf: np.ndarray,
@@ -103,7 +47,6 @@ def tau_indices(
     b_star: int,
     n_grid: int,
     *,
-    backend: str | None = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Selected grid index per replication; -1 means no threshold was accepted.
@@ -118,22 +61,17 @@ def tau_indices(
     thread pool; results are reassembled in order, so the output is identical
     for any worker count.
     """
-    name = backend if backend is not None else active_backend()
-    if name == "numba":
-        fn = _tau_indices_numba
-    elif name == "numpy":
-        fn = _tau_indices_numpy
-    else:
-        raise ValueError(f"unknown backend {name!r}")
     m = u.shape[0]
     if workers <= 1 or m < 2 * workers:
-        return fn(u, cdf, first_k, b_star, n_grid)
+        return _tau_indices_numpy(u, cdf, first_k, b_star, n_grid)
     bounds = np.linspace(0, m, workers + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     out = np.empty(m, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
-            (a, b, pool.submit(fn, u[a:b], cdf, first_k, b_star, n_grid))
+            (a, b, pool.submit(
+                _tau_indices_numpy, u[a:b], cdf, first_k, b_star, n_grid
+            ))
             for a, b in chunks
         ]
         for a, b, fut in futures:

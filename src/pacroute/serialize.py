@@ -15,6 +15,11 @@ from .risk import ALWAYS_DEFER, RouterThreshold
 
 __all__ = ["dump_json", "encode_threshold"]
 
+# JSON forbids raw control characters in strings: escape all of them, with
+# the short form kept for the newline
+_STRING_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_STRING_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n"})
+
 
 def encode_threshold(tau: RouterThreshold):
     """JSON form of a threshold: the sentinel becomes the string "ALWAYS_DEFER"."""
@@ -35,11 +40,7 @@ def _write(obj, out: list) -> None:
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, str):
-        # reports only carry plain ASCII strings; escape conservatively anyway
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        out.append(f'"{escaped}"')
+        out.append(f'"{obj.translate(_STRING_ESCAPES)}"')
     elif isinstance(obj, numbers.Integral):
         out.append(str(int(obj)))
     elif isinstance(obj, numbers.Real):

@@ -8,7 +8,7 @@ adversarial perturbation into one report.
 
 Determinism: replication r of stream s draws from a generator seeded with
 ``SeedSequence(entropy=master_seed, spawn_key=(s, r))``, so results are
-independent of worker count and identical across backends. Because scores
+independent of worker count. Because scores
 and labels are cell-constant, a replication's outcome depends only on which
 cells its calibration points land in; the engine therefore draws cell
 indices directly and never materializes positions.
@@ -50,12 +50,8 @@ __all__ = [
     "EnumerationBudgetError",
     "default_audit_points",
     "audit_profile",
-    "mc_conditional_profile",
     "mc_joint_risk",
-    "enumerate_exact",
     "enumerate_distribution",
-    "triviality_audit",
-    "run_impossibility_demo",
     "demo_with_replications",
     "iter_trace_rows",
 ]
@@ -77,7 +73,7 @@ class DemoPreconditionError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """cells**n exceeds the enumeration budget."""
+    """The C(n+cells-1, cells-1) calibration outcomes exceed the enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class DemoReport:
-    """End-to-end adversarial demonstration record; see run_impossibility_demo."""
+    """End-to-end adversarial demonstration record; see demo_with_replications."""
 
     base_audit: AuditReport
     perturbed_audit: AuditReport
@@ -242,7 +238,6 @@ def _tau_values_for_replications(
     need_test_draws: bool = False,
     algorithm: str = "calibrated",
     workers: int = 1,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-replication selected thresholds (-inf encodes always-defer).
 
@@ -270,8 +265,7 @@ def _tau_values_for_replications(
         grid = np.asarray(cfg_pac.threshold_grid, dtype=float)
         first_k = cell_first_grid_index(w, loss, grid)
         idx = _kernels.tau_indices(
-            u[:, :n], cdf, first_k, b_star, len(grid),
-            backend=backend, workers=workers,
+            u[:, :n], cdf, first_k, b_star, len(grid), workers=workers
         )
         taus = np.where(idx >= 0, grid[np.maximum(idx, 0)], -np.inf)
         return taus, test_cells
@@ -327,13 +321,16 @@ def audit_profile(
     algorithm: str = "calibrated",
     workers: int = 1,
     stream: int = STREAM_AUDIT,
-    backend: str | None = None,
 ) -> tuple[AuditReport, np.ndarray]:
-    """Pointwise audit plus the per-replication thresholds it was built from."""
+    """Estimate fast-usage and violation probabilities at each audit point.
+
+    The report's ``trivial_verdict`` says whether the router ever uses the fast
+    model more often than alpha. Returns (report, per-replication thresholds).
+    """
     points = _resolve_audit_points(cfg_mc, w)
     taus, _ = _tau_values_for_replications(
         w, loss, cfg_pac, n, cfg_mc.replications, cfg_mc.master_seed, stream,
-        algorithm=algorithm, workers=workers, backend=backend,
+        algorithm=algorithm, workers=workers,
     )
     recs = _point_records(w, loss, points, taus)
     max_fast = max(r.est_fast_prob for r in recs)
@@ -353,43 +350,6 @@ def audit_profile(
     return report, taus
 
 
-def mc_conditional_profile(
-    w: CellWorld,
-    loss: LossSpec,
-    cfg_pac: PacConfig,
-    cfg_mc: McConfig,
-    n: int,
-    *,
-    algorithm: str = "calibrated",
-    workers: int = 1,
-    backend: str | None = None,
-) -> AuditReport:
-    """Estimate fast-usage and violation probabilities at each audit point."""
-    report, _ = audit_profile(
-        w, loss, cfg_pac, cfg_mc, n,
-        algorithm=algorithm, workers=workers, backend=backend,
-    )
-    return report
-
-
-def triviality_audit(
-    w: CellWorld,
-    loss: LossSpec,
-    cfg_pac: PacConfig,
-    cfg_mc: McConfig,
-    n: int,
-    *,
-    algorithm: str = "calibrated",
-    workers: int = 1,
-    backend: str | None = None,
-) -> AuditReport:
-    """Audit whether the router ever uses the fast model more often than alpha."""
-    return mc_conditional_profile(
-        w, loss, cfg_pac, cfg_mc, n,
-        algorithm=algorithm, workers=workers, backend=backend,
-    )
-
-
 def mc_joint_risk(
     w: CellWorld,
     loss: LossSpec,
@@ -401,7 +361,6 @@ def mc_joint_risk(
     algorithm: str = "calibrated",
     workers: int = 1,
     stream: int = STREAM_JOINT,
-    backend: str | None = None,
 ) -> tuple[float, float]:
     """Estimate the joint probability that a fresh input suffers risk > epsilon.
 
@@ -413,7 +372,7 @@ def mc_joint_risk(
         return 0.0, 0.0
     taus, test_cells = _tau_values_for_replications(
         w, loss, cfg_pac, n, replications, master_seed, stream,
-        need_test_draws=True, algorithm=algorithm, workers=workers, backend=backend,
+        need_test_draws=True, algorithm=algorithm, workers=workers,
     )
     bad = cell_exceedance_flags(w, loss)
     risky = bad[test_cells] & (w.scores[test_cells] <= taus)
@@ -461,10 +420,11 @@ def enumerate_distribution(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     n_cells = len(w.cells)
-    if n_cells**n > ENUMERATION_BUDGET:
+    n_outcomes = math.comb(n + n_cells - 1, n_cells - 1)
+    if n_outcomes > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"cells**n = {n_cells}**{n} exceeds the enumeration budget "
-            f"{ENUMERATION_BUDGET}"
+            f"C(n+cells-1, cells-1) = {n_outcomes} outcomes for {n_cells} cells "
+            f"and n={n} exceed the enumeration budget {ENUMERATION_BUDGET}"
         )
     if x != JOINT:
         x = float(x)
@@ -474,13 +434,11 @@ def enumerate_distribution(
     experts = w.expert_labels
     value = 0.0
     total = 0.0
-    outcomes = 0
     for counts in _compositions(n, n_cells):
         prob = float(_multinomial_coefficient(n, counts))
         for c, k in enumerate(counts):
             if k:
                 prob *= masses[c] ** k
-        outcomes += 1
         if prob == 0.0:
             continue
         total += prob
@@ -502,22 +460,9 @@ def enumerate_distribution(
     return OracleResult(
         value=value,
         total_probability=total,
-        n_outcomes=outcomes,
+        n_outcomes=n_outcomes,
         quantity="joint_risk" if x == JOINT else f"fast_usage_at_{x}",
     )
-
-
-def enumerate_exact(
-    w: CellWorld,
-    loss: LossSpec,
-    cfg_pac: PacConfig,
-    n: int,
-    x,
-    *,
-    algorithm: str = "calibrated",
-) -> float:
-    """Exact P(routed fast at x) over calibration sets, or the exact joint risk."""
-    return enumerate_distribution(w, loss, cfg_pac, n, x, algorithm=algorithm).value
 
 
 def _mean_deferral_mass(w: CellWorld, tau_values: np.ndarray) -> float:
@@ -540,11 +485,30 @@ def demo_with_replications(
     *,
     algorithm: str = "calibrated",
     workers: int = 1,
-    backend: str | None = None,
 ):
-    """run_impossibility_demo plus the raw material trace writers need.
+    """Audit a router at x_star, then again under a near-indistinguishable rival world.
 
-    Returns (report, perturbed_world, audit_points, base_taus, perturbed_taus).
+    Pipeline: (1) audit the base world (x_star is always the first audit
+    point); (2) solve and apply the local label swap around x_star; (3) audit
+    the perturbed world with fresh replications; (4) estimate the base joint
+    risk and mean deferral mass. Verdicts:
+
+      demo_vacuous          base fast-usage at x_star is within alpha, so the
+                            router is already effectively trivial there
+      indistinguishable     the two audits differ at x_star by no more than
+                            the product TV bound plus Monte-Carlo error
+      conditional_violation the perturbed world sees risk above epsilon at
+                            x_star more often than alpha
+      marginal_holds        the base joint risk estimate is within alpha
+                            (plus Monte-Carlo error)
+      nontrivial            the router actually saves work (mean deferral < 1)
+
+    x_star must sit where the fast model is fine (loss <= epsilon); otherwise
+    DemoPreconditionError is raised. A router that is already trivial at
+    x_star yields verdict ``demo_vacuous`` rather than an error.
+
+    Returns (report, perturbed_world, audit_points, base_taus,
+    perturbed_taus); the last four are the raw material trace writers need.
     """
     c = cell_at(base, x_star)
     if loss.exceeds(c.fast_label, c.expert_label):
@@ -562,7 +526,7 @@ def demo_with_replications(
     )
     base_report, base_taus = audit_profile(
         base, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, workers=workers, stream=STREAM_AUDIT, backend=backend,
+        algorithm=algorithm, workers=workers, stream=STREAM_AUDIT,
     )
     spec = make_perturbation(base, loss, x_star, eta, n)
     perturbed = perturb(base, loss, spec)
@@ -571,12 +535,11 @@ def demo_with_replications(
         raise RuntimeError("perturbed world is not bad at x_star; construction bug")
     pert_report, pert_taus = audit_profile(
         perturbed, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, workers=workers,
-        stream=STREAM_PERTURBED_AUDIT, backend=backend,
+        algorithm=algorithm, workers=workers, stream=STREAM_PERTURBED_AUDIT,
     )
     risk_est, risk_se = mc_joint_risk(
         base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
-        algorithm=algorithm, workers=workers, stream=STREAM_JOINT, backend=backend,
+        algorithm=algorithm, workers=workers, stream=STREAM_JOINT,
     )
     deferral_mean = _mean_deferral_mass(base, base_taus)
     base_star = base_report.points[0]
@@ -605,47 +568,6 @@ def demo_with_replications(
         verdicts=verdicts,
     )
     return report, perturbed, points, base_taus, pert_taus
-
-
-def run_impossibility_demo(
-    base: CellWorld,
-    loss: LossSpec,
-    cfg_pac: PacConfig,
-    x_star: float,
-    eta: float,
-    n: int,
-    cfg_mc: McConfig,
-    *,
-    algorithm: str = "calibrated",
-    workers: int = 1,
-    backend: str | None = None,
-) -> DemoReport:
-    """Audit a router at x_star, then again under a near-indistinguishable rival world.
-
-    Pipeline: (1) audit the base world (x_star is always the first audit
-    point); (2) solve and apply the local label swap around x_star; (3) audit
-    the perturbed world with fresh replications; (4) estimate the base joint
-    risk and mean deferral mass. Verdicts:
-
-      demo_vacuous          base fast-usage at x_star is within alpha, so the
-                            router is already effectively trivial there
-      indistinguishable     the two audits differ at x_star by no more than
-                            the product TV bound plus Monte-Carlo error
-      conditional_violation the perturbed world sees risk above epsilon at
-                            x_star more often than alpha
-      marginal_holds        the base joint risk estimate is within alpha
-                            (plus Monte-Carlo error)
-      nontrivial            the router actually saves work (mean deferral < 1)
-
-    x_star must sit where the fast model is fine (loss <= epsilon); otherwise
-    DemoPreconditionError is raised. A router that is already trivial at
-    x_star yields verdict ``demo_vacuous`` rather than an error.
-    """
-    report, _, _, _, _ = demo_with_replications(
-        base, loss, cfg_pac, x_star, eta, n, cfg_mc,
-        algorithm=algorithm, workers=workers, backend=backend,
-    )
-    return report
 
 
 def iter_trace_rows(

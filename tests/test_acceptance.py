@@ -16,11 +16,9 @@ from pacroute.cli import main as cli_main
 from pacroute.simulate import (
     JOINT,
     McConfig,
+    audit_profile,
     enumerate_distribution,
-    enumerate_exact,
-    mc_conditional_profile,
     mc_joint_risk,
-    triviality_audit,
 )
 
 from conftest import corpus, make_w1
@@ -65,14 +63,14 @@ def test_criterion_3_oracle_mc_agreement():
     w1 = make_w1()
     reps = 100_000
     est, se = mc_joint_risk(w1, LOSS01, PAC_W1, reps, 31337, 6)
-    exact = enumerate_exact(w1, LOSS01, PAC_W1, 6, JOINT)
+    exact = enumerate_distribution(w1, LOSS01, PAC_W1, 6, JOINT).value
     ok = abs(est - exact) <= max(4 * se, 1e-12)
     points = (0.25, 0.6, 0.9)
     mc = McConfig(replications=reps, master_seed=31337, audit_points=points)
-    profile = mc_conditional_profile(w1, LOSS01, PAC_W1, mc, 6)
+    profile = audit_profile(w1, LOSS01, PAC_W1, mc, 6)[0]
     details = [f"joint |{est:.6g} - {exact:.6g}| <= 4se"]
     for p in profile.points:
-        exact_p = enumerate_exact(w1, LOSS01, PAC_W1, 6, p.x)
+        exact_p = enumerate_distribution(w1, LOSS01, PAC_W1, 6, p.x).value
         tol = max(4 * p.std_err, 1e-12)
         ok = ok and abs(p.est_fast_prob - exact_p) <= tol
         details.append(f"P(g({p.x})=0) |{p.est_fast_prob:.6g} - {exact_p:.6g}| <= 4se")
@@ -83,7 +81,7 @@ def test_criterion_4_forward_direction_trivial_audit():
     mc = McConfig(replications=200, master_seed=7)
     ok = True
     for i, w in enumerate(corpus()):
-        rep = triviality_audit(w, LOSS01, PAC_W1, mc, 25, algorithm="trivial")
+        rep = audit_profile(w, LOSS01, PAC_W1, mc, 25, algorithm="trivial")[0]
         ok = ok and rep.max_fast_prob == 0.0
         ok = ok and all(
             p.est_fast_prob == 0.0 and p.est_violation_prob == 0.0
@@ -137,7 +135,7 @@ def test_criterion_6_impossibility_demo():
     w1 = make_w1()
     mc = McConfig(replications=1000, master_seed=20250810)
     t0 = time.perf_counter()
-    rep = pr.run_impossibility_demo(w1, LOSS01, PAC_W1, 0.4, 0.01, 100, mc)
+    rep = pr.demo_with_replications(w1, LOSS01, PAC_W1, 0.4, 0.01, 100, mc)[0]
     elapsed = time.perf_counter() - t0
     base_fast = rep.base_audit.points[0].est_fast_prob
     pert_viol = rep.perturbed_audit.points[0].est_violation_prob

@@ -382,7 +382,7 @@ def test_oracle_budget_exits_5(tmp_path):
     cfg = write_config(
         tmp_path,
         "c.json",
-        {**BASE_CONFIG, "world": str(world_path), "oracle": {"n": 9, "x": "joint"}},
+        {**BASE_CONFIG, "world": str(world_path), "oracle": {"n": 40, "x": "joint"}},
     )
     assert run_cli(["oracle", "--config", cfg]) == 5
 

@@ -3,12 +3,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import pacroute
-from pacroute import _kernels
-from pacroute._kernels import HAS_NUMBA, active_backend, tau_indices
-from pacroute.bench import main as bench_main
+from pacroute._kernels import tau_indices
 
 from conftest import child_env
 
@@ -37,60 +34,17 @@ def test_numpy_kernel_hand_case():
             [0.6, 0.7, 0.3],  # two counting samples: stop immediately
         ]
     )
-    out = tau_indices(u, cdf, first_k, 1, 2, backend="numpy")
+    out = tau_indices(u, cdf, first_k, 1, 2)
     assert list(out) == [1, 1, -1]
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(1234)
-    for _ in range(25):
-        u, cdf, first_k, b_star, n_grid = _random_inputs(rng, 64)
-        a = tau_indices(u, cdf, first_k, b_star, n_grid, backend="numpy")
-        b = tau_indices(u, cdf, first_k, b_star, n_grid, backend="numba")
-        assert np.array_equal(a, b)
 
 
 def test_worker_count_does_not_change_output():
     rng = np.random.default_rng(99)
     u, cdf, first_k, b_star, n_grid = _random_inputs(rng, 257)
-    ref = tau_indices(u, cdf, first_k, b_star, n_grid, backend="numpy", workers=1)
+    ref = tau_indices(u, cdf, first_k, b_star, n_grid, workers=1)
     for workers in (2, 3, 8):
-        out = tau_indices(
-            u, cdf, first_k, b_star, n_grid, backend="numpy", workers=workers
-        )
+        out = tau_indices(u, cdf, first_k, b_star, n_grid, workers=workers)
         assert np.array_equal(ref, out)
-    if HAS_NUMBA:
-        for workers in (2, 8):
-            out = tau_indices(
-                u, cdf, first_k, b_star, n_grid, backend="numba", workers=workers
-            )
-            assert np.array_equal(ref, out)
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("PACROUTE_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("PACROUTE_BACKEND", "auto")
-    assert active_backend() == ("numba" if HAS_NUMBA else "numpy")
-    monkeypatch.delenv("PACROUTE_BACKEND")
-    assert active_backend() == ("numba" if HAS_NUMBA else "numpy")
-    monkeypatch.setenv("PACROUTE_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        active_backend()
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_env_flag_numba_requested(monkeypatch):
-    monkeypatch.setenv("PACROUTE_BACKEND", "numba")
-    assert active_backend() == "numba"
-
-
-def test_unknown_backend_argument():
-    rng = np.random.default_rng(0)
-    u, cdf, first_k, b_star, n_grid = _random_inputs(rng, 8)
-    with pytest.raises(ValueError):
-        tau_indices(u, cdf, first_k, b_star, n_grid, backend="java")
 
 
 def test_numpy_fallback_runs_without_numba():
@@ -98,9 +52,6 @@ def test_numpy_fallback_runs_without_numba():
     code = (
         "import sys; sys.modules['numba'] = None\n"
         "import pacroute\n"
-        "from pacroute._kernels import HAS_NUMBA, active_backend\n"
-        "assert not HAS_NUMBA\n"
-        "assert active_backend() == 'numpy'\n"
         "import numpy as np\n"
         "w = pacroute.load_world('configs/w1.json')\n"
         "loss = pacroute.LossSpec(kind='zero_one', epsilon=0.0)\n"
@@ -115,16 +66,10 @@ def test_numpy_fallback_runs_without_numba():
         capture_output=True,
         text=True,
         cwd=str(Path(__file__).resolve().parents[1]),
-        env={**child_env(), "PACROUTE_BACKEND": "auto"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     # the child must have imported the copy under test, not an installed one
     child_file = proc.stdout.splitlines()[0]
     assert Path(child_file).resolve() == Path(pacroute.__file__).resolve()
 
-
-def test_bench_smoke(capsys):
-    assert bench_main(["--replications", "2000", "--n", "20", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "numpy" in out
-    assert "numba" in out

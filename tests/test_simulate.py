@@ -18,12 +18,8 @@ from pacroute.simulate import (
     default_audit_points,
     demo_with_replications,
     enumerate_distribution,
-    enumerate_exact,
     iter_trace_rows,
-    mc_conditional_profile,
     mc_joint_risk,
-    run_impossibility_demo,
-    triviality_audit,
 )
 
 from conftest import corpus, make_three_cell, make_w1
@@ -75,7 +71,7 @@ def test_default_audit_points(w1):
 
 def test_profile_trivial_algorithm_is_exactly_zero(w1, loss01, pac_w1):
     mc = McConfig(replications=200, master_seed=4)
-    rep = mc_conditional_profile(w1, loss01, pac_w1, mc, 100, algorithm="trivial")
+    rep = audit_profile(w1, loss01, pac_w1, mc, 100, algorithm="trivial")[0]
     for p in rep.points:
         assert p.est_fast_prob == 0.0
         assert p.est_violation_prob == 0.0
@@ -87,7 +83,7 @@ def test_profile_w1_single_grid_point(w1, loss01):
     # grid {0.5}: zero exceedances always, so tau_hat = 0.5 in every replication
     pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=(0.5,))
     mc = McConfig(replications=500, master_seed=10, audit_points=(0.4, 0.9))
-    rep = mc_conditional_profile(w1, loss01, pac, mc, 100)
+    rep = audit_profile(w1, loss01, pac, mc, 100)[0]
     at = {p.x: p for p in rep.points}
     assert at[0.4].est_fast_prob == 1.0
     assert at[0.4].est_violation_prob == 0.0  # fast agrees with expert there
@@ -98,33 +94,22 @@ def test_profile_w1_single_grid_point(w1, loss01):
 def test_profile_violation_below_fast_prob(loss01):
     w = make_three_cell()
     mc = McConfig(replications=400, master_seed=2)
-    rep = mc_conditional_profile(w, loss01, PAC_3CELL, mc, 6)
+    rep = audit_profile(w, loss01, PAC_3CELL, mc, 6)[0]
     for p in rep.points:
         assert p.est_violation_prob <= p.est_fast_prob + 1e-15
 
 
 def test_profile_determinism_bytewise(w1, loss01, pac_w1):
     mc = McConfig(replications=300, master_seed=77)
-    a = mc_conditional_profile(w1, loss01, pac_w1, mc, 50)
-    b = mc_conditional_profile(w1, loss01, pac_w1, mc, 50)
+    a = audit_profile(w1, loss01, pac_w1, mc, 50)[0]
+    b = audit_profile(w1, loss01, pac_w1, mc, 50)[0]
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
 def test_profile_worker_invariance(w1, loss01, pac_w1):
     mc = McConfig(replications=300, master_seed=78)
-    a = mc_conditional_profile(w1, loss01, pac_w1, mc, 50, workers=1)
-    b = mc_conditional_profile(w1, loss01, pac_w1, mc, 50, workers=7)
-    assert dump_json(a.to_dict()) == dump_json(b.to_dict())
-
-
-def test_profile_backend_invariance(w1, loss01, pac_w1):
-    from pacroute._kernels import HAS_NUMBA
-
-    if not HAS_NUMBA:
-        pytest.skip("numba not installed")
-    mc = McConfig(replications=300, master_seed=79)
-    a = mc_conditional_profile(w1, loss01, pac_w1, mc, 50, backend="numpy")
-    b = mc_conditional_profile(w1, loss01, pac_w1, mc, 50, backend="numba")
+    a = audit_profile(w1, loss01, pac_w1, mc, 50, workers=1)[0]
+    b = audit_profile(w1, loss01, pac_w1, mc, 50, workers=7)[0]
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
@@ -214,14 +199,23 @@ def test_enumerate_two_assignments_n1(w1, loss01, pac_w1):
 
 
 def test_enumerate_trivial_is_zero(w1, loss01, pac_w1):
-    assert enumerate_exact(w1, loss01, pac_w1, 4, 0.4, algorithm="trivial") == 0.0
-    assert enumerate_exact(w1, loss01, pac_w1, 4, JOINT, algorithm="trivial") == 0.0
+    fast = enumerate_distribution(w1, loss01, pac_w1, 4, 0.4, algorithm="trivial")
+    assert fast.value == 0.0
+    joint = enumerate_distribution(w1, loss01, pac_w1, 4, JOINT, algorithm="trivial")
+    assert joint.value == 0.0
 
 
 def test_enumerate_budget_guard(loss01, pac_w1):
-    w = corpus()[5]  # ten cells
+    w = corpus()[5]  # ten cells: C(49, 9) ~ 2.05e9 outcomes at n=40
     with pytest.raises(EnumerationBudgetError):
-        enumerate_exact(w, loss01, pac_w1, 9, JOINT)
+        enumerate_distribution(w, loss01, pac_w1, 40, JOINT)
+
+
+def test_enumerate_budget_counts_outcomes_not_sequences(w1, loss01, pac_w1):
+    # two cells at n=30: 2**30 ordered samples but only 31 occupancy vectors
+    res = enumerate_distribution(w1, loss01, pac_w1, 30, JOINT)
+    assert res.n_outcomes == 31
+    assert res.total_probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_enumerate_matches_brute_force_w1(w1, loss01, pac_w1):
@@ -235,23 +229,23 @@ def test_enumerate_matches_brute_force_w1(w1, loss01, pac_w1):
 def test_enumerate_matches_brute_force_three_cell(loss01):
     w = make_three_cell()
     for x in (JOINT, 0.25, 0.6, 0.9):
-        fast = enumerate_exact(w, loss01, PAC_3CELL, 5, x)
+        fast = enumerate_distribution(w, loss01, PAC_3CELL, 5, x).value
         slow, _ = brute_force_enumerate(w, loss01, PAC_3CELL, 5, x)
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
 def test_enumerate_three_cell_closed_forms(loss01):
     w = make_three_cell()
-    assert enumerate_exact(w, loss01, PAC_3CELL, 6, 0.6) == pytest.approx(
-        P_TOP, rel=1e-10
-    )
-    assert enumerate_exact(w, loss01, PAC_3CELL, 6, 0.25) == pytest.approx(
-        1.0, rel=1e-10
-    )
-    assert enumerate_exact(w, loss01, PAC_3CELL, 6, 0.9) == 0.0
-    assert enumerate_exact(w, loss01, PAC_3CELL, 6, JOINT) == pytest.approx(
-        JOINT_3CELL, rel=1e-10
-    )
+    assert enumerate_distribution(
+        w, loss01, PAC_3CELL, 6, 0.6
+    ).value == pytest.approx(P_TOP, rel=1e-10)
+    assert enumerate_distribution(
+        w, loss01, PAC_3CELL, 6, 0.25
+    ).value == pytest.approx(1.0, rel=1e-10)
+    assert enumerate_distribution(w, loss01, PAC_3CELL, 6, 0.9).value == 0.0
+    assert enumerate_distribution(
+        w, loss01, PAC_3CELL, 6, JOINT
+    ).value == pytest.approx(JOINT_3CELL, rel=1e-10)
 
 
 def test_enumerate_joint_never_exceeds_alpha(loss01):
@@ -315,23 +309,23 @@ def test_oracle_matches_mc_nondegenerate(loss01):
     w = make_three_cell()
     reps = 100_000
     est, se = mc_joint_risk(w, loss01, PAC_3CELL, reps, 4242, 6)
-    exact = enumerate_exact(w, loss01, PAC_3CELL, 6, JOINT)
+    exact = enumerate_distribution(w, loss01, PAC_3CELL, 6, JOINT).value
     assert abs(est - exact) <= 4 * se
     mc = McConfig(replications=reps, master_seed=4242, audit_points=(0.25, 0.6, 0.9))
-    rep = mc_conditional_profile(w, loss01, PAC_3CELL, mc, 6)
+    rep = audit_profile(w, loss01, PAC_3CELL, mc, 6)[0]
     for p in rep.points:
-        exact_p = enumerate_exact(w, loss01, PAC_3CELL, 6, p.x)
+        exact_p = enumerate_distribution(w, loss01, PAC_3CELL, 6, p.x).value
         tol = 4 * p.std_err if p.std_err > 0 else 1e-12
         assert abs(p.est_fast_prob - exact_p) <= tol
 
 
 # ---------------------------------------------------------------------------
-# triviality audit
+# triviality verdict
 
 def test_triviality_audit_trivial_passes_everywhere(loss01, pac_w1):
     mc = McConfig(replications=50, master_seed=3)
     for w in corpus():
-        rep = triviality_audit(w, loss01, pac_w1, mc, 20, algorithm="trivial")
+        rep = audit_profile(w, loss01, pac_w1, mc, 20, algorithm="trivial")[0]
         assert rep.trivial_verdict
         assert rep.max_fast_prob == 0.0
 
@@ -342,7 +336,7 @@ def test_triviality_audit_calibrated_fails_on_w1(w1, loss01, pac_w1):
         master_seed=8,
         audit_points=tuple(np.linspace(0, 1, 21)),
     )
-    rep = triviality_audit(w1, loss01, pac_w1, mc, 100)
+    rep = audit_profile(w1, loss01, pac_w1, mc, 100)[0]
     assert not rep.trivial_verdict
     at = {round(p.x, 3): p for p in rep.points}
     for x in (0.0, 0.25, 0.5, 0.75):
@@ -356,11 +350,11 @@ def test_triviality_audit_vacuous_alpha(w1, loss01):
         epsilon=0.0, alpha=1.0, delta_split=0.05, threshold_grid=(0.5, 0.95)
     )
     mc = McConfig(replications=100, master_seed=9)
-    rep = triviality_audit(w1, loss01, pac, mc, 100)
+    rep = audit_profile(w1, loss01, pac, mc, 100)[0]
     assert rep.trivial_verdict  # alpha = 1 makes the bound vacuous
-    rep_trivial = triviality_audit(
+    rep_trivial = audit_profile(
         w1, loss01, pac, mc, 100, algorithm="trivial"
-    )
+    )[0]
     assert rep_trivial.trivial_verdict
 
 
@@ -372,7 +366,7 @@ def _demo_mc(reps=600):
 
 
 def test_demo_canonical_verdicts(w1, loss01, pac_w1):
-    rep = run_impossibility_demo(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc())
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc())[0]
     assert rep.verdicts == {
         "demo_vacuous": False,
         "indistinguishable": True,
@@ -390,9 +384,9 @@ def test_demo_canonical_verdicts(w1, loss01, pac_w1):
 
 
 def test_demo_trivial_substitution(w1, loss01, pac_w1):
-    rep = run_impossibility_demo(
+    rep = demo_with_replications(
         w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(200), algorithm="trivial"
-    )
+    )[0]
     assert rep.verdicts["demo_vacuous"]  # trivial router never fast at x*
     assert not rep.verdicts["conditional_violation"]
     assert not rep.verdicts["nontrivial"]
@@ -401,25 +395,25 @@ def test_demo_trivial_substitution(w1, loss01, pac_w1):
 
 def test_demo_precondition_error(w1, loss01, pac_w1):
     with pytest.raises(DemoPreconditionError):
-        run_impossibility_demo(w1, loss01, pac_w1, 0.9, 0.01, 100, _demo_mc(50))
+        demo_with_replications(w1, loss01, pac_w1, 0.9, 0.01, 100, _demo_mc(50))
 
 
 def test_demo_large_eta_clamps(w1, loss01, pac_w1):
-    rep = run_impossibility_demo(w1, loss01, pac_w1, 0.4, 1.9, 100, _demo_mc(200))
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 1.9, 100, _demo_mc(200))[0]
     assert rep.tv_bound <= 1.0
     assert rep.verdicts["indistinguishable"]
 
 
 def test_demo_report_determinism(w1, loss01, pac_w1):
-    a = run_impossibility_demo(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))
-    b = run_impossibility_demo(
+    a = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
+    b = demo_with_replications(
         w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300), workers=5
-    )
+    )[0]
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
 def test_demo_cross_world_gap_definition(w1, loss01, pac_w1):
-    rep = run_impossibility_demo(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
     expected = abs(
         rep.base_audit.points[0].est_fast_prob
         - rep.perturbed_audit.points[0].est_fast_prob
@@ -436,8 +430,8 @@ def test_demo_exact_cross_world_bound(loss01):
     spec = pr.make_perturbation(w, loss01, x_star, 0.5, n)
     p = pr.perturb(w, loss01, spec)
     base_split = pr.split_at(w, [x_star - spec.radius, x_star + spec.radius])
-    g_base = enumerate_exact(base_split, loss01, PAC_3CELL, n, x_star)
-    g_pert = enumerate_exact(p, loss01, PAC_3CELL, n, x_star)
+    g_base = enumerate_distribution(base_split, loss01, PAC_3CELL, n, x_star).value
+    g_pert = enumerate_distribution(p, loss01, PAC_3CELL, n, x_star).value
     assert g_base == pytest.approx(1.0, rel=1e-12)
     assert 0.0 < g_pert < 1.0  # the swap genuinely moves the selection law
     tv1 = pr.tv_single(base_split, p)
@@ -461,7 +455,7 @@ def test_demo_with_table_loss(pac_w1):
     loss = pr.LossSpec(kind="table", epsilon=0.5, table=table)
     pac = pr.PacConfig(epsilon=0.5, alpha=0.1, delta_split=0.05,
                        threshold_grid=(0.5, 0.95))
-    rep = run_impossibility_demo(w, loss, pac, 0.4, 0.01, 100, _demo_mc(300))
+    rep = demo_with_replications(w, loss, pac, 0.4, 0.01, 100, _demo_mc(300))[0]
     # adversarial label must be 2: the only one with loss above 0.5 vs fast=0
     assert rep.perturbation.adversarial_label == 2
     assert rep.verdicts["conditional_violation"]
