@@ -1,8 +1,9 @@
 """Config-driven command line: calibrate, audit, demo, oracle, validate-world.
 
 Every run is described by a single JSON config file; ``--seed`` and ``--out``
-override the config, ``--workers`` controls internal parallelism without
-changing any output byte, and ``--trace`` streams per-replication CSV rows.
+override the config, ``--workers`` is accepted for compatibility but has no
+effect on outputs or on work, and ``--trace`` streams per-replication CSV
+rows.
 
 Exit codes: 0 success, 2 config or parse error, 3 world validation error,
 4 demo precondition error, 5 enumeration budget exceeded.
@@ -258,9 +259,7 @@ def _cmd_audit(cfg: dict, args) -> int:
     algorithm = _parse_algorithm(cfg)
     cal = _require(cfg, "calibration", dict)
     n = int(_require(cal, "n", int, "calibration"))
-    audit, taus = audit_profile(
-        world, loss, pac, mc, n, algorithm=algorithm, workers=args.workers
-    )
+    audit, taus = audit_profile(world, loss, pac, mc, n, algorithm=algorithm)
     if args.trace:
         points = [p.x for p in audit.points]
         _write_trace(
@@ -296,8 +295,7 @@ def _cmd_demo(cfg: dict, args) -> int:
     eta = float(_require(demo, "eta", float, "demo"))
     n = int(_require(demo, "n", int, "demo"))
     report_obj, perturbed, points, base_taus, pert_taus = demo_with_replications(
-        world, loss, pac, x_star, eta, n, mc,
-        algorithm=algorithm, workers=args.workers,
+        world, loss, pac, x_star, eta, n, mc, algorithm=algorithm
     )
     if args.trace:
         header = ("world", "replication", "point", "tau_hat", "g", "risk_exceeded")
@@ -366,6 +364,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pacroute",
@@ -379,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report here (default stdout)")
         p.add_argument("--seed", type=int, default=None, help="override config seeds")
         p.add_argument(
-            "--workers", type=int, default=1,
-            help="internal parallelism; never changes outputs",
+            "--workers", type=_positive_int, default=1,
+            help="accepted for compatibility; has no effect on outputs or work",
         )
         p.add_argument(
             "--trace", default=None,

@@ -1,8 +1,8 @@
 """Deterministic report serialization.
 
-Reports must reproduce byte-for-byte across runs and worker counts, so JSON
-is emitted with sorted keys and floats printed at 17 significant digits
-(enough to round-trip any double).
+Reports must reproduce byte-for-byte across runs, so JSON is emitted with
+sorted keys and floats printed at 17 significant digits (enough to round-trip
+any double).
 """
 
 from __future__ import annotations

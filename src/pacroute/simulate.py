@@ -6,12 +6,15 @@ fresh input suffer risk above epsilon"). An exact enumeration oracle covers
 small instances; a demo pipeline stitches calibration, audit and the
 adversarial perturbation into one report.
 
-Determinism: replication r of stream s draws from a generator seeded with
-``SeedSequence(entropy=master_seed, spawn_key=(s, r))``, so results are
-independent of worker count. Because scores
-and labels are cell-constant, a replication's outcome depends only on which
-cells its calibration points land in; the engine therefore draws cell
-indices directly and never materializes positions.
+Determinism: replication r of stream s draws the uniforms of
+``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
+which ``_kernels.replication_uniforms`` recomputes bit for bit across a chunk
+of replications. Chunks of CHUNK replications are seeded and walked one after
+another, so results do not depend on how the work is split and memory does
+not grow with the replication count. Because scores and labels are
+cell-constant, a replication's outcome depends only on which cells its
+calibration points land in; the engine therefore draws cell indices directly
+and never materializes positions.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+# a module attribute looked up at call time, so perfbench/spans.py can time it
+from ._kernels import replication_uniforms as _replication_uniforms
 from .adversary import make_perturbation, perturb, PerturbationSpec, tv_product_bound
 from .calibrate import (
     PacConfig,
@@ -60,6 +65,9 @@ JOINT = "joint"
 
 ENUMERATION_BUDGET = 10**7
 
+# replications seeded and walked together; bounds the walk's working memory
+CHUNK = 4096
+
 # independent substreams used by the demo pipeline
 STREAM_AUDIT = 0
 STREAM_JOINT = 1
@@ -89,8 +97,11 @@ class McConfig:
     audit_points: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= 2**32:
+            # a replication index is one uint32 spawn-key word
+            raise ValueError(
+                f"replications must be in [1, 2**32], got {self.replications}"
+            )
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.audit_points is not None:
@@ -211,16 +222,6 @@ def _resolve_audit_points(cfg_mc: McConfig, w: CellWorld) -> tuple[float, ...]:
     return default_audit_points(w)
 
 
-def _replication_uniforms(
-    master_seed: int, stream: int, replications: int, cols: int
-) -> np.ndarray:
-    u = np.empty((replications, cols))
-    for r in range(replications):
-        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, r))
-        u[r] = np.random.Generator(np.random.PCG64(seq)).random(cols)
-    return u
-
-
 def _check_algorithm(algorithm: str) -> None:
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
@@ -237,45 +238,52 @@ def _tau_values_for_replications(
     *,
     need_test_draws: bool = False,
     algorithm: str = "calibrated",
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-replication selected thresholds (-inf encodes always-defer).
 
     With ``need_test_draws``, each replication consumes one extra uniform for
     an independent test input and its cell index is returned alongside.
+    Replications are seeded and walked CHUNK at a time, so memory does not
+    grow with the replication count.
     """
     _check_algorithm(algorithm)
     if n < 1:
         raise ValueError(f"calibration size n must be >= 1, got {n}")
+    test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
     if algorithm == "trivial":
-        return np.full(replications, -np.inf), (
-            np.zeros(replications, dtype=np.int64) if need_test_draws else None
-        )
+        return np.full(replications, -np.inf), test_cells
     cols = n + 1 if need_test_draws else n
-    u = _replication_uniforms(master_seed, stream, replications, cols)
     cdf = w.mass_cdf
-    n_cells = len(w.cells)
-    test_cells = None
-    if need_test_draws:
-        test_cells = np.minimum(
-            np.searchsorted(cdf, u[:, n], side="right"), n_cells - 1
-        )
     b_star = max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
-    if cfg_pac.threshold_grid is not None:
-        grid = np.asarray(cfg_pac.threshold_grid, dtype=float)
+    grid = cfg_pac.threshold_grid
+    if grid is None:
+        bad = cell_exceedance_flags(w, loss)
+    else:
+        grid = np.asarray(grid, dtype=float)
         first_k = cell_first_grid_index(w, loss, grid)
-        idx = _kernels.tau_indices(
-            u[:, :n], cdf, first_k, b_star, len(grid), workers=workers
-        )
-        taus = np.where(idx >= 0, grid[np.maximum(idx, 0)], -np.inf)
-        return taus, test_cells
-    # data-dependent grid: rebuild it from each replication's occupied cells
-    bad = cell_exceedance_flags(w, loss)
     taus = np.empty(replications)
-    for r in range(replications):
-        cells_r = np.minimum(
-            np.searchsorted(cdf, u[r, :n], side="right"), n_cells - 1
-        )
+    for start in range(0, replications, CHUNK):
+        stop = min(start + CHUNK, replications)
+        u = _replication_uniforms(master_seed, stream, stop - start, cols, start=start)
+        if need_test_draws:
+            test_cells[start:stop] = _kernels.cell_indices(cdf, u[:, n])
+        if grid is None:
+            cells = _kernels.cell_indices(cdf, u[:, :n])
+            taus[start:stop] = _auto_grid_taus(w, bad, b_star, cells)
+        else:
+            idx = _kernels.tau_indices(u[:, :n], cdf, first_k, b_star, len(grid))
+            taus[start:stop] = np.where(idx >= 0, grid[np.maximum(idx, 0)], -np.inf)
+    return taus, test_cells
+
+
+def _auto_grid_taus(
+    w: CellWorld, bad: np.ndarray, b_star: int, cells: np.ndarray
+) -> np.ndarray:
+    """Walk each replication's data-dependent grid, rebuilt from the cells
+    its calibration points occupy (one row of ``cells`` per replication)."""
+    n_cells = len(w.cells)
+    taus = np.empty(len(cells))
+    for r, cells_r in enumerate(cells):
         counts = np.bincount(cells_r, minlength=n_cells)
         grid_r = np.asarray(auto_threshold_grid(w.scores[counts > 0]))
         k_grid = len(grid_r)
@@ -290,7 +298,7 @@ def _tau_values_for_replications(
             else:
                 break
         taus[r] = grid_r[n_rejected - 1] if n_rejected else -np.inf
-    return taus, test_cells
+    return taus
 
 
 def _point_records(
@@ -319,7 +327,6 @@ def audit_profile(
     n: int,
     *,
     algorithm: str = "calibrated",
-    workers: int = 1,
     stream: int = STREAM_AUDIT,
 ) -> tuple[AuditReport, np.ndarray]:
     """Estimate fast-usage and violation probabilities at each audit point.
@@ -330,7 +337,7 @@ def audit_profile(
     points = _resolve_audit_points(cfg_mc, w)
     taus, _ = _tau_values_for_replications(
         w, loss, cfg_pac, n, cfg_mc.replications, cfg_mc.master_seed, stream,
-        algorithm=algorithm, workers=workers,
+        algorithm=algorithm,
     )
     recs = _point_records(w, loss, points, taus)
     max_fast = max(r.est_fast_prob for r in recs)
@@ -359,7 +366,6 @@ def mc_joint_risk(
     n: int,
     *,
     algorithm: str = "calibrated",
-    workers: int = 1,
     stream: int = STREAM_JOINT,
 ) -> tuple[float, float]:
     """Estimate the joint probability that a fresh input suffers risk > epsilon.
@@ -372,7 +378,7 @@ def mc_joint_risk(
         return 0.0, 0.0
     taus, test_cells = _tau_values_for_replications(
         w, loss, cfg_pac, n, replications, master_seed, stream,
-        need_test_draws=True, algorithm=algorithm, workers=workers,
+        need_test_draws=True, algorithm=algorithm,
     )
     bad = cell_exceedance_flags(w, loss)
     risky = bad[test_cells] & (w.scores[test_cells] <= taus)
@@ -484,7 +490,6 @@ def demo_with_replications(
     cfg_mc: McConfig,
     *,
     algorithm: str = "calibrated",
-    workers: int = 1,
 ):
     """Audit a router at x_star, then again under a near-indistinguishable rival world.
 
@@ -526,7 +531,7 @@ def demo_with_replications(
     )
     base_report, base_taus = audit_profile(
         base, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, workers=workers, stream=STREAM_AUDIT,
+        algorithm=algorithm, stream=STREAM_AUDIT,
     )
     spec = make_perturbation(base, loss, x_star, eta, n)
     perturbed = perturb(base, loss, spec)
@@ -535,11 +540,11 @@ def demo_with_replications(
         raise RuntimeError("perturbed world is not bad at x_star; construction bug")
     pert_report, pert_taus = audit_profile(
         perturbed, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, workers=workers, stream=STREAM_PERTURBED_AUDIT,
+        algorithm=algorithm, stream=STREAM_PERTURBED_AUDIT,
     )
     risk_est, risk_se = mc_joint_risk(
         base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
-        algorithm=algorithm, workers=workers, stream=STREAM_JOINT,
+        algorithm=algorithm, stream=STREAM_JOINT,
     )
     deferral_mean = _mean_deferral_mass(base, base_taus)
     base_star = base_report.points[0]

@@ -36,7 +36,7 @@ def test_criterion_1_marginal_pac_validity():
     w1 = make_w1()
     bound = 0.1 + 3 * math.sqrt(0.1 * 0.9 / 2000)
     t0 = time.perf_counter()
-    est, _ = mc_joint_risk(w1, LOSS01, PAC_W1, 2000, 20250810, 100, workers=1)
+    est, _ = mc_joint_risk(w1, LOSS01, PAC_W1, 2000, 20250810, 100)
     elapsed = time.perf_counter() - t0
     ok = est <= bound and elapsed < 60.0
     _verdict(

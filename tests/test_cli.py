@@ -294,6 +294,33 @@ def test_demo_workers_byte_identical(tmp_path, w1_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_workers_below_one_exits_2(tmp_path, w1_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**BASE_CONFIG, "world": w1_path, "calibration": {"n": 50, "seed": 7}},
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["calibrate", "--config", cfg, "--workers", 0])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_replications_beyond_one_uint32_word_exit_2(tmp_path, w1_path):
+    # rejected while the config is parsed, before anything is drawn
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "mc": {"replications": 2**32 + 1, "master_seed": 11},
+            "calibration": {"n": 60},
+        },
+    )
+    assert run_cli(["audit", "--config", cfg]) == 2
+
+
 def test_demo_precondition_exits_4(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,

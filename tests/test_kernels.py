@@ -10,19 +10,6 @@ from pacroute._kernels import tau_indices
 from conftest import child_env
 
 
-def _random_inputs(rng, replications):
-    n_cells = int(rng.integers(2, 9))
-    n = int(rng.integers(1, 40))
-    n_grid = int(rng.integers(1, 7))
-    masses = rng.random(n_cells)
-    masses /= masses.sum()
-    cdf = np.cumsum(masses)
-    u = rng.random((replications, n))
-    first_k = rng.integers(0, n_grid + 1, n_cells).astype(np.int64)
-    b_star = int(rng.integers(-1, n + 1))
-    return u, cdf, first_k, b_star, n_grid
-
-
 def test_numpy_kernel_hand_case():
     # 2 cells, cell 1 counts from grid index 0; reject while count <= 1
     cdf = np.array([0.5, 1.0])
@@ -36,15 +23,6 @@ def test_numpy_kernel_hand_case():
     )
     out = tau_indices(u, cdf, first_k, 1, 2)
     assert list(out) == [1, 1, -1]
-
-
-def test_worker_count_does_not_change_output():
-    rng = np.random.default_rng(99)
-    u, cdf, first_k, b_star, n_grid = _random_inputs(rng, 257)
-    ref = tau_indices(u, cdf, first_k, b_star, n_grid, workers=1)
-    for workers in (2, 3, 8):
-        out = tau_indices(u, cdf, first_k, b_star, n_grid, workers=workers)
-        assert np.array_equal(ref, out)
 
 
 def test_numpy_fallback_runs_without_numba():

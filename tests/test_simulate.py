@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pacroute.calibrate import select_threshold
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json
 from pacroute.simulate import (
+    CHUNK,
     JOINT,
     DemoPreconditionError,
     EnumerationBudgetError,
@@ -44,6 +46,10 @@ def test_mc_config_validation():
         McConfig(replications=10, master_seed=1, audit_points=())
     with pytest.raises(ValueError):
         McConfig(replications=10, master_seed=1, audit_points=(1.5,))
+    # a replication index is one uint32 spawn-key word; nothing is drawn here
+    McConfig(replications=2**32, master_seed=1)
+    with pytest.raises(ValueError):
+        McConfig(replications=2**32 + 1, master_seed=1)
 
 
 def test_default_audit_points(w1):
@@ -106,13 +112,6 @@ def test_profile_determinism_bytewise(w1, loss01, pac_w1):
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
-def test_profile_worker_invariance(w1, loss01, pac_w1):
-    mc = McConfig(replications=300, master_seed=78)
-    a = audit_profile(w1, loss01, pac_w1, mc, 50, workers=1)[0]
-    b = audit_profile(w1, loss01, pac_w1, mc, 50, workers=7)[0]
-    assert dump_json(a.to_dict()) == dump_json(b.to_dict())
-
-
 def test_engine_matches_select_threshold_explicit_grid(loss01):
     # rebuild each replication's calibration set from the same uniforms and
     # check the vectorized walk agrees with the reference implementation
@@ -151,6 +150,54 @@ def test_engine_matches_select_threshold_auto_grid(w1, loss01):
             assert taus[r] == -np.inf
         else:
             assert taus[r] == ref
+
+
+def _reference_walk(w, loss, pac, n, reps, seed, stream):
+    """Row by row: numpy's Generator, then select_threshold on the cells hit."""
+    mids = (w.lefts + w.rights) / 2
+    taus, test_cells = np.empty(reps), np.empty(reps, dtype=np.int64)
+    for r in range(reps):
+        seq = np.random.SeedSequence(seed, spawn_key=(stream, r))
+        u = np.random.Generator(np.random.PCG64(seq)).random(n + 1)
+        cells = np.minimum(
+            np.searchsorted(w.mass_cdf, u, side="right"), len(w.cells) - 1
+        )
+        d = pr.CalibrationSet(xs=mids[cells[:n]], ys=w.expert_labels[cells[:n]])
+        tau = select_threshold(d, w, loss, pac).tau_hat
+        taus[r] = -np.inf if tau is ALWAYS_DEFER else tau
+        test_cells[r] = cells[n]
+    return taus, test_cells
+
+
+@pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])
+def test_chunked_walk_matches_row_by_row_reference(w1, loss01, grid):
+    # two full chunks and a partial one; alpha=0.3 gives b* = 17 against a
+    # Binomial(100, 0.2) bad count, so the walk stops at either grid point
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.3, delta_split=0.05, threshold_grid=grid)
+    n, reps, seed, stream = 100, 2 * CHUNK + 3, 2024, 5
+    ref_taus, ref_cells = _reference_walk(w1, loss01, pac, n, reps, seed, stream)
+    assert len(np.unique(ref_taus)) == 2
+    taus, cells = _tau_values_for_replications(w1, loss01, pac, n, reps, seed, stream)
+    assert cells is None
+    assert np.array_equal(taus, ref_taus)
+    taus, cells = _tau_values_for_replications(
+        w1, loss01, pac, n, reps, seed, stream, need_test_draws=True
+    )
+    assert np.array_equal(taus, ref_taus)
+    assert np.array_equal(cells, ref_cells)
+
+
+def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            mc_joint_risk(w1, loss01, pac_w1, reps, 3, 100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # only the per-replication outputs (a few bytes each) may grow
+    assert peak(16 * CHUNK) - peak(4 * CHUNK) <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +453,7 @@ def test_demo_large_eta_clamps(w1, loss01, pac_w1):
 
 def test_demo_report_determinism(w1, loss01, pac_w1):
     a = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
-    b = demo_with_replications(
-        w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300), workers=5
-    )[0]
+    b = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
