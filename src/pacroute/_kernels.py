@@ -1,9 +1,11 @@
 """The hot replication kernels, vectorized in numpy.
 
-``replication_uniforms`` draws each replication's uniforms,
-``cell_indices`` maps uniforms to cells, and ``tau_indices`` turns a block of
-uniforms into one selected-threshold index per replication. Each works on a
-block of replications at once and depends on nothing but its inputs.
+``replication_uniforms`` draws each replication's uniforms, ``cell_indices``
+maps uniforms to cells, ``cell_counts`` turns them into occupancy counts
+(calibration points per cell), and ``stop_positions`` applies the
+fixed-sequence stopping rule to counts; ``tau_indices`` is that rule on a
+fixed grid. Each works on a block of replications (or enumerated outcomes)
+at once and depends on nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["active_backend", "cell_indices", "replication_uniforms", "tau_indices"]
+__all__ = ["active_backend", "cell_counts", "cell_indices", "replication_uniforms",
+           "stop_positions", "tau_indices"]
 
 # SeedSequence (numpy.random.bit_generator): pool size and hash constants
 _POOL_SIZE = 4
@@ -167,32 +170,37 @@ def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def tau_indices(
-    u: np.ndarray, cdf: np.ndarray, first_k: np.ndarray, b_star: int, n_grid: int
+def cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """Occupancy counts (sets, n_cells) of ``cells``, (n, sets) cell indices
+    with one column per set. ``cells`` is overwritten with each entry's bin
+    ``c*sets + r``, because each fresh block this size costs page faults."""
+    m = cells.shape[1]
+    cells *= m
+    cells += np.arange(m)
+    return np.bincount(cells.ravel(), minlength=n_cells * m).reshape(n_cells, m).T
+
+
+def stop_positions(
+    counts: np.ndarray, position: np.ndarray, b_star: int, n_positions: int
 ) -> np.ndarray:
-    """Selected grid index per replication; -1 means no threshold was accepted.
-
-    ``u`` is (replications, n) uniforms in [0,1). ``first_k[c]`` is the first
-    grid index at which cell ``c``'s samples count as exceedances (n_grid =
-    never). ``b_star`` is the largest exceedance count that still rejects.
-    Fixed-sequence semantics: stop at the first grid point whose count
-    exceeds ``b_star``; return how many were rejected, minus one.
-
-    The work runs on ``u.T``, which is C-contiguous for the column-major
-    blocks ``replication_uniforms`` returns.
+    """Per set of ``counts`` (sets, cells): the first position whose running
+    count of bad samples exceeds ``b_star``, the largest count that still
+    rejects, or ``n_positions`` if none does. ``position[c]`` is the first
+    position at which cell ``c``'s samples count as bad (n_positions = never).
     """
-    m = u.shape[0]
-    # per-replication histogram of "first counting grid index": bin k*m + r,
-    # with n_grid bins plus one overflow bin for samples that never count.
-    # In place, because each fresh block this size costs page faults.
-    flat = first_k[cell_indices(cdf, u.T)]
-    flat *= m
-    flat += np.arange(m)
-    counts = np.bincount(flat.ravel(), minlength=(n_grid + 1) * m).reshape(
-        n_grid + 1, m
-    )
-    still_rejecting = np.cumsum(counts[:n_grid], axis=0) <= b_star
-    n_rejected = np.where(
-        still_rejecting.all(axis=0), n_grid, np.argmin(still_rejecting, axis=0)
-    )
-    return (n_rejected - 1).astype(np.int64)
+    order = np.argsort(position, kind="stable")
+    # running[:, j]: samples in the first j cells taken in position order
+    running = np.cumsum(np.pad(counts[:, order], ((0, 0), (1, 0))), axis=1)
+    counting = np.searchsorted(position[order], np.arange(n_positions), side="right")
+    rejecting = running[:, counting] <= b_star
+    return np.where(rejecting.all(axis=1), n_positions, np.argmin(rejecting, axis=1))
+
+
+def tau_indices(
+    counts: np.ndarray, first_k: np.ndarray, b_star: int, n_grid: int
+) -> np.ndarray:
+    """Selected grid index per set of ``counts`` (-1: none accepted): the
+    fixed-grid ``stop_positions``, named apart so benchmark traces time it.
+    ``first_k[c]`` is the first grid index at which cell ``c``'s samples count
+    as exceedances (n_grid = never)."""
+    return stop_positions(counts, first_k, b_star, n_grid) - 1

@@ -79,6 +79,8 @@ class PacConfig:
             g = self.threshold_grid
             if len(g) == 0:
                 raise ValueError("threshold_grid must be nonempty")
+            if not all(math.isfinite(v) for v in g):
+                raise ValueError(f"threshold_grid entries must be finite, got {g!r}")
             if any(not a < b for a, b in zip(g, g[1:])):
                 raise ValueError("threshold_grid must be strictly ascending")
 

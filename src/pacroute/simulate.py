@@ -12,13 +12,16 @@ which ``_kernels.replication_uniforms`` recomputes bit for bit across a chunk
 of replications. Chunks of CHUNK replications are seeded and walked one after
 another, so results do not depend on how the work is split and memory does
 not grow with the replication count. Because scores and labels are
-cell-constant, a replication's outcome depends only on which cells its
-calibration points land in; the engine therefore draws cell indices directly
-and never materializes positions.
+cell-constant, a replication's outcome depends only on how many of its
+calibration points land in each cell (its occupancy counts); the engine
+therefore draws cell indices directly and never materializes positions.
+Monte-Carlo chunks and the enumeration oracle both select thresholds from
+occupancy counts, through one selection and one stopping rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,13 +31,7 @@ from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
 from .adversary import make_perturbation, perturb, PerturbationSpec, tv_product_bound
-from .calibrate import (
-    PacConfig,
-    auto_threshold_grid,
-    cell_first_grid_index,
-    max_rejectable_count,
-    select_threshold,
-)
+from .calibrate import PacConfig, cell_first_grid_index, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
@@ -42,7 +39,7 @@ from .risk import (
     exact_deferral_mass,
     exact_miscoverage,
 )
-from .worlds import CalibrationSet, CellWorld, cell_at
+from .worlds import CellWorld, cell_at
 
 __all__ = [
     "JOINT",
@@ -67,6 +64,9 @@ ENUMERATION_BUDGET = 10**7
 
 # replications seeded and walked together; bounds the walk's working memory
 CHUNK = 4096
+
+# enumerated outcomes selected together; bounds the oracle's working memory
+ORACLE_BATCH = 512
 
 # independent substreams used by the demo pipeline
 STREAM_AUDIT = 0
@@ -227,6 +227,43 @@ def _check_algorithm(algorithm: str) -> None:
         raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
 
 
+def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+    """``select(counts)``: the threshold ``select_threshold`` picks from any
+    calibration set of n points with these (sets, cells) occupancy counts
+    (-inf encodes always-defer).
+
+    On a fixed grid the stopping rule's positions are grid indices. On the
+    auto grid they are the world's distinct score levels; bad counts grow
+    only on occupied levels, so the walk stops on one (or on level 0 when
+    even zero exceedances fail), and the threshold is the midpoint from the
+    occupied level below, with ``auto_threshold_grid``'s float operations.
+    """
+    if cfg_pac.epsilon != loss.epsilon:
+        raise ValueError(f"PacConfig.epsilon ({cfg_pac.epsilon!r}) must match "
+                         f"LossSpec.epsilon ({loss.epsilon!r})")
+    b_star = max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
+    if cfg_pac.threshold_grid is not None:
+        n_grid = len(cfg_pac.threshold_grid)
+        grid = np.append(cfg_pac.threshold_grid, -np.inf)  # index -1: always defer
+        first_k = cell_first_grid_index(w, loss, grid[:n_grid])
+        return lambda counts: grid[_kernels.tau_indices(counts, first_k, b_star, n_grid)]
+    levels, level = np.unique(w.scores, return_inverse=True)
+    n_levels = len(levels)
+    bad_level = np.where(cell_exceedance_flags(w, loss), level, n_levels)
+
+    def select(counts: np.ndarray) -> np.ndarray:
+        stop = _kernels.stop_positions(counts, bad_level, b_star, n_levels)
+        # the highest occupied level below the stop (-1: none, always defer)
+        prev = np.where((counts > 0) & (level < stop[:, None]), level, -1).max(axis=1)
+        below = levels[prev]
+        midpoint = (below + levels[np.minimum(stop, n_levels - 1)]) / 2.0
+        return np.where(
+            prev < 0, -np.inf, np.where(stop < n_levels, midpoint, below + 1.0)
+        )
+
+    return select
+
+
 def _tau_values_for_replications(
     w: CellWorld,
     loss: LossSpec,
@@ -254,51 +291,18 @@ def _tau_values_for_replications(
         return np.full(replications, -np.inf), test_cells
     cols = n + 1 if need_test_draws else n
     cdf = w.mass_cdf
-    b_star = max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
-    grid = cfg_pac.threshold_grid
-    if grid is None:
-        bad = cell_exceedance_flags(w, loss)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        first_k = cell_first_grid_index(w, loss, grid)
+    select = _threshold_selector(w, loss, cfg_pac, n)
     taus = np.empty(replications)
     for start in range(0, replications, CHUNK):
         stop = min(start + CHUNK, replications)
         u = _replication_uniforms(master_seed, stream, stop - start, cols, start=start)
         if need_test_draws:
             test_cells[start:stop] = _kernels.cell_indices(cdf, u[:, n])
-        if grid is None:
-            cells = _kernels.cell_indices(cdf, u[:, :n])
-            taus[start:stop] = _auto_grid_taus(w, bad, b_star, cells)
-        else:
-            idx = _kernels.tau_indices(u[:, :n], cdf, first_k, b_star, len(grid))
-            taus[start:stop] = np.where(idx >= 0, grid[np.maximum(idx, 0)], -np.inf)
+        # u.T is C-contiguous for the column-major blocks of replication_uniforms
+        cells = _kernels.cell_indices(cdf, u[:, :n].T)
+        taus[start:stop] = select(_kernels.cell_counts(cells, len(w.cells)))
+        del u, cells  # free the block before the next one is drawn
     return taus, test_cells
-
-
-def _auto_grid_taus(
-    w: CellWorld, bad: np.ndarray, b_star: int, cells: np.ndarray
-) -> np.ndarray:
-    """Walk each replication's data-dependent grid, rebuilt from the cells
-    its calibration points occupy (one row of ``cells`` per replication)."""
-    n_cells = len(w.cells)
-    taus = np.empty(len(cells))
-    for r, cells_r in enumerate(cells):
-        counts = np.bincount(cells_r, minlength=n_cells)
-        grid_r = np.asarray(auto_threshold_grid(w.scores[counts > 0]))
-        k_grid = len(grid_r)
-        first = np.where(bad, np.searchsorted(grid_r, w.scores, side="left"), k_grid)
-        exc_at = np.bincount(first, weights=counts, minlength=k_grid + 1)[:k_grid]
-        b = 0
-        n_rejected = 0
-        for k in range(k_grid):
-            b += int(exc_at[k])
-            if b <= b_star:
-                n_rejected += 1
-            else:
-                break
-        taus[r] = grid_r[n_rejected - 1] if n_rejected else -np.inf
-    return taus
 
 
 def _point_records(
@@ -395,15 +399,6 @@ def _compositions(total: int, bins: int):
             yield (head,) + rest
 
 
-def _multinomial_coefficient(n: int, counts) -> int:
-    coeff = 1
-    remaining = n
-    for k in counts:
-        coeff *= math.comb(remaining, k)
-        remaining -= k
-    return coeff
-
-
 def enumerate_distribution(
     w: CellWorld,
     loss: LossSpec,
@@ -418,9 +413,10 @@ def enumerate_distribution(
     Which cells the n calibration points occupy is a sufficient statistic for
     the whole calibration walk (scores and labels are cell-constant), so the
     sum runs over occupancy vectors weighted by their multinomial
-    probability, with one canonical representative sample evaluated per
-    vector. ``x`` is an input in [0,1] for P(routed fast at x), or ``JOINT``
-    for the joint exceedance probability.
+    probability. The vectors go through the Monte-Carlo walk's count-based
+    selection ORACLE_BATCH at a time, and the quantity is evaluated once per
+    distinct threshold. ``x`` is an input in [0,1] for P(routed fast at x),
+    or ``JOINT`` for the joint exceedance probability.
     """
     _check_algorithm(algorithm)
     if n < 1:
@@ -436,33 +432,27 @@ def enumerate_distribution(
         x = float(x)
         query_cell = cell_at(w, x)
     masses = w.masses
-    mids = (w.lefts + w.rights) / 2.0
-    experts = w.expert_labels
-    value = 0.0
-    total = 0.0
-    for counts in _compositions(n, n_cells):
-        prob = float(_multinomial_coefficient(n, counts))
-        for c, k in enumerate(counts):
-            if k:
-                prob *= masses[c] ** k
-        if prob == 0.0:
-            continue
-        total += prob
-        if algorithm == "trivial":
-            tau_hat = ALWAYS_DEFER
-        else:
-            xs = np.repeat(mids, counts)
-            ys = np.repeat(experts, counts)
-            tau_hat = select_threshold(
-                CalibrationSet(xs=xs, ys=ys), w, loss, cfg_pac
-            ).tau_hat
-        if x == JOINT:
-            q = exact_miscoverage(w, loss, tau_hat)
-        elif tau_hat is ALWAYS_DEFER:
-            q = 0.0
-        else:
-            q = 1.0 if query_cell.score <= tau_hat else 0.0
-        value += prob * q
+    select = _threshold_selector(w, loss, cfg_pac, n) if algorithm != "trivial" else None
+    quantity = {}  # threshold -> the requested quantity under it
+    value = total = 0.0
+    outcomes = _compositions(n, n_cells)
+    while batch := list(itertools.islice(outcomes, ORACLE_BATCH)):
+        taus = select(np.array(batch)) if select else np.full(len(batch), -np.inf)
+        for counts, tau in zip(batch, taus):
+            prob = float(math.factorial(n) // math.prod(map(math.factorial, counts)))
+            for c, k in enumerate(counts):
+                if k:
+                    prob *= masses[c] ** k
+            if prob == 0.0:
+                continue
+            total += prob
+            if tau not in quantity:
+                if x == JOINT:
+                    r = ALWAYS_DEFER if tau == -np.inf else float(tau)
+                    quantity[tau] = exact_miscoverage(w, loss, r)
+                else:
+                    quantity[tau] = 1.0 if query_cell.score <= tau else 0.0
+            value += prob * quantity[tau]
     return OracleResult(
         value=value,
         total_probability=total,

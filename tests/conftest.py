@@ -65,6 +65,22 @@ def make_five_cell() -> pr.CellWorld:
     )
 
 
+def make_tied_scores() -> pr.CellWorld:
+    """A good and a bad cell share score 0.6, and the rare bad cell at 0.4
+    leaves its score level unoccupied between occupied ones in most small
+    calibration sets."""
+    return pr.CellWorld(
+        cells=(
+            pr.Cell(0.0, 0.3, 0.35, 0, 0, 0.1),
+            pr.Cell(0.3, 0.4, 0.05, 1, 0, 0.4),
+            pr.Cell(0.4, 0.7, 0.3, 1, 1, 0.6),
+            pr.Cell(0.7, 0.85, 0.15, 0, 1, 0.6),
+            pr.Cell(0.85, 1.0, 0.15, 1, 0, 0.9),
+        ),
+        alphabet_size=2,
+    )
+
+
 def make_ten_cell() -> pr.CellWorld:
     cells = []
     masses = pr.normalized_masses([1, 2, 3, 1, 1, 2, 4, 1, 3, 2])

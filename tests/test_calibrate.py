@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,11 @@ def test_pac_config_validation():
         pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=(0.5, 0.5))
     with pytest.raises(ValueError):
         pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=())
+
+
+@pytest.mark.parametrize(
+    "grid", [(math.nan,), (math.inf,), (0.1, math.inf)], ids=["nan", "inf", "tail_inf"]
+)
+def test_pac_config_rejects_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="finite"):
+        pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=grid)

@@ -195,6 +195,25 @@ def test_pac_epsilon_mismatch_exits_2(tmp_path, w1_path):
     assert run_cli(["calibrate", "--config", cfg]) == 2
 
 
+def test_non_finite_grid_exits_2_before_any_work(tmp_path, w1_path, capsys):
+    pac = {**BASE_CONFIG["pac"], "threshold_grid": [float("nan")]}
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "pac": pac,
+            "world": w1_path,
+            "mc": {"replications": 50, "master_seed": 3},
+            "calibration": {"n": 40},
+        },
+    )
+    out = tmp_path / "audit.json"
+    assert run_cli(["audit", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "threshold_grid" in capsys.readouterr().err
+
+
 def test_audit_trivial_flag(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,

@@ -12,16 +12,15 @@ from conftest import child_env
 
 def test_numpy_kernel_hand_case():
     # 2 cells, cell 1 counts from grid index 0; reject while count <= 1
-    cdf = np.array([0.5, 1.0])
     first_k = np.array([2, 0], dtype=np.int64)
-    u = np.array(
+    counts = np.array(
         [
-            [0.1, 0.2, 0.3],  # no counting samples: both grid points rejected
-            [0.6, 0.2, 0.3],  # one counting sample: still rejected
-            [0.6, 0.7, 0.3],  # two counting samples: stop immediately
+            [3, 0],  # no counting samples: both grid points rejected
+            [2, 1],  # one counting sample: still rejected
+            [1, 2],  # two counting samples: stop immediately
         ]
     )
-    out = tau_indices(u, cdf, first_k, 1, 2)
+    out = tau_indices(counts, first_k, 1, 2)
     assert list(out) == [1, 1, -1]
 
 

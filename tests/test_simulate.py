@@ -24,7 +24,7 @@ from pacroute.simulate import (
     mc_joint_risk,
 )
 
-from conftest import corpus, make_three_cell, make_w1
+from conftest import corpus, make_three_cell, make_tied_scores, make_w1
 from oracles import brute_force_enumerate
 
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
@@ -112,44 +112,54 @@ def test_profile_determinism_bytewise(w1, loss01, pac_w1):
     assert dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
-def test_engine_matches_select_threshold_explicit_grid(loss01):
-    # rebuild each replication's calibration set from the same uniforms and
-    # check the vectorized walk agrees with the reference implementation
-    w = make_three_cell()
-    n, reps, seed, stream = 6, 60, 1234, 9
-    taus, _ = _tau_values_for_replications(
-        w, loss01, PAC_3CELL, n, reps, seed, stream
-    )
+def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
+    """Rebuild each replication's calibration set from the same uniforms and
+    check the count-based walk agrees with the reference implementation.
+    Returns the walk's thresholds and the cells each replication occupied."""
+    taus, _ = _tau_values_for_replications(w, loss, pac, n, reps, seed, stream)
     u = _replication_uniforms(seed, stream, reps, n)
     mids = (w.lefts + w.rights) / 2
+    occupied = []
     for r in range(reps):
         cells = np.minimum(
             np.searchsorted(w.mass_cdf, u[r], side="right"), len(w.cells) - 1
         )
         d = pr.CalibrationSet(xs=mids[cells], ys=w.expert_labels[cells])
-        ref = select_threshold(d, w, loss01, PAC_3CELL).tau_hat
+        ref = select_threshold(d, w, loss, pac).tau_hat
         if ref is ALWAYS_DEFER:
             assert taus[r] == -np.inf
         else:
             assert taus[r] == ref
+        occupied.append(set(cells.tolist()))
+    return taus, occupied
+
+
+def test_engine_matches_select_threshold_explicit_grid(loss01):
+    _engine_against_select_threshold(
+        make_three_cell(), loss01, PAC_3CELL, 6, 60, 1234, 9
+    )
+    # a grid point on the tied score 0.6, with grid points below and above it
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.8, delta_split=0.3,
+                       threshold_grid=(0.15, 0.5, 0.6, 1.0))
+    taus, _ = _engine_against_select_threshold(
+        make_tied_scores(), loss01, pac, 12, 300, 1234, 9
+    )
+    assert {0.5, 0.6, 1.0} <= set(taus.tolist())
 
 
 def test_engine_matches_select_threshold_auto_grid(w1, loss01):
     pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=None)
-    n, reps, seed, stream = 40, 40, 4321, 11
-    taus, _ = _tau_values_for_replications(w1, loss01, pac, n, reps, seed, stream)
-    u = _replication_uniforms(seed, stream, reps, n)
-    mids = (w1.lefts + w1.rights) / 2
-    for r in range(reps):
-        cells = np.minimum(
-            np.searchsorted(w1.mass_cdf, u[r], side="right"), len(w1.cells) - 1
-        )
-        d = pr.CalibrationSet(xs=mids[cells], ys=w1.expert_labels[cells])
-        ref = select_threshold(d, w1, loss01, pac).tau_hat
-        if ref is ALWAYS_DEFER:
-            assert taus[r] == -np.inf
-        else:
-            assert taus[r] == ref
+    _engine_against_select_threshold(w1, loss01, pac, 40, 40, 4321, 11)
+    # alpha = 0.8, delta = 0.3: b* = 4 at n = 12, so walks on the tied-score
+    # world stop at several score levels
+    pac_tied = pr.PacConfig(epsilon=0.0, alpha=0.8, delta_split=0.3, threshold_grid=None)
+    taus, occupied = _engine_against_select_threshold(
+        make_tied_scores(), loss01, pac_tied, 12, 300, 4321, 11
+    )
+    # the tie and the gap both occur: both 0.6 cells, and 0.1 and 0.6 without 0.4
+    assert any({2, 3} <= cells for cells in occupied)
+    assert any({0, 2} <= cells and 1 not in cells for cells in occupied)
+    assert len(np.unique(taus)) >= 4
 
 
 def _reference_walk(w, loss, pac, n, reps, seed, stream):
@@ -237,6 +247,15 @@ def test_joint_risk_within_alpha_across_corpus(loss01):
 # ---------------------------------------------------------------------------
 # enumeration oracle
 
+def test_count_walk_rejects_epsilon_mismatch(w1, pac_w1):
+    # as select_threshold does: the loss decides which cells are bad
+    loss = pr.LossSpec(kind="zero_one", epsilon=0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        enumerate_distribution(w1, loss, pac_w1, 3, JOINT)
+    with pytest.raises(ValueError, match="epsilon"):
+        mc_joint_risk(w1, loss, pac_w1, 10, 1, 5)
+
+
 def test_enumerate_two_assignments_n1(w1, loss01, pac_w1):
     res = enumerate_distribution(w1, loss01, pac_w1, 1, JOINT)
     assert res.n_outcomes == 2
@@ -279,6 +298,20 @@ def test_enumerate_matches_brute_force_three_cell(loss01):
         fast = enumerate_distribution(w, loss01, PAC_3CELL, 5, x).value
         slow, _ = brute_force_enumerate(w, loss01, PAC_3CELL, 5, x)
         assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def test_enumerate_matches_brute_force_auto_grid(w1, loss01):
+    # the data-dependent grid; alpha = 0.8, delta = 0.3 give b* = 1 at n = 5
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.8, delta_split=0.3, threshold_grid=None)
+    cases = [(w1, JOINT, 6), (make_three_cell(), JOINT, 5), (make_three_cell(), 0.6, 5)]
+    cases += [(make_tied_scores(), x, 5) for x in (JOINT, 0.2, 0.35, 0.5, 0.95)]
+    for w, x, n in cases:
+        fast = enumerate_distribution(w, loss01, pac, n, x)
+        slow_value, slow_total = brute_force_enumerate(w, loss01, pac, n, x)
+        assert fast.value == pytest.approx(slow_value, abs=1e-12), (w, x)
+        assert fast.total_probability == pytest.approx(slow_total, abs=1e-12)
+    tied = enumerate_distribution(make_tied_scores(), loss01, pac, 5, JOINT).value
+    assert 0.0 < tied <= pac.alpha
 
 
 def test_enumerate_three_cell_closed_forms(loss01):
