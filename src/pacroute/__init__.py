@@ -2,7 +2,7 @@
 
 Build piecewise-uniform worlds on [0,1] with expert/fast labels and router
 scores, calibrate a single-threshold router to a marginal risk guarantee,
-and probe pointwise guarantees: Monte-Carlo audits, exact enumeration
+and probe pointwise guarantees: Monte-Carlo audits, exact closed-form
 oracles, and an adversarial local-relabeling demo showing that pointwise
 guarantees force near-total deferral.
 """
@@ -43,7 +43,6 @@ from .simulate import (
     AuditReport,
     DemoPreconditionError,
     DemoReport,
-    EnumerationBudgetError,
     McConfig,
     audit_profile,
     demo_with_replications,
@@ -77,7 +76,6 @@ __all__ = [
     "CellWorld",
     "DemoPreconditionError",
     "DemoReport",
-    "EnumerationBudgetError",
     "LossSpec",
     "McConfig",
     "PacConfig",

@@ -4,8 +4,8 @@
 maps uniforms to cells, ``cell_counts`` turns them into occupancy counts
 (calibration points per cell), and ``stop_positions`` applies the
 fixed-sequence stopping rule to counts; ``tau_indices`` is that rule on a
-fixed grid. Each works on a block of replications (or enumerated outcomes)
-at once and depends on nothing but its inputs.
+fixed grid. Each works on a block of replications at once and depends on
+nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.

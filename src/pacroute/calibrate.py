@@ -11,8 +11,8 @@ threshold, so the true nulls form a suffix of the ladder and the first true
 null is rejected with probability at most delta. Hence
 P(p(tau_hat) > alpha - delta) <= delta, and the joint probability that a
 fresh input suffers risk above epsilon is at most (alpha - delta) + delta
-= alpha. The enumeration oracle in :mod:`pacroute.simulate` checks this
-exactly on small instances.
+= alpha. The exact oracle in :mod:`pacroute.simulate` computes this joint
+probability in closed form, at any calibration size.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .risk import (
     ALWAYS_DEFER,
     LossSpec,
     RouterThreshold,
-    cell_exceedance_flags,
     check_loss_compatible,
 )
-from .worlds import CalibrationSet, CellWorld
+from .worlds import CalibrationSet, CellWorld, cell_indices_at
 
 __all__ = [
     "PacConfig",
@@ -176,9 +175,7 @@ def empirical_exceedances(
     if len(d) == 0:
         raise ValueError("calibration set is empty")
     check_loss_compatible(w, loss)
-    idx = np.minimum(
-        np.searchsorted(w.lefts, d.xs, side="right") - 1, len(w.cells) - 1
-    )
+    idx = cell_indices_at(w, d.xs)
     scores = w.scores[idx]
     fast = w.fast_labels[idx]
     if loss.kind == "zero_one":
@@ -213,12 +210,7 @@ def select_threshold(
     if cfg.threshold_grid is not None:
         grid = cfg.threshold_grid
     else:
-        obs = w.scores[
-            np.minimum(
-                np.searchsorted(w.lefts, d.xs, side="right") - 1, len(w.cells) - 1
-            )
-        ]
-        grid = auto_threshold_grid(obs)
+        grid = auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
     t = cfg.test_level
     tested: list[TestedThreshold] = []
     tau_hat: RouterThreshold = ALWAYS_DEFER
@@ -236,16 +228,3 @@ def select_threshold(
 def trivial_algorithm() -> RouterThreshold:
     """The always-defer baseline: zero risk everywhere, zero savings."""
     return ALWAYS_DEFER
-
-
-def cell_first_grid_index(w: CellWorld, loss: LossSpec, grid) -> np.ndarray:
-    """Per cell: first grid index at which its samples count as exceedances.
-
-    Cells whose fast answer is fine (loss <= epsilon) get len(grid), meaning
-    "never". For bad cells it is the first grid point >= the cell score.
-    Shared by the Monte-Carlo kernels and the enumeration oracle.
-    """
-    g = np.asarray(grid, dtype=float)
-    first = np.searchsorted(g, w.scores, side="left")
-    bad = cell_exceedance_flags(w, loss)
-    return np.where(bad, first, len(g)).astype(np.int64)

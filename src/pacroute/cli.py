@@ -6,7 +6,7 @@ effect on outputs or on work, and ``--trace`` streams per-replication CSV
 rows.
 
 Exit codes: 0 success, 2 config or parse error, 3 world validation error,
-4 demo precondition error, 5 enumeration budget exceeded.
+4 demo precondition error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .serialize import dump_json, encode_threshold
 from .simulate import (
     JOINT,
     DemoPreconditionError,
-    EnumerationBudgetError,
     McConfig,
     audit_profile,
     demo_with_replications,
@@ -43,7 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_WORLD = 3
 EXIT_PRECONDITION = 4
-EXIT_BUDGET = 5
 
 
 class ConfigError(ValueError):
@@ -410,9 +408,6 @@ def main(argv=None) -> int:
     except DemoPreconditionError as e:
         print(f"demo precondition error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except EnumerationBudgetError as e:
-        print(f"enumeration budget error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

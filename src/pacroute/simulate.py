@@ -1,10 +1,10 @@
-"""Monte-Carlo resampling and exact enumeration of routing guarantees.
+"""Monte-Carlo resampling and the exact law of routing guarantees.
 
 Estimates two kinds of probability over fresh calibration sets: pointwise
 ("how often is this x routed fast / hurt") and joint ("how often does a
-fresh input suffer risk above epsilon"). An exact enumeration oracle covers
-small instances; a demo pipeline stitches calibration, audit and the
-adversarial perturbation into one report.
+fresh input suffer risk above epsilon"). An exact oracle gives the same
+probabilities in closed form at any calibration size; a demo pipeline
+stitches calibration, audit and the adversarial perturbation into one report.
 
 Determinism: replication r of stream s draws the uniforms of
 ``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
@@ -15,13 +15,12 @@ not grow with the replication count. Because scores and labels are
 cell-constant, a replication's outcome depends only on how many of its
 calibration points land in each cell (its occupancy counts); the engine
 therefore draws cell indices directly and never materializes positions.
-Monte-Carlo chunks and the enumeration oracle both select thresholds from
-occupancy counts, through one selection and one stopping rule.
+Monte-Carlo chunks and the exact oracle share one map from the walk's stop
+(and, on the auto grid, the occupied level below it) to a threshold.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
 from .adversary import make_perturbation, perturb, PerturbationSpec, tv_product_bound
-from .calibrate import PacConfig, cell_first_grid_index, max_rejectable_count
+from .calibrate import PacConfig, binomial_pvalue_table, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "DemoReport",
     "OracleResult",
     "DemoPreconditionError",
-    "EnumerationBudgetError",
     "default_audit_points",
     "audit_profile",
     "mc_joint_risk",
@@ -60,13 +58,8 @@ __all__ = [
 
 JOINT = "joint"
 
-ENUMERATION_BUDGET = 10**7
-
 # replications seeded and walked together; bounds the walk's working memory
 CHUNK = 4096
-
-# enumerated outcomes selected together; bounds the oracle's working memory
-ORACLE_BATCH = 512
 
 # independent substreams used by the demo pipeline
 STREAM_AUDIT = 0
@@ -78,10 +71,6 @@ _ALGORITHMS = ("calibrated", "trivial")
 
 class DemoPreconditionError(ValueError):
     """The demo point sits where the fast model is already bad."""
-
-
-class EnumerationBudgetError(RuntimeError):
-    """The C(n+cells-1, cells-1) calibration outcomes exceed the enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ class DemoReport:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact enumeration output; total_probability is a 1.0 self-check."""
+    """Exact oracle output; total_probability is a 1.0 self-check."""
 
     value: float
     total_probability: float
@@ -227,39 +216,48 @@ def _check_algorithm(algorithm: str) -> None:
         raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
 
 
-def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
-    """``select(counts)``: the threshold ``select_threshold`` picks from any
-    calibration set of n points with these (sets, cells) occupancy counts
-    (-inf encodes always-defer).
-
-    On a fixed grid the stopping rule's positions are grid indices. On the
-    auto grid they are the world's distinct score levels; bad counts grow
-    only on occupied levels, so the walk stops on one (or on level 0 when
-    even zero exceedances fail), and the threshold is the midpoint from the
-    occupied level below, with ``auto_threshold_grid``'s float operations.
-    """
+def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+    """``(b_star, position, n_positions, threshold)`` of the count walk over n
+    points. Positions are grid indices on a fixed grid and the distinct scores
+    on the auto grid; ``position[c]`` is the first at which cell ``c``'s
+    samples would count as bad (n_positions: past a fixed grid).
+    ``threshold(prev, stop)`` is what ``select_threshold`` picks when the walk
+    stops at ``stop`` (n_positions: never) and ``prev`` is the highest
+    occupied position below it (-1: none); -inf encodes always-defer."""
     if cfg_pac.epsilon != loss.epsilon:
         raise ValueError(f"PacConfig.epsilon ({cfg_pac.epsilon!r}) must match "
                          f"LossSpec.epsilon ({loss.epsilon!r})")
     b_star = max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
     if cfg_pac.threshold_grid is not None:
-        n_grid = len(cfg_pac.threshold_grid)
         grid = np.append(cfg_pac.threshold_grid, -np.inf)  # index -1: always defer
-        first_k = cell_first_grid_index(w, loss, grid[:n_grid])
-        return lambda counts: grid[_kernels.tau_indices(counts, first_k, b_star, n_grid)]
-    levels, level = np.unique(w.scores, return_inverse=True)
-    n_levels = len(levels)
-    bad_level = np.where(cell_exceedance_flags(w, loss), level, n_levels)
+        position = np.searchsorted(grid[:-1], w.scores, side="left")
+        return b_star, position, len(grid) - 1, lambda prev, stop: grid[stop - 1]
+    levels, position = np.unique(w.scores, return_inverse=True)
+    top = len(levels) - 1
+
+    def threshold(prev, stop):
+        # the walk stops on an occupied level (or level 0 if b* = -1); the
+        # midpoint up from prev or one above it, as auto_threshold_grid computes
+        below = levels[prev]
+        midpoint = (below + levels[np.minimum(stop, top)]) / 2.0
+        return np.where(prev < 0, -np.inf, np.where(stop <= top, midpoint, below + 1.0))
+
+    return b_star, position, top + 1, threshold
+
+
+def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+    """``select(counts)``: the threshold ``select_threshold`` picks from any
+    calibration set of n points with these (sets, cells) occupancy counts."""
+    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n)
+    bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
+    if cfg_pac.threshold_grid is not None:  # the threshold ignores prev
+        return lambda c: threshold(None, _kernels.tau_indices(c, bad_position, b_star, n_pos) + 1)
 
     def select(counts: np.ndarray) -> np.ndarray:
-        stop = _kernels.stop_positions(counts, bad_level, b_star, n_levels)
-        # the highest occupied level below the stop (-1: none, always defer)
-        prev = np.where((counts > 0) & (level < stop[:, None]), level, -1).max(axis=1)
-        below = levels[prev]
-        midpoint = (below + levels[np.minimum(stop, n_levels - 1)]) / 2.0
-        return np.where(
-            prev < 0, -np.inf, np.where(stop < n_levels, midpoint, below + 1.0)
-        )
+        stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
+        # the highest occupied position below the stop (-1: none)
+        prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
+        return threshold(prev, stop)
 
     return select
 
@@ -390,13 +388,44 @@ def mc_joint_risk(
     return est, math.sqrt(est * (1.0 - est) / replications)
 
 
-def _compositions(total: int, bins: int):
-    if bins == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, bins - 1):
-            yield (head,) + rest
+def _lower_tail(b_star: int, n: int, t: float) -> float:
+    """P(Binomial(n, t) <= b_star), also at b_star = -1 and t in {0, 1}."""
+    if b_star < 0 or (t >= 1.0 and b_star < n):
+        return 0.0
+    if t <= 0.0 or b_star >= n:
+        return 1.0
+    return binomial_pvalue_table(n, float(t))[b_star]
+
+
+def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+    """(probabilities, thresholds): the exact law of the selected threshold.
+
+    The points that count as bad by position p are Binomial(n, q_p), q_p the
+    bad mass at positions <= p, and never fewer as p grows, so the walk passes
+    p with probability P(Binomial(n, q_p) <= b*). Given positions a..j-1
+    empty, the points fall on the others, so G(a, j) = P(positions a..j-1
+    empty, stop at j) is (mass off them)^n times a difference of two such
+    tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j)."""
+    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n)
+    # masses by position; position n_pos holds the cells past a fixed grid
+    mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
+    bad = w.masses * cell_exceedance_flags(w, loss)  # 0 on good cells
+    bad_mass = np.bincount(position, weights=bad, minlength=n_pos + 1)
+    below = np.concatenate(([0.0], np.cumsum(mass)))  # mass on positions < a
+    bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
+    above = np.cumsum(mass[::-1])[::-1]  # mass on positions >= j
+    g = np.zeros((n_pos + 1, n_pos + 1))  # g[j, a] = G(a, j) for a <= j
+    for j in range(n_pos + 1):
+        for a in range(j + 1):
+            rest = below[a] + above[j]  # mass off positions a..j-1
+            if rest <= 0.0:  # the points have nowhere else to fall
+                continue
+            passed = 1.0 if j == 0 else _lower_tail(b_star, n, bad_below[a] / rest)
+            stopped = (0.0 if j == n_pos
+                       else _lower_tail(b_star, n, (bad_below[a] + bad_mass[j]) / rest))
+            g[j, a] = (rest**n if a < j else 1.0) * (passed - stopped)
+    stop, prev = np.tril_indices(n_pos + 1)  # column a = 0..j holds prev = a - 1
+    return np.diff(g, axis=1, prepend=0.0)[stop, prev], threshold(prev - 1, stop)
 
 
 def enumerate_distribution(
@@ -410,53 +439,36 @@ def enumerate_distribution(
 ) -> OracleResult:
     """Exact law of the selected threshold, reduced to the requested quantity.
 
-    Which cells the n calibration points occupy is a sufficient statistic for
-    the whole calibration walk (scores and labels are cell-constant), so the
-    sum runs over occupancy vectors weighted by their multinomial
-    probability. The vectors go through the Monte-Carlo walk's count-based
-    selection ORACLE_BATCH at a time, and the quantity is evaluated once per
-    distinct threshold. ``x`` is an input in [0,1] for P(routed fast at x),
-    or ``JOINT`` for the joint exceedance probability.
-    """
+    Scores and labels are cell-constant, so the law over all C(n+cells-1,
+    cells-1) occupancy vectors follows in closed form (``_threshold_law``), at
+    any n. The quantity is evaluated once per distinct threshold. ``x`` is an
+    input in [0,1] for P(routed fast at x), or ``JOINT`` for the joint
+    exceedance probability."""
     _check_algorithm(algorithm)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    n_cells = len(w.cells)
-    n_outcomes = math.comb(n + n_cells - 1, n_cells - 1)
-    if n_outcomes > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"C(n+cells-1, cells-1) = {n_outcomes} outcomes for {n_cells} cells "
-            f"and n={n} exceed the enumeration budget {ENUMERATION_BUDGET}"
-        )
     if x != JOINT:
         x = float(x)
         query_cell = cell_at(w, x)
-    masses = w.masses
-    select = _threshold_selector(w, loss, cfg_pac, n) if algorithm != "trivial" else None
+    probs, taus = (_threshold_law(w, loss, cfg_pac, n) if algorithm != "trivial"
+                   else (np.ones(1), np.full(1, -np.inf)))
     quantity = {}  # threshold -> the requested quantity under it
     value = total = 0.0
-    outcomes = _compositions(n, n_cells)
-    while batch := list(itertools.islice(outcomes, ORACLE_BATCH)):
-        taus = select(np.array(batch)) if select else np.full(len(batch), -np.inf)
-        for counts, tau in zip(batch, taus):
-            prob = float(math.factorial(n) // math.prod(map(math.factorial, counts)))
-            for c, k in enumerate(counts):
-                if k:
-                    prob *= masses[c] ** k
-            if prob == 0.0:
-                continue
-            total += prob
-            if tau not in quantity:
-                if x == JOINT:
-                    r = ALWAYS_DEFER if tau == -np.inf else float(tau)
-                    quantity[tau] = exact_miscoverage(w, loss, r)
-                else:
-                    quantity[tau] = 1.0 if query_cell.score <= tau else 0.0
-            value += prob * quantity[tau]
+    for prob, tau in zip(probs.tolist(), taus.tolist()):
+        if prob == 0.0:
+            continue
+        total += prob
+        if tau not in quantity:
+            if x == JOINT:
+                r = ALWAYS_DEFER if tau == -np.inf else tau
+                quantity[tau] = exact_miscoverage(w, loss, r)
+            else:
+                quantity[tau] = 1.0 if query_cell.score <= tau else 0.0
+        value += prob * quantity[tau]
     return OracleResult(
         value=value,
         total_probability=total,
-        n_outcomes=n_outcomes,
+        n_outcomes=math.comb(n + w.n_cells - 1, w.n_cells - 1),
         quantity="joint_risk" if x == JOINT else f"fast_usage_at_{x}",
     )
 

@@ -4,7 +4,7 @@ A world is an ordered list of cells tiling [0,1]. Within a cell, inputs are
 uniform with total probability ``mass``, and the expert label, fast label and
 router score are constant. Cell-constant functions keep every population
 quantity (interval masses, miscoverage, deferral) exactly computable, which
-is what the enumeration oracles rely on.
+is what the exact oracles rely on.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import cell_indices
+
 __all__ = [
     "Cell",
     "CellWorld",
@@ -23,6 +25,7 @@ __all__ = [
     "validate_world",
     "cell_at",
     "cell_index_at",
+    "cell_indices_at",
     "interval_mass",
     "split_at",
     "sample_calibration",
@@ -133,6 +136,8 @@ def validate_world(w: CellWorld) -> list[str]:
     for i, c in enumerate(w.cells):
         if not c.left < c.right:
             out.append(f"cell {i}: left {c.left!r} must be < right {c.right!r}")
+        elif not _midpoint_inside(c.left, c.right):
+            out.append(f"cell {i}: midpoint of [{c.left!r}, {c.right!r}) is not inside it")
         if not c.mass >= 0.0:
             out.append(f"cell {i}: mass {c.mass!r} must be >= 0")
         if not np.isfinite(c.score):
@@ -157,13 +162,21 @@ def validate_world(w: CellWorld) -> list[str]:
     return out
 
 
+def _midpoint_inside(left: float, right: float) -> bool:
+    # false when no float lies strictly between the edges: the midpoint rounds to right
+    return (left + right) / 2.0 < right
+
+
+def cell_indices_at(w: CellWorld, xs) -> np.ndarray:
+    """``cell_index_at`` for an array of xs, without its domain check."""
+    return np.minimum(np.searchsorted(w.lefts, xs, side="right") - 1, len(w.cells) - 1)
+
+
 def cell_index_at(w: CellWorld, x: float) -> int:
     """Index of the cell owning x. Cells are [left, right); x=1 belongs to the last."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0,1], got {x!r}")
-    if x == 1.0:
-        return len(w.cells) - 1
-    return int(np.searchsorted(w.lefts, x, side="right")) - 1
+    return int(cell_indices_at(w, x))
 
 
 def cell_at(w: CellWorld, x: float) -> Cell:
@@ -189,7 +202,8 @@ def split_at(w: CellWorld, points) -> CellWorld:
 
     Each affected cell is cut into pieces whose masses are proportional to
     length; the last piece takes the exact remainder so total mass is
-    conserved bit-for-bit. Points already on a boundary are no-ops.
+    conserved bit-for-bit. Points on a boundary, and cuts that would leave a
+    piece without its own float midpoint, are no-ops.
     """
     pts = sorted({float(p) for p in points if 0.0 < p < 1.0})
     if not pts:
@@ -200,7 +214,11 @@ def split_at(w: CellWorld, points) -> CellWorld:
         if not inner:
             new_cells.append(c)
             continue
-        cuts = [c.left] + inner + [c.right]
+        cuts = [c.left]
+        for p in inner:
+            if _midpoint_inside(cuts[-1], p) and _midpoint_inside(p, c.right):
+                cuts.append(p)
+        cuts.append(c.right)
         length = c.right - c.left
         assigned = 0.0
         for j in range(len(cuts) - 1):
@@ -228,9 +246,7 @@ def sample_calibration(w: CellWorld, n: int, seed) -> CalibrationSet:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     v = rng.random(n)
-    cells = np.minimum(
-        np.searchsorted(w.mass_cdf, u, side="right"), len(w.cells) - 1
-    )
+    cells = cell_indices(w.mass_cdf, u)
     lefts = w.lefts[cells]
     rights = w.rights[cells]
     xs = lefts + v * (rights - lefts)

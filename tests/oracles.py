@@ -1,17 +1,25 @@
 """Independent test oracles, kept deliberately naive.
 
-The brute-force enumerator loops over ordered cell assignments with product
-probabilities, rebuilding a calibration set per assignment. The production
-oracle sums over occupancy vectors with multinomial weights; agreement
-between the two checks the combinatorics from a different route.
+The production oracle computes the law of the selected threshold in closed
+form, from binomial tails. Two enumerators check it from other routes:
+
+- ``brute_force_enumerate`` loops over ordered cell assignments with product
+  probabilities, rebuilding a calibration set per assignment and running
+  ``select_threshold`` on it. It costs cells**n, so it serves n <= 6.
+- ``occupancy_enumerate`` sums over the C(n+cells-1, cells-1) occupancy
+  vectors with multinomial weights, selecting each vector's threshold with
+  the Monte-Carlo walk's count-based selection. It is the exact reference at
+  the sizes the Monte-Carlo runs use (n = 100) on worlds of at most 3 cells.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 import pacroute as pr
 from pacroute.risk import ALWAYS_DEFER
+from pacroute.simulate import _threshold_selector
 
 
 def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
@@ -38,6 +46,38 @@ def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
             q = pr.exact_miscoverage(w, loss, tau)
         elif tau is ALWAYS_DEFER:
             q = 0.0
+        else:
+            q = 1.0 if pr.cell_at(w, x).score <= tau else 0.0
+        value += prob * q
+    return value, total
+
+
+def _compositions(total, bins):
+    if bins == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, bins - 1):
+            yield (head,) + rest
+
+
+def occupancy_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
+    """Return (value, total_probability) by summing over occupancy vectors."""
+    outcomes = list(_compositions(n, len(w.cells)))
+    if algorithm == "trivial":
+        taus = np.full(len(outcomes), -np.inf)
+    else:
+        taus = _threshold_selector(w, loss, pac, n)(np.array(outcomes))
+    value = 0.0
+    total = 0.0
+    for counts, tau in zip(outcomes, taus.tolist()):
+        prob = float(math.factorial(n) // math.prod(map(math.factorial, counts)))
+        for c, k in enumerate(counts):
+            if k:
+                prob *= w.cells[c].mass ** k
+        total += prob
+        if x == pr.JOINT:
+            q = pr.exact_miscoverage(w, loss, ALWAYS_DEFER if tau == -np.inf else tau)
         else:
             q = 1.0 if pr.cell_at(w, x).score <= tau else 0.0
         value += prob * q

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from pacroute.cli import main
 from pacroute.worlds import world_to_dict
 
-from conftest import child_env, make_three_cell, make_w1
+from conftest import child_env, make_w1
 
 W1_DICT = world_to_dict(make_w1())
 
@@ -409,9 +410,8 @@ def test_oracle_joint(tmp_path, w1_path):
     assert rep["report"]["n_outcomes"] == 4  # occupancy vectors of 3 into 2 cells
 
 
-def test_oracle_budget_exits_5(tmp_path):
-    world = world_to_dict(make_three_cell())
-    # pad to 10 cells by splitting: easier to just write a 10-cell uniform world
+def test_oracle_ten_cells_n40_exits_0(tmp_path):
+    # C(49, 9) ~ 2.05e9 occupancy vectors: answered in closed form
     cells = [
         {
             "left": i / 10,
@@ -430,7 +430,11 @@ def test_oracle_budget_exits_5(tmp_path):
         "c.json",
         {**BASE_CONFIG, "world": str(world_path), "oracle": {"n": 40, "x": "joint"}},
     )
-    assert run_cli(["oracle", "--config", cfg]) == 5
+    out = tmp_path / "o.json"
+    assert run_cli(["oracle", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)["report"]
+    assert rep["total_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["n_outcomes"] == math.comb(49, 9)
 
 
 def test_oracle_trivial_fast_prob_zero(tmp_path, w1_path):

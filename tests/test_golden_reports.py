@@ -17,7 +17,7 @@ GOLDEN_SHA256 = {
     "calibrate": "c5b49289ef90287e994db4b1de6d4bcbf0a412f7ca40cde666fa6d6a7d0bf103",
     "audit": "de41d4cb9e55a8649ffe4c0e6b0945aa61b2d0cdfa0baf1e9f42299e721ad317",
     "demo": "6536f5817839c52da74e31f4ce7c7d7a9f34ff6508fadf5a825f05a67420e0eb",
-    "oracle": "05e74862dd7c62b8174decd1639801c01221fc4072d586fb25743a145d47eb39",
+    "oracle": "4ce681be814cf929002e32adf1f6f2e922e8a29567cb0608c4de97075a96a324",
 }
 
 

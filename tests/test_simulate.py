@@ -12,7 +12,6 @@ from pacroute.simulate import (
     CHUNK,
     JOINT,
     DemoPreconditionError,
-    EnumerationBudgetError,
     McConfig,
     _replication_uniforms,
     _tau_values_for_replications,
@@ -24,8 +23,15 @@ from pacroute.simulate import (
     mc_joint_risk,
 )
 
-from conftest import corpus, make_three_cell, make_tied_scores, make_w1
-from oracles import brute_force_enumerate
+from conftest import (
+    corpus,
+    make_five_cell,
+    make_ten_cell,
+    make_three_cell,
+    make_tied_scores,
+    make_w1,
+)
+from oracles import brute_force_enumerate, occupancy_enumerate
 
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
 # grid (0.15, 0.5), n=6: the top threshold survives iff cell 2 is empty
@@ -148,8 +154,10 @@ def test_engine_matches_select_threshold_explicit_grid(loss01):
 
 
 def test_engine_matches_select_threshold_auto_grid(w1, loss01):
+    # b* = 1 at n = 100 (b* = -1 would make every threshold -inf)
     pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=None)
-    _engine_against_select_threshold(w1, loss01, pac, 40, 40, 4321, 11)
+    taus, _ = _engine_against_select_threshold(w1, loss01, pac, 100, 40, 4321, 11)
+    assert np.isfinite(taus).any()
     # alpha = 0.8, delta = 0.3: b* = 4 at n = 12, so walks on the tied-score
     # world stop at several score levels
     pac_tied = pr.PacConfig(epsilon=0.0, alpha=0.8, delta_split=0.3, threshold_grid=None)
@@ -245,7 +253,7 @@ def test_joint_risk_within_alpha_across_corpus(loss01):
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle
+# exact oracle
 
 def test_count_walk_rejects_epsilon_mismatch(w1, pac_w1):
     # as select_threshold does: the loss decides which cells are bad
@@ -269,12 +277,6 @@ def test_enumerate_trivial_is_zero(w1, loss01, pac_w1):
     assert fast.value == 0.0
     joint = enumerate_distribution(w1, loss01, pac_w1, 4, JOINT, algorithm="trivial")
     assert joint.value == 0.0
-
-
-def test_enumerate_budget_guard(loss01, pac_w1):
-    w = corpus()[5]  # ten cells: C(49, 9) ~ 2.05e9 outcomes at n=40
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_distribution(w, loss01, pac_w1, 40, JOINT)
 
 
 def test_enumerate_budget_counts_outcomes_not_sequences(w1, loss01, pac_w1):
@@ -312,6 +314,30 @@ def test_enumerate_matches_brute_force_auto_grid(w1, loss01):
         assert fast.total_probability == pytest.approx(slow_total, abs=1e-12)
     tied = enumerate_distribution(make_tied_scores(), loss01, pac, 5, JOINT).value
     assert 0.0 < tied <= pac.alpha
+
+
+def _oracle_cases():
+    """(world, n) for every world the oracle tests use, with n <= 8, plus
+    n = 100 on the worlds of at most 3 cells."""
+    small = [(make_w1(), 6), (make_w1(), 12), (make_three_cell(), 5),
+             (make_three_cell(), 10), (make_tied_scores(), 5), (make_five_cell(), 6),
+             (make_ten_cell(), 3)]
+    return small + [(w, 100) for w in corpus() if len(w.cells) <= 3]
+
+
+@pytest.mark.parametrize("grid", [(0.15, 0.5, 0.95), None], ids=["fixed", "auto"])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.8])
+def test_enumerate_matches_occupancy_enumerator(loss01, grid, alpha):
+    # the closed form against the sum over every occupancy vector
+    pac = pr.PacConfig(epsilon=0.0, alpha=alpha, delta_split=alpha / 2,
+                       threshold_grid=grid)
+    for w, n in _oracle_cases():
+        mids = (w.lefts + w.rights) / 2
+        for x in (JOINT, *mids.tolist()):
+            res = enumerate_distribution(w, loss01, pac, n, x)
+            value, total = occupancy_enumerate(w, loss01, pac, n, x)
+            assert res.value == pytest.approx(value, abs=1e-12), (w, n, x)
+            assert res.total_probability == pytest.approx(total, abs=1e-12)
 
 
 def test_enumerate_three_cell_closed_forms(loss01):
@@ -397,6 +423,30 @@ def test_oracle_matches_mc_nondegenerate(loss01):
         exact_p = enumerate_distribution(w, loss01, PAC_3CELL, 6, p.x).value
         tol = 4 * p.std_err if p.std_err > 0 else 1e-12
         assert abs(p.est_fast_prob - exact_p) <= tol
+
+
+@pytest.mark.parametrize(
+    "world, grid, alpha, delta",
+    [(make_w1(), (0.5, 0.95), 0.3, 0.05), (make_tied_scores(), None, 0.2, 0.1)],
+    ids=["w1-fixed", "tied-auto"],
+)
+def test_oracle_matches_mc_at_n100(loss01, world, grid, alpha, delta):
+    # at the calibration size the Monte-Carlo runs use
+    pac = pr.PacConfig(epsilon=0.0, alpha=alpha, delta_split=delta, threshold_grid=grid)
+    n, reps = 100, 20_000
+
+    def tol(p):
+        return 4 * math.sqrt(p * (1 - p) / reps) + 1 / reps
+
+    est, _ = mc_joint_risk(world, loss01, pac, reps, 606, n)
+    exact = enumerate_distribution(world, loss01, pac, n, JOINT).value
+    assert abs(est - exact) <= tol(exact)
+    rep = audit_profile(world, loss01, pac, McConfig(reps, 606), n)[0]
+    exact_fast = [enumerate_distribution(world, loss01, pac, n, p.x).value
+                  for p in rep.points]
+    assert any(0.05 < p < 0.95 for p in exact_fast)  # not only 0s and 1s
+    for p, exact_p in zip(rep.points, exact_fast):
+        assert abs(p.est_fast_prob - exact_p) <= tol(exact_p), p.x
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +550,7 @@ def test_demo_cross_world_gap_definition(w1, loss01, pac_w1):
 
 
 def test_demo_exact_cross_world_bound(loss01):
-    # enumeration on both worlds: the fast-usage gap at x* is bounded by the
+    # the exact law on both worlds: the fast-usage gap at x* is bounded by the
     # exact single-draw TV scaled by 2n
     w = make_three_cell()
     x_star = 0.25

@@ -58,6 +58,22 @@ def test_validate_rejects_tiny_alphabet():
     assert any("alphabet_size" in v for v in pr.validate_world(w))
 
 
+def test_validate_rejects_cell_without_inner_midpoint():
+    # no float lies strictly inside the middle cell, so its midpoint rounds
+    # to 0.99, which the last cell owns
+    w = pr.CellWorld(
+        cells=(
+            pr.Cell(0.0, 0.9899999999999999, 0.4, 0, 0, 0.1),
+            pr.Cell(0.9899999999999999, 0.99, 0.2, 0, 0, 0.2),
+            pr.Cell(0.99, 1.0, 0.4, 0, 0, 0.3),
+        ),
+        alphabet_size=2,
+    )
+    violations = pr.validate_world(w)
+    assert len(violations) == 1
+    assert violations[0].startswith("cell 1: midpoint")
+
+
 def test_cell_at_containment_and_conventions(w1):
     assert pr.cell_at(w1, 0.4) is w1.cells[0]
     # boundary point belongs to the right cell (half-open convention)
@@ -107,6 +123,17 @@ def test_split_at_existing_boundary_is_noop(w1):
     s = pr.split_at(w1, [0.8])
     assert len(s.cells) == len(w1.cells)
     assert s == w1
+
+
+def test_split_drops_cut_next_to_an_edge():
+    w = pr.CellWorld(
+        cells=(pr.Cell(0.0, 0.99, 0.5, 0, 0, 0.1), pr.Cell(0.99, 1.0, 0.5, 1, 0, 0.9)),
+        alphabet_size=2,
+    )
+    # one ulp below the edge at 0.99: the piece between would own no midpoint
+    s = pr.split_at(w, [0.9899999999999999, 0.4])
+    assert [c.left for c in s.cells] == [0.0, 0.4, 0.99]
+    assert pr.validate_world(s) == []
 
 
 def test_split_preserves_interval_mass(w1):
@@ -204,6 +231,11 @@ _weights = st.lists(
 ).filter(lambda ws: sum(ws) > 0.1)
 
 
+# a cell must hold its own float midpoint (validate_world); cuts this far
+# apart always leave one
+MIN_CUT_GAP = 1e-9
+
+
 @st.composite
 def world_strategy(draw):
     n_cuts = draw(st.integers(0, 5))
@@ -216,6 +248,7 @@ def world_strategy(draw):
         )
     )
     bounds = [0.0] + sorted(cuts) + [1.0]
+    assume(all(b - a >= MIN_CUT_GAP for a, b in zip(bounds, bounds[1:])))
     k = len(bounds) - 1
     weights = draw(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=k, max_size=k)
