@@ -24,14 +24,12 @@ from .calibrate import (
     binomial_pvalue,
     empirical_exceedances,
     select_threshold,
-    trivial_algorithm,
 )
 from .risk import (
     ALWAYS_DEFER,
     EXPERT,
     FAST,
     LossSpec,
-    RouterThreshold,
     disagreement_region,
     exact_deferral_mass,
     exact_miscoverage,
@@ -80,7 +78,6 @@ __all__ = [
     "McConfig",
     "PacConfig",
     "PerturbationSpec",
-    "RouterThreshold",
     "WorldValidationError",
     "audit_profile",
     "auto_threshold_grid",
@@ -104,7 +101,6 @@ __all__ = [
     "sample_calibration",
     "select_threshold",
     "split_at",
-    "trivial_algorithm",
     "tv_product_bound",
     "tv_single",
     "validate_world",

@@ -43,16 +43,6 @@ class PerturbationSpec:
     ball_mass: float
     adversarial_label: int
 
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star,
-            "eta": self.eta,
-            "n": self.n,
-            "radius": self.radius,
-            "ball_mass": self.ball_mass,
-            "adversarial_label": self.adversarial_label,
-        }
-
 
 def _ball_mass(w: CellWorld, x_star: float, radius: float) -> float:
     # clipping at the domain edge only shrinks the ball, never the bound

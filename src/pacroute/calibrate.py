@@ -4,7 +4,8 @@ Candidate thresholds are tested in ascending order. At each one, the number
 of calibration points that would be routed fast with a bad fast answer is an
 exact Binomial(n, p(tau)) count; we test H0: p(tau) > t at level delta with
 t = alpha - delta and keep climbing while the test rejects. The selected
-threshold is the largest rejected candidate, or ALWAYS_DEFER if none is.
+threshold is the largest rejected candidate, or ALWAYS_DEFER (-inf) if none
+is.
 
 Validity sketch: bad-rate exceedance probabilities are nondecreasing in the
 threshold, so the true nulls form a suffix of the ladder and the first true
@@ -24,12 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .risk import (
-    ALWAYS_DEFER,
-    LossSpec,
-    RouterThreshold,
-    check_loss_compatible,
-)
+from .risk import ALWAYS_DEFER, LossSpec, check_loss_compatible
 from .worlds import CalibrationSet, CellWorld, cell_indices_at
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "empirical_exceedances",
     "auto_threshold_grid",
     "select_threshold",
-    "trivial_algorithm",
 ]
 
 
@@ -100,7 +95,7 @@ class TestedThreshold(NamedTuple):
 class CalibrationOutcome:
     """Result of a grid walk: selected threshold plus the tested ladder."""
 
-    tau_hat: RouterThreshold
+    tau_hat: float
     tested: tuple[TestedThreshold, ...]
     n: int
 
@@ -213,7 +208,7 @@ def select_threshold(
         grid = auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
     t = cfg.test_level
     tested: list[TestedThreshold] = []
-    tau_hat: RouterThreshold = ALWAYS_DEFER
+    tau_hat = ALWAYS_DEFER
     for tau in grid:
         b = empirical_exceedances(d, w, loss, tau)
         p = binomial_pvalue(b, n, t)
@@ -223,8 +218,3 @@ def select_threshold(
             break
         tau_hat = tau
     return CalibrationOutcome(tau_hat=tau_hat, tested=tuple(tested), n=n)
-
-
-def trivial_algorithm() -> RouterThreshold:
-    """The always-defer baseline: zero risk everywhere, zero savings."""
-    return ALWAYS_DEFER

@@ -276,7 +276,7 @@ def _cmd_audit(cfg: dict, args) -> int:
             "calibration": {"n": n},
             "algorithm": algorithm,
         },
-        "report": audit.to_dict(),
+        "report": audit,
     }
     _emit(report, args.out or cfg.get("out"))
     return EXIT_OK
@@ -316,7 +316,7 @@ def _cmd_demo(cfg: dict, args) -> int:
             "demo": {"x_star": x_star, "eta": eta, "n": n},
             "algorithm": algorithm,
         },
-        "report": report_obj.to_dict(),
+        "report": report_obj,
     }
     _emit(report, args.out or cfg.get("out"))
     return EXIT_OK
@@ -347,7 +347,7 @@ def _cmd_oracle(cfg: dict, args) -> int:
             "oracle": {"n": n, "x": x_raw},
             "algorithm": algorithm,
         },
-        "report": result.to_dict(),
+        "report": result,
     }
     _emit(report, args.out or cfg.get("out"))
     return EXIT_OK

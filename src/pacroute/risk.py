@@ -1,15 +1,16 @@
 """Threshold router, loss specs, and exact population risk quantities.
 
 The router sends an input to the expert when its score strictly exceeds the
-threshold; ties go to the fast model. ``ALWAYS_DEFER`` is a distinguished
-threshold that routes everything to the expert (kept as a sentinel rather
-than -inf so serialized reports stay finite).
+threshold; ties go to the fast model. A threshold is a float, and
+``ALWAYS_DEFER`` is -inf: every score exceeds it, so it routes everything to
+the expert. Compare thresholds with ``==``; reports write -inf as the string
+"ALWAYS_DEFER" (:func:`pacroute.serialize.encode_threshold`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .worlds import CellWorld, cell_at
 
 __all__ = [
     "LossSpec",
-    "RouterThreshold",
     "ALWAYS_DEFER",
     "EXPERT",
     "FAST",
@@ -35,22 +35,7 @@ __all__ = [
 EXPERT = "expert"
 FAST = "fast"
 
-
-class _AlwaysDefer:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ALWAYS_DEFER"
-
-
-ALWAYS_DEFER = _AlwaysDefer()
-
-RouterThreshold = Union[float, _AlwaysDefer]
+ALWAYS_DEFER = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -101,14 +86,14 @@ class LossSpec:
         return self.value(prediction, truth) > self.epsilon
 
 
-def route(r: RouterThreshold, score: float) -> str:
-    """EXPERT when score > threshold (or always-defer); FAST otherwise."""
-    if r is ALWAYS_DEFER or score > r:
+def route(r: float, score: float) -> str:
+    """EXPERT when score > threshold; FAST otherwise."""
+    if score > r:
         return EXPERT
     return FAST
 
 
-def pointwise_risk(w: CellWorld, loss: LossSpec, r: RouterThreshold, x: float) -> float:
+def pointwise_risk(w: CellWorld, loss: LossSpec, r: float, x: float) -> float:
     """Loss incurred at x: zero when the expert handles it, else fast-vs-expert loss."""
     check_loss_compatible(w, loss)
     c = cell_at(w, x)
@@ -147,17 +132,15 @@ def disagreement_region(w: CellWorld, loss: LossSpec) -> DisagreementRegion:
     return DisagreementRegion(cell_indices=idx, mass=mass)
 
 
-def exact_miscoverage(w: CellWorld, loss: LossSpec, r: RouterThreshold) -> float:
+def exact_miscoverage(w: CellWorld, loss: LossSpec, r: float) -> float:
     """Exact P(risk > epsilon) for a fixed threshold: mass routed fast AND bad."""
-    if r is ALWAYS_DEFER:
-        return 0.0
     sel = (w.scores <= r) & cell_exceedance_flags(w, loss)
     return float(np.sum(w.masses[sel]))
 
 
-def exact_deferral_mass(w: CellWorld, r: RouterThreshold) -> float:
+def exact_deferral_mass(w: CellWorld, r: float) -> float:
     """Exact probability the router defers to the expert."""
-    if r is ALWAYS_DEFER:
+    if r == ALWAYS_DEFER:  # exactly 1, where the masses may sum to 1 - 1 ulp
         return 1.0
     return float(np.sum(w.masses[w.scores > r]))
 

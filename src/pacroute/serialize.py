@@ -2,16 +2,17 @@
 
 Reports must reproduce byte-for-byte across runs, so JSON is emitted with
 sorted keys and floats printed at 17 significant digits (enough to round-trip
-any double).
+any double). A dataclass record is written as the object of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 
 import numpy as np
 
-from .risk import ALWAYS_DEFER, RouterThreshold
+from .risk import ALWAYS_DEFER
 
 __all__ = ["dump_json", "encode_threshold"]
 
@@ -21,9 +22,9 @@ _STRING_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
 _STRING_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n"})
 
 
-def encode_threshold(tau: RouterThreshold):
-    """JSON form of a threshold: the sentinel becomes the string "ALWAYS_DEFER"."""
-    if tau is ALWAYS_DEFER:
+def encode_threshold(tau: float):
+    """JSON form of a threshold: ALWAYS_DEFER (-inf) becomes the string "ALWAYS_DEFER"."""
+    if tau == ALWAYS_DEFER:
         return "ALWAYS_DEFER"
     return float(tau)
 
@@ -63,6 +64,8 @@ def _write(obj, out: list) -> None:
                 out.append(", ")
             _write(item, out)
         out.append("]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 

@@ -38,6 +38,7 @@ from .risk import (
     exact_deferral_mass,
     exact_miscoverage,
 )
+from .serialize import encode_threshold
 from .worlds import CellWorld, cell_at
 
 __all__ = [
@@ -110,14 +111,6 @@ class PointAudit:
     est_violation_prob: float
     std_err: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "est_fast_prob": self.est_fast_prob,
-            "est_violation_prob": self.est_violation_prob,
-            "std_err": self.std_err,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -136,17 +129,6 @@ class AuditReport:
     replications: int
     algorithm: str
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [p.to_dict() for p in self.points],
-            "max_fast_prob": self.max_fast_prob,
-            "alpha": self.alpha,
-            "trivial_verdict": self.trivial_verdict,
-            "points_above_alpha": list(self.points_above_alpha),
-            "replications": self.replications,
-            "algorithm": self.algorithm,
-        }
-
 
 @dataclass(frozen=True)
 class DemoReport:
@@ -164,21 +146,6 @@ class DemoReport:
     deferral_mass_mean: float
     verdicts: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "base_audit": self.base_audit.to_dict(),
-            "perturbed_audit": self.perturbed_audit.to_dict(),
-            "perturbation": self.perturbation.to_dict(),
-            "tv_bound": self.tv_bound,
-            "tv_coupling_bound": self.tv_coupling_bound,
-            "cross_world_gap": self.cross_world_gap,
-            "combined_std_err": self.combined_std_err,
-            "marginal_risk_base": self.marginal_risk_base,
-            "marginal_risk_std_err": self.marginal_risk_std_err,
-            "deferral_mass_mean": self.deferral_mass_mean,
-            "verdicts": dict(self.verdicts),
-        }
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -189,20 +156,19 @@ class OracleResult:
     n_outcomes: int
     quantity: str
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "total_probability": self.total_probability,
-            "n_outcomes": self.n_outcomes,
-            "quantity": self.quantity,
-        }
-
 
 def default_audit_points(w: CellWorld) -> tuple[float, ...]:
-    """21 equispaced points plus every cell midpoint, sorted and deduplicated."""
+    """21 equispaced points plus every cell midpoint, sorted and deduplicated.
+
+    A point within 1e-12 of the point kept before it is dropped: a midpoint
+    and a grid point that differ only by rounding audit the same input.
+    """
     mids = (w.lefts + w.rights) / 2.0
-    pts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids]))
-    return tuple(float(p) for p in pts)
+    kept: list[float] = []
+    for p in np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids])).tolist():
+        if not kept or p - kept[-1] > 1e-12:
+            kept.append(p)
+    return tuple(kept)
 
 
 def _resolve_audit_points(cfg_mc: McConfig, w: CellWorld) -> tuple[float, ...]:
@@ -211,25 +177,26 @@ def _resolve_audit_points(cfg_mc: McConfig, w: CellWorld) -> tuple[float, ...]:
     return default_audit_points(w)
 
 
-def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-
-
-def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
     """``(b_star, position, n_positions, threshold)`` of the count walk over n
     points. Positions are grid indices on a fixed grid and the distinct scores
     on the auto grid; ``position[c]`` is the first at which cell ``c``'s
     samples would count as bad (n_positions: past a fixed grid).
     ``threshold(prev, stop)`` is what ``select_threshold`` picks when the walk
     stops at ``stop`` (n_positions: never) and ``prev`` is the highest
-    occupied position below it (-1: none); -inf encodes always-defer."""
+    occupied position below it (-1: none).
+
+    The trivial router is this walk with b* = -1: no count rejects, so every
+    walk stops at position 0 and selects ALWAYS_DEFER."""
+    if algorithm not in _ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
     if cfg_pac.epsilon != loss.epsilon:
         raise ValueError(f"PacConfig.epsilon ({cfg_pac.epsilon!r}) must match "
                          f"LossSpec.epsilon ({loss.epsilon!r})")
-    b_star = max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
+    b_star = (max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
+              if algorithm == "calibrated" else -1)
     if cfg_pac.threshold_grid is not None:
-        grid = np.append(cfg_pac.threshold_grid, -np.inf)  # index -1: always defer
+        grid = np.append(cfg_pac.threshold_grid, ALWAYS_DEFER)  # grid[-1]: stop at 0
         position = np.searchsorted(grid[:-1], w.scores, side="left")
         return b_star, position, len(grid) - 1, lambda prev, stop: grid[stop - 1]
     levels, position = np.unique(w.scores, return_inverse=True)
@@ -240,15 +207,16 @@ def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
         # midpoint up from prev or one above it, as auto_threshold_grid computes
         below = levels[prev]
         midpoint = (below + levels[np.minimum(stop, top)]) / 2.0
-        return np.where(prev < 0, -np.inf, np.where(stop <= top, midpoint, below + 1.0))
+        return np.where(prev < 0, ALWAYS_DEFER, np.where(stop <= top, midpoint, below + 1.0))
 
     return b_star, position, top + 1, threshold
 
 
-def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, walk):
     """``select(counts)``: the threshold ``select_threshold`` picks from any
-    calibration set of n points with these (sets, cells) occupancy counts."""
-    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n)
+    calibration set with these (sets, cells) occupancy counts, given the
+    ``_walk`` over that many points."""
+    b_star, position, n_pos, threshold = walk
     bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
     if cfg_pac.threshold_grid is not None:  # the threshold ignores prev
         return lambda c: threshold(None, _kernels.tau_indices(c, bad_position, b_star, n_pos) + 1)
@@ -274,22 +242,24 @@ def _tau_values_for_replications(
     need_test_draws: bool = False,
     algorithm: str = "calibrated",
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-replication selected thresholds (-inf encodes always-defer).
+    """Per-replication selected thresholds.
 
     With ``need_test_draws``, each replication consumes one extra uniform for
     an independent test input and its cell index is returned alongside.
     Replications are seeded and walked CHUNK at a time, so memory does not
-    grow with the replication count.
+    grow with the replication count. When b* < 0 (the trivial router, or a
+    calibration too small to reject anything) every replication selects
+    ALWAYS_DEFER; nothing is drawn and the test cells are all 0.
     """
-    _check_algorithm(algorithm)
     if n < 1:
         raise ValueError(f"calibration size n must be >= 1, got {n}")
+    walk = _walk(w, loss, cfg_pac, n, algorithm)
     test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
-    if algorithm == "trivial":
-        return np.full(replications, -np.inf), test_cells
+    if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
+        return np.full(replications, ALWAYS_DEFER), test_cells
     cols = n + 1 if need_test_draws else n
     cdf = w.mass_cdf
-    select = _threshold_selector(w, loss, cfg_pac, n)
+    select = _threshold_selector(w, loss, cfg_pac, walk)
     taus = np.empty(replications)
     for start in range(0, replications, CHUNK):
         stop = min(start + CHUNK, replications)
@@ -375,9 +345,6 @@ def mc_joint_risk(
     Each replication calibrates on a fresh set of size n, then draws one test
     input. Returns (estimate, binomial standard error).
     """
-    _check_algorithm(algorithm)
-    if algorithm == "trivial":
-        return 0.0, 0.0
     taus, test_cells = _tau_values_for_replications(
         w, loss, cfg_pac, n, replications, master_seed, stream,
         need_test_draws=True, algorithm=algorithm,
@@ -397,7 +364,8 @@ def _lower_tail(b_star: int, n: int, t: float) -> float:
     return binomial_pvalue_table(n, float(t))[b_star]
 
 
-def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
+def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
+                   algorithm: str):
     """(probabilities, thresholds): the exact law of the selected threshold.
 
     The points that count as bad by position p are Binomial(n, q_p), q_p the
@@ -406,7 +374,7 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int):
     empty, the points fall on the others, so G(a, j) = P(positions a..j-1
     empty, stop at j) is (mass off them)^n times a difference of two such
     tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j)."""
-    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n)
+    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n, algorithm)
     # masses by position; position n_pos holds the cells past a fixed grid
     mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
     bad = w.masses * cell_exceedance_flags(w, loss)  # 0 on good cells
@@ -444,14 +412,12 @@ def enumerate_distribution(
     any n. The quantity is evaluated once per distinct threshold. ``x`` is an
     input in [0,1] for P(routed fast at x), or ``JOINT`` for the joint
     exceedance probability."""
-    _check_algorithm(algorithm)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if x != JOINT:
         x = float(x)
         query_cell = cell_at(w, x)
-    probs, taus = (_threshold_law(w, loss, cfg_pac, n) if algorithm != "trivial"
-                   else (np.ones(1), np.full(1, -np.inf)))
+    probs, taus = _threshold_law(w, loss, cfg_pac, n, algorithm)
     quantity = {}  # threshold -> the requested quantity under it
     value = total = 0.0
     for prob, tau in zip(probs.tolist(), taus.tolist()):
@@ -460,8 +426,7 @@ def enumerate_distribution(
         total += prob
         if tau not in quantity:
             if x == JOINT:
-                r = ALWAYS_DEFER if tau == -np.inf else tau
-                quantity[tau] = exact_miscoverage(w, loss, r)
+                quantity[tau] = exact_miscoverage(w, loss, tau)
             else:
                 quantity[tau] = 1.0 if query_cell.score <= tau else 0.0
         value += prob * quantity[tau]
@@ -477,8 +442,7 @@ def _mean_deferral_mass(w: CellWorld, tau_values: np.ndarray) -> float:
     uniq, counts = np.unique(tau_values, return_counts=True)
     total = 0.0
     for tau, k in zip(uniq, counts):
-        r = ALWAYS_DEFER if tau == -np.inf else float(tau)
-        total += int(k) * exact_deferral_mass(w, r)
+        total += int(k) * exact_deferral_mass(w, float(tau))
     return total / len(tau_values)
 
 
@@ -584,7 +548,7 @@ def iter_trace_rows(
     cells = [cell_at(w, float(x)) for x in points]
     bad = [loss.exceeds(c.fast_label, c.expert_label) for c in cells]
     for r, tau in enumerate(tau_values):
-        tau_out = "ALWAYS_DEFER" if tau == -np.inf else float(tau)
+        tau_out = encode_threshold(tau)
         for x, c, is_bad in zip(points, cells, bad):
             g = 0 if c.score <= tau else 1
             yield r, float(x), tau_out, g, int(g == 0 and is_bad)

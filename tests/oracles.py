@@ -19,7 +19,7 @@ import numpy as np
 
 import pacroute as pr
 from pacroute.risk import ALWAYS_DEFER
-from pacroute.simulate import _threshold_selector
+from pacroute.simulate import _threshold_selector, _walk
 
 
 def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
@@ -64,10 +64,8 @@ def _compositions(total, bins):
 def occupancy_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
     """Return (value, total_probability) by summing over occupancy vectors."""
     outcomes = list(_compositions(n, len(w.cells)))
-    if algorithm == "trivial":
-        taus = np.full(len(outcomes), -np.inf)
-    else:
-        taus = _threshold_selector(w, loss, pac, n)(np.array(outcomes))
+    select = _threshold_selector(w, loss, pac, _walk(w, loss, pac, n, algorithm))
+    taus = select(np.array(outcomes))
     value = 0.0
     total = 0.0
     for counts, tau in zip(outcomes, taus.tolist()):
@@ -77,7 +75,7 @@ def occupancy_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
                 prob *= w.cells[c].mass ** k
         total += prob
         if x == pr.JOINT:
-            q = pr.exact_miscoverage(w, loss, ALWAYS_DEFER if tau == -np.inf else tau)
+            q = pr.exact_miscoverage(w, loss, tau)
         else:
             q = 1.0 if pr.cell_at(w, x).score <= tau else 0.0
         value += prob * q

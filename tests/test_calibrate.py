@@ -211,8 +211,8 @@ def test_auto_grid_used_when_config_grid_absent(w1, loss01):
 
 
 def test_trivial_algorithm(w1, loss01):
-    tau = pr.trivial_algorithm()
-    assert tau is ALWAYS_DEFER
+    tau = pr.ALWAYS_DEFER
+    assert tau is ALWAYS_DEFER and tau == float("-inf")
     for x in (0.0, 0.3, 0.9):
         assert pr.pointwise_risk(w1, loss01, tau, x) == 0.0
     assert pr.exact_deferral_mass(w1, tau) == 1.0

@@ -1,10 +1,11 @@
-"""The four w1 reports, pinned byte for byte.
+"""The w1 reports and traces, pinned byte for byte.
 
 Any change to a report's bytes must be deliberate: update the hash here and
 say in the change log what changed and why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,23 @@ GOLDEN_SHA256 = {
     "oracle": "4ce681be814cf929002e32adf1f6f2e922e8a29567cb0608c4de97075a96a324",
 }
 
+# the same configs with "algorithm": "trivial"
+TRIVIAL_SHA256 = {
+    "audit": "1a5c0ee3ea646e652dea95f52a58ca0e9a3355d8179a42b32be30f9699680101",
+    "demo": "63c603d96c8069ac93a5e3c620b749064868b56281beb29f765a931fe56295c2",
+    "oracle": "d61c40856162884dac07f034cd35bfa8035bbd97c2090087365ba679a970e55c",
+}
+
+# the --trace CSVs of the calibrated configs
+TRACE_SHA256 = {
+    "audit": "fdb9d9f2a3b93cca6e6644e39a44af23b9a30510a635e6cd7ec62c7ed518da47",
+    "demo": "14f9393c45908df03d9127c9215302e91f23edf722bede15fe9fa6e24fd7986b",
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("cmd", sorted(GOLDEN_SHA256))
 def test_w1_report_bytes(cmd, tmp_path, monkeypatch):
@@ -27,4 +45,25 @@ def test_w1_report_bytes(cmd, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     out = tmp_path / f"{cmd}.json"
     assert main([cmd, "--config", f"configs/{cmd}_w1.json", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[cmd]
+    assert _sha256(out) == GOLDEN_SHA256[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(TRIVIAL_SHA256))
+def test_w1_trivial_report_bytes(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    cfg = json.loads((ROOT / "configs" / f"{cmd}_w1.json").read_text(encoding="utf-8"))
+    cfg["algorithm"] = "trivial"
+    config = tmp_path / f"{cmd}_trivial.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / f"{cmd}.json"
+    assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    assert _sha256(out) == TRIVIAL_SHA256[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(TRACE_SHA256))
+def test_w1_trace_bytes(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out, trace = tmp_path / f"{cmd}.json", tmp_path / f"{cmd}.csv"
+    argv = [cmd, "--config", f"configs/{cmd}_w1.json", "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    assert _sha256(trace) == TRACE_SHA256[cmd]

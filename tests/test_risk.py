@@ -65,6 +65,23 @@ def test_exact_deferral_mass_w1(w1):
     assert pr.exact_deferral_mass(w1, 2.0) == 0.0
 
 
+def test_exact_deferral_mass_always_defer_is_exactly_one():
+    # these masses sum to 1 - 1 ulp; the trivial router still defers with
+    # probability exactly 1, so the demo's "nontrivial" verdict stays false
+    w = pr.CellWorld(
+        cells=(
+            pr.Cell(0.0, 0.5, 0.7, 0, 0, 0.1),
+            pr.Cell(0.5, 0.8, 0.2, 1, 0, 0.5),
+            pr.Cell(0.8, 1.0, 0.1, 1, 1, 0.9),
+        ),
+        alphabet_size=2,
+    )
+    assert pr.validate_world(w) == []
+    assert np.sum(w.masses) == 0.9999999999999999
+    assert pr.exact_deferral_mass(w, ALWAYS_DEFER) == 1.0
+    assert pr.exact_deferral_mass(w, np.float64("-inf")) == 1.0
+
+
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         pr.LossSpec(kind="zero_one", epsilon=1.0)

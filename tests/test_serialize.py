@@ -1,10 +1,14 @@
 import json
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacroute.serialize import dump_json
+from pacroute.adversary import PerturbationSpec
+from pacroute.risk import ALWAYS_DEFER
+from pacroute.serialize import dump_json, encode_threshold
 
 
 @pytest.mark.parametrize(
@@ -26,3 +30,36 @@ def test_escape_forms():
 @settings(max_examples=200, deadline=None)
 def test_any_string_round_trips(s):
     assert json.loads(dump_json(s)) == s
+
+
+def test_encode_threshold_always_defer():
+    # the engine's thresholds are numpy floats
+    assert encode_threshold(np.float64("-inf")) == "ALWAYS_DEFER"
+    assert encode_threshold(ALWAYS_DEFER) == "ALWAYS_DEFER"
+    assert encode_threshold(np.float64(0.5)) == 0.5
+    assert dump_json({"tau_hat": encode_threshold(ALWAYS_DEFER)}) == '{"tau_hat": "ALWAYS_DEFER"}'
+
+
+@pytest.mark.parametrize("x", [float("-inf"), float("inf"), float("nan")])
+def test_non_finite_floats_refused(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        dump_json({"value": x})
+
+
+def test_dataclass_written_as_its_fields():
+    @dataclass(frozen=True)
+    class Outer:
+        spec: PerturbationSpec
+        xs: tuple
+        flag: bool
+
+    spec = PerturbationSpec(
+        x_star=0.4, eta=0.01, n=100, radius=0.0125, ball_mass=0.0125, adversarial_label=1
+    )
+    assert dump_json(Outer(spec, (0.5, 1), True)) == (
+        '{"flag": true, "spec": {"adversarial_label": 1, "ball_mass": 0.012500000000000001, '
+        '"eta": 0.01, "n": 100, "radius": 0.012500000000000001, "x_star": 0.40000000000000002}, '
+        '"xs": [0.5, 1]}'
+    )
+    with pytest.raises(TypeError):
+        dump_json(PerturbationSpec)  # the class itself is not a record

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import pacroute as pr
-from pacroute.calibrate import select_threshold
+from pacroute import simulate
+from pacroute.calibrate import max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json
 from pacroute.simulate import (
@@ -78,6 +79,19 @@ def test_default_audit_points(w1):
     assert pts_off == tuple(sorted(set(pts_off)))
 
 
+def test_default_audit_points_drop_rounding_twins():
+    # the midpoints 0.15 and 0.35 of the tied world round one ulp away from
+    # the grid's 0.15 and 0.35; each input is audited once
+    w = make_tied_scores()
+    pts = default_audit_points(w)
+    assert np.diff(pts).min() > 1e-12
+    assert len(pts) == 23
+    for m in (w.lefts + w.rights) / 2:
+        near = min(pts, key=lambda p: abs(p - m))
+        assert abs(near - m) <= 1e-12
+        assert pr.cell_at(w, near) == pr.cell_at(w, m)
+
+
 # ---------------------------------------------------------------------------
 # conditional profile
 
@@ -115,7 +129,7 @@ def test_profile_determinism_bytewise(w1, loss01, pac_w1):
     mc = McConfig(replications=300, master_seed=77)
     a = audit_profile(w1, loss01, pac_w1, mc, 50)[0]
     b = audit_profile(w1, loss01, pac_w1, mc, 50)[0]
-    assert dump_json(a.to_dict()) == dump_json(b.to_dict())
+    assert dump_json(a) == dump_json(b)
 
 
 def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
@@ -220,6 +234,28 @@ def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
 
 # ---------------------------------------------------------------------------
 # joint risk
+
+@pytest.mark.parametrize(
+    "algorithm, grid, n",
+    [("trivial", (0.5, 0.95), 100), ("calibrated", (0.5, 0.95), 20),
+     ("calibrated", None, 20)],
+    ids=["trivial", "b_star_negative_fixed", "b_star_negative_auto"],
+)
+def test_no_draws_when_b_star_negative(w1, loss01, monkeypatch, algorithm, grid, n):
+    # b* < 0: every walk selects ALWAYS_DEFER, so no uniform is drawn
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=grid)
+    if algorithm == "calibrated":
+        assert max_rejectable_count(n, pac.test_level, pac.delta_split) == -1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniforms drawn")
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
+    mc = McConfig(replications=300, master_seed=9)
+    _, taus = audit_profile(w1, loss01, pac, mc, n, algorithm=algorithm)
+    assert len(taus) == 300 and np.all(taus == ALWAYS_DEFER)
+    assert mc_joint_risk(w1, loss01, pac, 300, 9, n, algorithm=algorithm) == (0.0, 0.0)
+
 
 def test_joint_risk_trivial_zero(w1, loss01, pac_w1):
     assert mc_joint_risk(w1, loss01, pac_w1, 100, 5, 50, algorithm="trivial") == (
@@ -537,7 +573,7 @@ def test_demo_large_eta_clamps(w1, loss01, pac_w1):
 def test_demo_report_determinism(w1, loss01, pac_w1):
     a = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
     b = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
-    assert dump_json(a.to_dict()) == dump_json(b.to_dict())
+    assert dump_json(a) == dump_json(b)
 
 
 def test_demo_cross_world_gap_definition(w1, loss01, pac_w1):
