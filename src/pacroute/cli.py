@@ -1,19 +1,17 @@
 """Config-driven command line: calibrate, audit, demo, oracle, validate-world.
 
 Every run is described by a single JSON config file; ``--seed`` and ``--out``
-override the config, ``--workers`` is accepted for compatibility but has no
-effect on outputs or on work, and ``--trace`` streams per-replication CSV
-rows.
+override the config, and ``--workers`` is accepted for compatibility but has
+no effect on outputs or on work. ``audit`` and ``demo`` also take ``--trace``,
+which streams per-replication CSV rows; the other commands refuse it.
 
-Exit codes: 0 success, 2 config or parse error, 3 world validation error,
-4 demo precondition error.
+Exit codes: 0 success, 2 config or parse error (an output that cannot be
+written included), 3 world validation error, 4 demo precondition error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import sys
 
@@ -34,7 +32,7 @@ from .simulate import (
     audit_profile,
     demo_with_replications,
     enumerate_distribution,
-    iter_trace_rows,
+    trace_blocks,
 )
 from .worlds import WorldValidationError, load_world, sample_calibration
 
@@ -172,20 +170,26 @@ def _pac_to_dict(pac: PacConfig) -> dict:
     }
 
 
+def _write_text(path: str, text: str, blocks=()) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+            f.writelines(blocks)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = dump_json(report) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
-def _write_trace(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_trace(path: str, header, blocks) -> None:
+    """The CSV header row, then the row text of ``simulate.trace_blocks``."""
+    _write_text(path, ",".join(header) + "\r\n", blocks)
 
 
 def _cmd_validate_world(cfg: dict, args) -> int:
@@ -257,13 +261,15 @@ def _cmd_audit(cfg: dict, args) -> int:
     algorithm = _parse_algorithm(cfg)
     cal = _require(cfg, "calibration", dict)
     n = int(_require(cal, "n", int, "calibration"))
+    if args.trace:
+        _write_text(args.trace, "")  # an unwritable path fails before any replication
     audit, taus = audit_profile(world, loss, pac, mc, n, algorithm=algorithm)
     if args.trace:
         points = [p.x for p in audit.points]
         _write_trace(
             args.trace,
             ("replication", "point", "tau_hat", "g", "risk_exceeded"),
-            iter_trace_rows(world, loss, points, taus),
+            trace_blocks(world, loss, points, taus),
         )
     report = {
         "command": "audit",
@@ -292,19 +298,22 @@ def _cmd_demo(cfg: dict, args) -> int:
     x_star = float(_require(demo, "x_star", float, "demo"))
     eta = float(_require(demo, "eta", float, "demo"))
     n = int(_require(demo, "n", int, "demo"))
+    if args.trace:
+        _write_text(args.trace, "")  # an unwritable path fails before any replication
     report_obj, perturbed, points, base_taus, pert_taus = demo_with_replications(
         world, loss, pac, x_star, eta, n, mc, algorithm=algorithm
     )
     if args.trace:
-        header = ("world", "replication", "point", "tau_hat", "g", "risk_exceeded")
-        rows = itertools.chain(
-            (("base",) + row for row in iter_trace_rows(world, loss, points, base_taus)),
+        lanes = (("base", world, base_taus), ("perturbed", perturbed, pert_taus))
+        _write_trace(
+            args.trace,
+            ("world", "replication", "point", "tau_hat", "g", "risk_exceeded"),
             (
-                ("perturbed",) + row
-                for row in iter_trace_rows(perturbed, loss, points, pert_taus)
+                block
+                for name, w, taus in lanes
+                for block in trace_blocks(w, loss, points, taus, prefix=f"{name},")
             ),
         )
-        _write_trace(args.trace, header, rows)
     report = {
         "command": "demo",
         "version": __version__,
@@ -385,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=_positive_int, default=1,
             help="accepted for compatibility; has no effect on outputs or work",
         )
-        p.add_argument(
-            "--trace", default=None,
-            help="write per-replication CSV trace here (audit and demo)",
-        )
+        if name in ("audit", "demo"):
+            p.add_argument(
+                "--trace", default=None, help="write the per-replication CSV trace here",
+            )
     return parser
 
 

@@ -140,9 +140,10 @@ def exact_miscoverage(w: CellWorld, loss: LossSpec, r: float) -> float:
 
 def exact_deferral_mass(w: CellWorld, r: float) -> float:
     """Exact probability the router defers to the expert."""
-    if r == ALWAYS_DEFER:  # exactly 1, where the masses may sum to 1 - 1 ulp
+    deferred = w.scores > r
+    if deferred.all():  # exactly 1, where the masses may sum to 1 - 1 ulp
         return 1.0
-    return float(np.sum(w.masses[w.scores > r]))
+    return float(np.sum(w.masses[deferred]))
 
 
 def loss_from_dict(d: dict) -> LossSpec:

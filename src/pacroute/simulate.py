@@ -54,13 +54,16 @@ __all__ = [
     "mc_joint_risk",
     "enumerate_distribution",
     "demo_with_replications",
-    "iter_trace_rows",
+    "trace_blocks",
 ]
 
 JOINT = "joint"
 
 # replications seeded and walked together; bounds the walk's working memory
 CHUNK = 4096
+
+# trace rows formatted and written together; bounds the trace writer's memory
+TRACE_BLOCK_ROWS = 8192
 
 # independent substreams used by the demo pipeline
 STREAM_AUDIT = 0
@@ -541,14 +544,39 @@ def demo_with_replications(
     return report, perturbed, points, base_taus, pert_taus
 
 
-def iter_trace_rows(
-    w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray
+def trace_blocks(
+    w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray, prefix: str = ""
 ):
-    """Yield (replication, point, tau_hat, g, risk_exceeded) rows for CSV traces."""
+    """Yield the CSV text of the (replication, point, tau_hat, g,
+    risk_exceeded) rows, replication-major, TRACE_BLOCK_ROWS rows or fewer
+    at a time; ``prefix`` (e.g. ``"base,"``) opens every row.
+
+    A row depends on its replication only through the index and the
+    threshold, so each distinct threshold's rows are formatted once, as a
+    template whose only holes are the replication index. The text is what
+    ``csv.writer`` writes for those rows: ``repr`` floats, ALWAYS_DEFER as
+    the string, ``\\r\\n`` line ends and nothing quoted."""
     cells = [cell_at(w, float(x)) for x in points]
     bad = [loss.exceeds(c.fast_label, c.expert_label) for c in cells]
-    for r, tau in enumerate(tau_values):
-        tau_out = encode_threshold(tau)
-        for x, c, is_bad in zip(points, cells, bad):
-            g = 0 if c.score <= tau else 1
-            yield r, float(x), tau_out, g, int(g == 0 and is_bad)
+    n_points = len(cells)
+    templates: dict[float, str] = {}
+
+    def template(tau: float) -> str:
+        # g = 1: defer (score above tau); ties go fast
+        tau_text = encode_threshold(tau)
+        return "".join(
+            f"{prefix}%d,{float(x)!r},{tau_text},{int(c.score > tau)},"
+            f"{int(c.score <= tau and is_bad)}\r\n"
+            for x, c, is_bad in zip(points, cells, bad)
+        )
+
+    per_block = max(1, TRACE_BLOCK_ROWS // n_points)
+    for start in range(0, len(tau_values), per_block):
+        block = tau_values[start:start + per_block].tolist()
+        parts = []
+        for r, tau in enumerate(block, start):
+            text = templates.get(tau)
+            if text is None:
+                text = templates[tau] = template(tau)
+            parts.append(text % ((r,) * n_points))
+        yield "".join(parts)

@@ -81,6 +81,18 @@ def make_tied_scores() -> pr.CellWorld:
     )
 
 
+def make_masses_short_of_one() -> pr.CellWorld:
+    """Masses 0.7, 0.2 and 0.1, which sum to 1 - 1 ulp in floating point."""
+    return pr.CellWorld(
+        cells=(
+            pr.Cell(0.0, 0.5, 0.7, 0, 0, 0.1),
+            pr.Cell(0.5, 0.8, 0.2, 1, 0, 0.5),
+            pr.Cell(0.8, 1.0, 0.1, 1, 1, 0.9),
+        ),
+        alphabet_size=2,
+    )
+
+
 def make_ten_cell() -> pr.CellWorld:
     cells = []
     masses = pr.normalized_masses([1, 2, 3, 1, 1, 2, 4, 1, 3, 2])

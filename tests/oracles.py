@@ -10,8 +10,13 @@ form, from binomial tails. Two enumerators check it from other routes:
   vectors with multinomial weights, selecting each vector's threshold with
   the Monte-Carlo walk's count-based selection. It is the exact reference at
   the sizes the Monte-Carlo runs use (n = 100) on worlds of at most 3 cells.
+
+``csv_trace_text`` is the reference for the trace writer: one tuple per row,
+formatted by ``csv.writer``.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -19,6 +24,7 @@ import numpy as np
 
 import pacroute as pr
 from pacroute.risk import ALWAYS_DEFER
+from pacroute.serialize import encode_threshold
 from pacroute.simulate import _threshold_selector, _walk
 
 
@@ -86,3 +92,23 @@ def mc_interval_probability(w, a, b, n_samples=100_000, seed=0):
     """Monte-Carlo estimate of P(a < X < b) straight from sample_calibration."""
     d = pr.sample_calibration(w, n_samples, seed)
     return float(np.mean((d.xs > a) & (d.xs < b)))
+
+
+def iter_trace_rows(w, loss, points, tau_values):
+    """Yield (replication, point, tau_hat, g, risk_exceeded) rows, one per
+    replication and point."""
+    cells = [pr.cell_at(w, float(x)) for x in points]
+    bad = [loss.exceeds(c.fast_label, c.expert_label) for c in cells]
+    for r, tau in enumerate(tau_values):
+        tau_out = encode_threshold(tau)
+        for x, c, is_bad in zip(points, cells, bad):
+            g = 0 if c.score <= tau else 1
+            yield r, float(x), tau_out, g, int(g == 0 and is_bad)
+
+
+def csv_trace_text(w, loss, points, tau_values, lane=None):
+    """The trace rows as ``csv.writer`` writes them, each led by ``lane`` if given."""
+    lead = () if lane is None else (lane,)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(lead + row for row in iter_trace_rows(w, loss, points, tau_values))
+    return buf.getvalue()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pacroute import cli
 from pacroute.cli import main
 from pacroute.worlds import world_to_dict
 
@@ -394,6 +395,64 @@ def test_demo_trace_has_world_column(tmp_path, w1_path):
     assert rows[0] == ["world", "replication", "point", "tau_hat", "g", "risk_exceeded"]
     assert len(rows) == 1 + 2 * 3  # base + perturbed, 3 replications, 1 point
     assert {r[0] for r in rows[1:]} == {"base", "perturbed"}
+
+
+def test_unwritable_out_exits_2(tmp_path, w1_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**BASE_CONFIG, "world": w1_path, "calibration": {"n": 10, "seed": 1}},
+    )
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(["calibrate", "--config", cfg, "--out", out]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "demo"])
+def test_unwritable_trace_exits_2_before_any_replication(
+    tmp_path, w1_path, capsys, monkeypatch, command
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(cli, "audit_profile", refuse)
+    monkeypatch.setattr(cli, "demo_with_replications", refuse)
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "mc": {"replications": 5, "master_seed": 3},
+            "calibration": {"n": 100},
+            "demo": {"x_star": 0.4, "eta": 0.01, "n": 50},
+        },
+    )
+    trace = tmp_path / "missing" / "t.csv"
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", cfg, "--out", out, "--trace", trace]) == 2
+    assert f"config error: cannot write {trace}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "oracle", "validate-world"])
+def test_trace_refused_by_commands_that_write_none(tmp_path, w1_path, capsys, command):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "calibration": {"n": 10, "seed": 1},
+            "oracle": {"n": 5},
+        },
+    )
+    trace = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as e:
+        run_cli([command, "--config", cfg, "--trace", trace])
+    assert e.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_oracle_joint(tmp_path, w1_path):

@@ -4,7 +4,7 @@ import pytest
 import pacroute as pr
 from pacroute.risk import ALWAYS_DEFER, EXPERT, FAST
 
-from conftest import corpus
+from conftest import corpus, make_masses_short_of_one
 
 
 def test_route_strict_inequality():
@@ -68,18 +68,17 @@ def test_exact_deferral_mass_w1(w1):
 def test_exact_deferral_mass_always_defer_is_exactly_one():
     # these masses sum to 1 - 1 ulp; the trivial router still defers with
     # probability exactly 1, so the demo's "nontrivial" verdict stays false
-    w = pr.CellWorld(
-        cells=(
-            pr.Cell(0.0, 0.5, 0.7, 0, 0, 0.1),
-            pr.Cell(0.5, 0.8, 0.2, 1, 0, 0.5),
-            pr.Cell(0.8, 1.0, 0.1, 1, 1, 0.9),
-        ),
-        alphabet_size=2,
-    )
+    w = make_masses_short_of_one()
     assert pr.validate_world(w) == []
     assert np.sum(w.masses) == 0.9999999999999999
     assert pr.exact_deferral_mass(w, ALWAYS_DEFER) == 1.0
     assert pr.exact_deferral_mass(w, np.float64("-inf")) == 1.0
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1 - 1e-12, -7.0])
+def test_exact_deferral_mass_below_every_score_is_exactly_one(r):
+    # a finite threshold below every score defers everything too
+    assert pr.exact_deferral_mass(make_masses_short_of_one(), r) == 1.0
 
 
 def test_loss_spec_validation():

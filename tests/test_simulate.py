@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute import simulate
@@ -12,6 +14,7 @@ from pacroute.serialize import dump_json
 from pacroute.simulate import (
     CHUNK,
     JOINT,
+    TRACE_BLOCK_ROWS,
     DemoPreconditionError,
     McConfig,
     _replication_uniforms,
@@ -20,19 +23,21 @@ from pacroute.simulate import (
     default_audit_points,
     demo_with_replications,
     enumerate_distribution,
-    iter_trace_rows,
     mc_joint_risk,
+    trace_blocks,
 )
 
 from conftest import (
     corpus,
     make_five_cell,
+    make_masses_short_of_one,
     make_ten_cell,
     make_three_cell,
     make_tied_scores,
     make_w1,
 )
-from oracles import brute_force_enumerate, occupancy_enumerate
+from oracles import brute_force_enumerate, csv_trace_text, occupancy_enumerate
+from test_worlds import world_strategy
 
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
 # grid (0.15, 0.5), n=6: the top threshold survives iff cell 2 is empty
@@ -628,15 +633,86 @@ def test_demo_with_table_loss(pac_w1):
     assert not rep.verdicts["demo_vacuous"]
 
 
+def test_demo_router_deferring_everywhere_is_not_nontrivial(loss01):
+    # the one grid threshold lies below every score, so every replication
+    # defers everywhere; the masses sum to 1 - 1 ulp, yet the mean deferral
+    # mass is exactly 1
+    w = make_masses_short_of_one()
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.3, threshold_grid=(0.05,))
+    assert pr.exact_deferral_mass(w, 0.05) == 1.0
+    rep = demo_with_replications(w, loss01, pac, 0.25, 0.01, 100, _demo_mc(200))[0]
+    assert rep.base_audit.max_fast_prob == 0.0
+    assert rep.deferral_mass_mean == 1.0
+    assert rep.verdicts["nontrivial"] is False
+
+
 def test_trace_rows(w1, loss01):
     taus = np.array([0.5, -np.inf])
-    rows = list(iter_trace_rows(w1, loss01, [0.4, 0.9], taus))
-    assert rows == [
-        (0, 0.4, 0.5, 0, 0),
-        (0, 0.9, 0.5, 1, 0),
-        (1, 0.4, "ALWAYS_DEFER", 1, 0),
-        (1, 0.9, "ALWAYS_DEFER", 1, 0),
-    ]
+    text = "".join(trace_blocks(w1, loss01, [0.4, 0.9], taus))
+    assert text == (
+        "0,0.4,0.5,0,0\r\n"
+        "0,0.9,0.5,1,0\r\n"
+        "1,0.4,ALWAYS_DEFER,1,0\r\n"
+        "1,0.9,ALWAYS_DEFER,1,0\r\n"
+    )
+
+
+@st.composite
+def trace_inputs(draw):
+    """A world, audit points, a lane prefix and per-replication thresholds.
+
+    The thresholds come from -inf, the cell scores (ties route fast) and
+    arbitrary floats; the replication count sits at 1 or next to a block edge.
+    """
+    w = draw(world_strategy())
+    mids = [(c.left + c.right) / 2.0 for c in w.cells]
+    points = draw(st.lists(st.sampled_from(mids) | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    scores = [c.score for c in w.cells]
+    distinct = draw(st.lists(
+        st.just(-np.inf) | st.sampled_from(scores) | st.floats(-6.0, 6.0),
+        min_size=1, max_size=6,
+    ))
+    per_block = max(1, TRACE_BLOCK_ROWS // len(points))
+    replications = draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = np.array(distinct)[rng.integers(len(distinct), size=replications)]
+    lane = draw(st.sampled_from([None, "base", "perturbed"]))
+    return w, points, taus, lane
+
+
+@given(trace_inputs())
+@settings(max_examples=40, deadline=None)
+def test_trace_blocks_match_csv_writer(inputs):
+    w, points, taus, lane = inputs
+    loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
+    prefix = "" if lane is None else f"{lane},"
+    blocks = list(trace_blocks(w, loss, points, taus, prefix=prefix))
+    assert "".join(blocks) == csv_trace_text(w, loss, points, taus, lane)
+    # whole replications per block, at most TRACE_BLOCK_ROWS rows each
+    rows = [b.count("\r\n") for b in blocks]
+    assert all(r % len(points) == 0 for r in rows)
+    assert all(r <= max(TRACE_BLOCK_ROWS, len(points)) for r in rows)
+    per_block = max(1, TRACE_BLOCK_ROWS // len(points))
+    assert len(blocks) == -(-len(taus) // per_block)
+
+
+def test_trace_memory_does_not_grow_with_replications(w1, loss01):
+    points = default_audit_points(w1)
+
+    def peak(reps):
+        taus = np.resize([0.5, -np.inf, 0.95], reps)
+        tracemalloc.start()
+        try:
+            for _ in trace_blocks(w1, loss01, points, taus):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(20_000)
+    # one block of text, never the trace: 20000 replications write about 11 MB
+    assert large - small <= 256 * 2**10
+    assert large <= 4 * 2**20
 
 
 def test_audit_points_forwarded_in_demo(w1, loss01, pac_w1):
