@@ -58,7 +58,7 @@ class PacConfig:
     threshold_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN included
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
         # alpha = 1 is allowed: the guarantee is vacuous but well-defined
         if not 0.0 < self.alpha <= 1.0:

@@ -5,6 +5,10 @@ override the config, and ``--workers`` is accepted for compatibility but has
 no effect on outputs or on work. ``audit`` and ``demo`` also take ``--trace``,
 which streams per-replication CSV rows; the other commands refuse it.
 
+The config is checked in full before any work runs: ``_resolve`` parses it
+once, into the values a command computes with and the resolved config its
+report embeds. ``_emit`` writes every report in one envelope.
+
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
 written included), 3 world validation error, 4 demo precondition error.
 """
@@ -14,16 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from types import SimpleNamespace
 
 from . import __version__
 from .calibrate import PacConfig, select_threshold
-from .risk import (
-    LossSpec,
-    exact_deferral_mass,
-    exact_miscoverage,
-    loss_from_dict,
-    loss_to_dict,
-)
+from .risk import exact_deferral_mass, exact_miscoverage, loss_from_dict, loss_to_dict
 from .serialize import dump_json, encode_threshold
 from .simulate import (
     JOINT,
@@ -60,72 +60,20 @@ def _require(cfg: dict, key: str, kind, where: str = "config"):
     return value
 
 
-def _parse_loss(cfg: dict) -> LossSpec:
-    raw = _require(cfg, "loss", dict)
-    try:
-        return loss_from_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"invalid loss spec: {e}") from e
+def _numbers(raw: dict, key: str, where: str):
+    """``raw[key]`` as a tuple of floats, or None for "auto" (the default)."""
+    value = raw.get(key, "auto")
+    if value == "auto":
+        return None
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigError(f"{where}.{key} must be a list of numbers or \"auto\"")
+    return tuple(float(v) for v in value)
 
 
-def _parse_pac(cfg: dict, loss: LossSpec) -> PacConfig:
-    raw = _require(cfg, "pac", dict)
-    grid = raw.get("threshold_grid", "auto")
-    if grid == "auto":
-        grid = None
-    elif isinstance(grid, list):
-        grid = tuple(float(g) for g in grid)
-    else:
-        raise ConfigError("pac.threshold_grid must be a list of floats or \"auto\"")
-    delta_split = raw.get("delta_split")
-    if delta_split is not None:
-        delta_split = float(_require(raw, "delta_split", float, "pac"))
-    try:
-        pac = PacConfig(
-            epsilon=float(_require(raw, "epsilon", float, "pac")),
-            alpha=float(_require(raw, "alpha", float, "pac")),
-            delta_split=delta_split,
-            threshold_grid=grid,
-        )
-    except ValueError as e:
-        raise ConfigError(f"invalid pac config: {e}") from e
-    if pac.epsilon != loss.epsilon:
-        raise ConfigError(
-            f"pac.epsilon ({pac.epsilon!r}) must equal loss.epsilon "
-            f"({loss.epsilon!r})"
-        )
-    return pac
-
-
-def _parse_mc(cfg: dict, seed_override: int | None) -> McConfig:
-    raw = _require(cfg, "mc", dict)
-    points = raw.get("audit_points", "auto")
-    if points == "auto":
-        points = None
-    elif isinstance(points, list):
-        points = tuple(float(p) for p in points)
-    else:
-        raise ConfigError("mc.audit_points must be a list of floats or \"auto\"")
-    master_seed = int(_require(raw, "master_seed", int, "mc"))
-    if seed_override is not None:
-        master_seed = seed_override
-    try:
-        return McConfig(
-            replications=int(_require(raw, "replications", int, "mc")),
-            master_seed=master_seed,
-            audit_points=points,
-        )
-    except ValueError as e:
-        raise ConfigError(f"invalid mc config: {e}") from e
-
-
-def _parse_algorithm(cfg: dict) -> str:
-    algorithm = cfg.get("algorithm", "calibrated")
-    if algorithm not in ("calibrated", "trivial"):
-        raise ConfigError(
-            f"algorithm must be 'calibrated' or 'trivial', got {algorithm!r}"
-        )
-    return algorithm
+def _auto(values):
+    return "auto" if values is None else list(values)
 
 
 def _load_config(path: str) -> dict:
@@ -151,23 +99,78 @@ def _load_world_from_config(cfg: dict):
         raise ConfigError(f"world file {path} is not valid JSON: {e}") from e
 
 
-def _mc_to_dict(mc: McConfig) -> dict:
-    return {
-        "replications": mc.replications,
-        "master_seed": mc.master_seed,
-        "audit_points": "auto" if mc.audit_points is None else list(mc.audit_points),
-    }
+def _resolve(command: str, cfg: dict, args):
+    """Parse ``cfg`` for ``command`` once: ``(world, values, config)``.
 
-
-def _pac_to_dict(pac: PacConfig) -> dict:
-    return {
-        "epsilon": pac.epsilon,
-        "alpha": pac.alpha,
-        "delta_split": pac.delta_split,
-        "threshold_grid": "auto"
-        if pac.threshold_grid is None
-        else list(pac.threshold_grid),
+    ``values`` holds ``loss`` and ``pac``, ``mc`` for audit and demo,
+    ``algorithm`` for all but calibrate, and the keys of the command's own
+    section; ``config`` is the resolved config its report embeds.
+    """
+    world_path, world = _load_world_from_config(cfg)
+    raw = _require(cfg, "loss", dict)
+    try:
+        loss = loss_from_dict(raw)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"invalid loss spec: {e}") from e
+    raw = _require(cfg, "pac", dict)
+    grid = _numbers(raw, "threshold_grid", "pac")
+    delta_split = raw.get("delta_split")
+    if delta_split is not None:
+        delta_split = _require(raw, "delta_split", float, "pac")
+    try:
+        pac = PacConfig(
+            epsilon=_require(raw, "epsilon", float, "pac"),
+            alpha=_require(raw, "alpha", float, "pac"),
+            delta_split=delta_split,
+            threshold_grid=grid,
+        )
+    except ValueError as e:
+        raise ConfigError(f"invalid pac config: {e}") from e
+    if pac.epsilon != loss.epsilon:
+        raise ConfigError(
+            f"pac.epsilon ({pac.epsilon!r}) must equal loss.epsilon "
+            f"({loss.epsilon!r})"
+        )
+    values = {"loss": loss, "pac": pac}
+    config = {
+        "world": world_path,
+        "loss": loss_to_dict(loss),
+        "pac": {**asdict(pac), "threshold_grid": _auto(pac.threshold_grid)},
     }
+    if command in ("audit", "demo"):
+        raw = _require(cfg, "mc", dict)
+        points = _numbers(raw, "audit_points", "mc")
+        master_seed = _require(raw, "master_seed", int, "mc")
+        try:
+            mc = McConfig(
+                replications=_require(raw, "replications", int, "mc"),
+                master_seed=master_seed if args.seed is None else args.seed,
+                audit_points=points,
+            )
+        except ValueError as e:
+            raise ConfigError(f"invalid mc config: {e}") from e
+        values["mc"] = mc
+        config["mc"] = {**asdict(mc), "audit_points": _auto(mc.audit_points)}
+    if command != "calibrate":
+        algorithm = cfg.get("algorithm", "calibrated")
+        if algorithm not in ("calibrated", "trivial"):
+            raise ConfigError(
+                f"algorithm must be 'calibrated' or 'trivial', got {algorithm!r}"
+            )
+        values["algorithm"] = config["algorithm"] = algorithm
+    _, name, keys = _COMMANDS[command]
+    raw = _require(cfg, name, dict)
+    section = {key: _require(raw, key, kind, name) for key, kind in keys.items()}
+    if command == "calibrate" and args.seed is not None:
+        section["seed"] = args.seed
+    values.update(section)
+    if command == "oracle":
+        x = section["x"] = raw.get("x", JOINT)
+        if x != JOINT and (not isinstance(x, (int, float)) or isinstance(x, bool)):
+            raise ConfigError(f"oracle.x must be a float or \"{JOINT}\", got {x!r}")
+        values["x"] = x if x == JOINT else float(x)
+    config[name] = section
+    return world, SimpleNamespace(**values), config
 
 
 def _write_text(path: str, text: str, blocks=()) -> None:
@@ -179,8 +182,11 @@ def _write_text(path: str, text: str, blocks=()) -> None:
         raise ConfigError(f"cannot write {path}: {e}") from e
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = dump_json(report) + "\n"
+def _emit(command: str, config: dict, report, cfg: dict, args) -> None:
+    """Write the report envelope to ``--out``, else the config's "out", else stdout."""
+    text = dump_json({"command": command, "version": __version__, "config": config,
+                      "report": report}) + "\n"
+    out_path = args.out or cfg.get("out")
     if out_path:
         _write_text(out_path, text)
     else:
@@ -192,116 +198,35 @@ def _write_trace(path: str, header, blocks) -> None:
     _write_text(path, ",".join(header) + "\r\n", blocks)
 
 
-def _cmd_validate_world(cfg: dict, args) -> int:
-    path = _require(cfg, "world", str)
-    try:
-        load_world(path)
-        violations: list[str] = []
-    except WorldValidationError as e:
-        violations = e.violations
-    except OSError as e:
-        raise ConfigError(f"cannot read world file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"world file {path} is not valid JSON: {e}") from e
-    report = {
-        "command": "validate-world",
-        "version": __version__,
-        "config": {"world": path},
-        "report": {"valid": not violations, "violations": violations},
+def _calibrate(world, run, args) -> dict:
+    data = sample_calibration(world, run.n, run.seed)
+    outcome = select_threshold(data, world, run.loss, run.pac)
+    return {
+        "tau_hat": encode_threshold(outcome.tau_hat),
+        "n": outcome.n,
+        "tested": [t._asdict() for t in outcome.tested],
+        "exact_miscoverage": exact_miscoverage(world, run.loss, outcome.tau_hat),
+        "exact_deferral_mass": exact_deferral_mass(world, outcome.tau_hat),
     }
-    _emit(report, args.out or cfg.get("out"))
-    return EXIT_OK if not violations else EXIT_WORLD
 
 
-def _cmd_calibrate(cfg: dict, args) -> int:
-    world_path, world = _load_world_from_config(cfg)
-    loss = _parse_loss(cfg)
-    pac = _parse_pac(cfg, loss)
-    cal = _require(cfg, "calibration", dict)
-    n = int(_require(cal, "n", int, "calibration"))
-    seed = int(_require(cal, "seed", int, "calibration"))
-    if args.seed is not None:
-        seed = args.seed
-    data = sample_calibration(world, n, seed)
-    outcome = select_threshold(data, world, loss, pac)
-    report = {
-        "command": "calibrate",
-        "version": __version__,
-        "config": {
-            "world": world_path,
-            "loss": loss_to_dict(loss),
-            "pac": _pac_to_dict(pac),
-            "calibration": {"n": n, "seed": seed},
-        },
-        "report": {
-            "tau_hat": encode_threshold(outcome.tau_hat),
-            "n": outcome.n,
-            "tested": [
-                {
-                    "tau": t.tau,
-                    "exceedances": t.exceedances,
-                    "p_value": t.p_value,
-                    "rejected": t.rejected,
-                }
-                for t in outcome.tested
-            ],
-            "exact_miscoverage": exact_miscoverage(world, loss, outcome.tau_hat),
-            "exact_deferral_mass": exact_deferral_mass(world, outcome.tau_hat),
-        },
-    }
-    _emit(report, args.out or cfg.get("out"))
-    return EXIT_OK
-
-
-def _cmd_audit(cfg: dict, args) -> int:
-    world_path, world = _load_world_from_config(cfg)
-    loss = _parse_loss(cfg)
-    pac = _parse_pac(cfg, loss)
-    mc = _parse_mc(cfg, args.seed)
-    algorithm = _parse_algorithm(cfg)
-    cal = _require(cfg, "calibration", dict)
-    n = int(_require(cal, "n", int, "calibration"))
+def _audit(world, run, args):
+    audit, taus = audit_profile(
+        world, run.loss, run.pac, run.mc, run.n, algorithm=run.algorithm
+    )
     if args.trace:
-        _write_text(args.trace, "")  # an unwritable path fails before any replication
-    audit, taus = audit_profile(world, loss, pac, mc, n, algorithm=algorithm)
-    if args.trace:
-        points = [p.x for p in audit.points]
         _write_trace(
             args.trace,
             ("replication", "point", "tau_hat", "g", "risk_exceeded"),
-            trace_blocks(world, loss, points, taus),
+            trace_blocks(world, run.loss, [p.x for p in audit.points], taus),
         )
-    report = {
-        "command": "audit",
-        "version": __version__,
-        "config": {
-            "world": world_path,
-            "loss": loss_to_dict(loss),
-            "pac": _pac_to_dict(pac),
-            "mc": _mc_to_dict(mc),
-            "calibration": {"n": n},
-            "algorithm": algorithm,
-        },
-        "report": audit,
-    }
-    _emit(report, args.out or cfg.get("out"))
-    return EXIT_OK
+    return audit
 
 
-def _cmd_demo(cfg: dict, args) -> int:
-    world_path, world = _load_world_from_config(cfg)
-    loss = _parse_loss(cfg)
-    pac = _parse_pac(cfg, loss)
-    mc = _parse_mc(cfg, args.seed)
-    algorithm = _parse_algorithm(cfg)
-    demo = _require(cfg, "demo", dict)
-    x_star = float(_require(demo, "x_star", float, "demo"))
-    eta = float(_require(demo, "eta", float, "demo"))
-    n = int(_require(demo, "n", int, "demo"))
-    if args.trace:
-        _write_text(args.trace, "")  # an unwritable path fails before any replication
-    report_obj, perturbed, points, base_taus, pert_taus = demo_with_replications(
-        world, loss, pac, x_star, eta, n, mc, algorithm=algorithm
+def _demo(world, run, args):
+    report, perturbed, points, base_taus, pert_taus = demo_with_replications(
+        world, run.loss, run.pac, run.x_star, run.eta, run.n, run.mc,
+        algorithm=run.algorithm,
     )
     if args.trace:
         lanes = (("base", world, base_taus), ("perturbed", perturbed, pert_taus))
@@ -311,64 +236,45 @@ def _cmd_demo(cfg: dict, args) -> int:
             (
                 block
                 for name, w, taus in lanes
-                for block in trace_blocks(w, loss, points, taus, prefix=f"{name},")
+                for block in trace_blocks(w, run.loss, points, taus, prefix=f"{name},")
             ),
         )
-    report = {
-        "command": "demo",
-        "version": __version__,
-        "config": {
-            "world": world_path,
-            "loss": loss_to_dict(loss),
-            "pac": _pac_to_dict(pac),
-            "mc": _mc_to_dict(mc),
-            "demo": {"x_star": x_star, "eta": eta, "n": n},
-            "algorithm": algorithm,
-        },
-        "report": report_obj,
-    }
-    _emit(report, args.out or cfg.get("out"))
-    return EXIT_OK
+    return report
 
 
-def _cmd_oracle(cfg: dict, args) -> int:
-    world_path, world = _load_world_from_config(cfg)
-    loss = _parse_loss(cfg)
-    pac = _parse_pac(cfg, loss)
-    algorithm = _parse_algorithm(cfg)
-    oracle = _require(cfg, "oracle", dict)
-    n = int(_require(oracle, "n", int, "oracle"))
-    x_raw = oracle.get("x", JOINT)
-    if x_raw == JOINT:
-        x = JOINT
-    elif isinstance(x_raw, (int, float)) and not isinstance(x_raw, bool):
-        x = float(x_raw)
-    else:
-        raise ConfigError(f"oracle.x must be a float or \"{JOINT}\", got {x_raw!r}")
-    result = enumerate_distribution(world, loss, pac, n, x, algorithm=algorithm)
-    report = {
-        "command": "oracle",
-        "version": __version__,
-        "config": {
-            "world": world_path,
-            "loss": loss_to_dict(loss),
-            "pac": _pac_to_dict(pac),
-            "oracle": {"n": n, "x": x_raw},
-            "algorithm": algorithm,
-        },
-        "report": result,
-    }
-    _emit(report, args.out or cfg.get("out"))
-    return EXIT_OK
+def _oracle(world, run, args):
+    return enumerate_distribution(
+        world, run.loss, run.pac, run.n, run.x, algorithm=run.algorithm
+    )
 
 
+# command -> (what it computes, the config section it reads besides world,
+# loss, pac and mc, and that section's keys with their types)
 _COMMANDS = {
-    "calibrate": _cmd_calibrate,
-    "audit": _cmd_audit,
-    "demo": _cmd_demo,
-    "oracle": _cmd_oracle,
-    "validate-world": _cmd_validate_world,
+    "calibrate": (_calibrate, "calibration", {"n": int, "seed": int}),
+    "audit": (_audit, "calibration", {"n": int}),
+    "demo": (_demo, "demo", {"x_star": float, "eta": float, "n": int}),
+    "oracle": (_oracle, "oracle", {"n": int}),
 }
+
+
+def _run(command: str, cfg: dict, args) -> int:
+    if "out" in cfg:
+        _require(cfg, "out", str)
+    if command == "validate-world":
+        try:
+            _load_world_from_config(cfg)
+            violations: list[str] = []
+        except WorldValidationError as e:
+            violations = e.violations
+        report = {"valid": not violations, "violations": violations}
+        _emit(command, {"world": cfg["world"]}, report, cfg, args)
+        return EXIT_WORLD if violations else EXIT_OK
+    world, run, config = _resolve(command, cfg, args)
+    if getattr(args, "trace", None):
+        _write_text(args.trace, "")  # an unwritable path fails before any replication
+    _emit(command, config, _COMMANDS[command][0](world, run, args), cfg, args)
+    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -385,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "synthetic worlds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_COMMANDS, "validate-world"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=None, help="write the report here (default stdout)")
@@ -404,11 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _run(args.command, _load_config(args.config), args)
     except WorldValidationError as e:
         print("world validation failed:", file=sys.stderr)
         for v in e.violations:
@@ -417,7 +319,7 @@ def main(argv=None) -> int:
     except DemoPreconditionError as e:
         print(f"demo precondition error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as e:
+    except ValueError as e:  # a ConfigError, or a value the program refused
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -54,7 +54,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("zero_one", "table"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN included
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.kind == "zero_one":
             if self.table is not None:

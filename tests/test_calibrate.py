@@ -236,6 +236,8 @@ def test_pac_config_validation():
         pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.0)
     with pytest.raises(ValueError):
         pr.PacConfig(epsilon=-1.0, alpha=0.1, delta_split=0.05)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        pr.PacConfig(epsilon=math.nan, alpha=0.1, delta_split=0.05)
     with pytest.raises(ValueError):
         pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=(0.5, 0.5))
     with pytest.raises(ValueError):

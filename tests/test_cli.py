@@ -216,6 +216,45 @@ def test_non_finite_grid_exits_2_before_any_work(tmp_path, w1_path, capsys):
     assert "threshold_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry", [{}, None, "0.5", True], ids=["object", "null", "string", "bool"]
+)
+@pytest.mark.parametrize(
+    "section, key", [("pac", "threshold_grid"), ("mc", "audit_points")]
+)
+def test_list_entries_must_be_numbers(tmp_path, w1_path, capsys, section, key, entry):
+    payload = {
+        **BASE_CONFIG,
+        "world": w1_path,
+        "mc": {"replications": 5, "master_seed": 3},
+        "calibration": {"n": 40},
+    }
+    payload[section] = {**payload[section], key: [entry]}
+    out = tmp_path / "audit.json"
+    assert run_cli(["audit", "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{key} must be a list of numbers" in err
+    assert not out.exists()
+
+
+def test_nan_epsilon_exits_2(tmp_path, w1_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "world": w1_path,
+            "loss": {"kind": "zero_one", "epsilon": float("nan")},
+            "pac": {**BASE_CONFIG["pac"], "epsilon": float("nan")},
+            "calibration": {"n": 10, "seed": 1},
+        },
+    )
+    assert run_cli(["calibrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "invalid loss spec: epsilon must be >= 0, got nan" in err
+    assert "must equal" not in err
+
+
 def test_audit_trivial_flag(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
@@ -406,6 +445,19 @@ def test_unwritable_out_exits_2(tmp_path, w1_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert run_cli(["calibrate", "--config", cfg, "--out", out]) == 2
     assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [True, 7], ids=["bool", "int"])
+def test_non_string_out_exits_2(tmp_path, w1_path, capsys, out):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**BASE_CONFIG, "world": w1_path, "calibration": {"n": 10, "seed": 1}, "out": out},
+    )
+    assert run_cli(["calibrate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config error: config['out'] must be str" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["audit", "demo"])

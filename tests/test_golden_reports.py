@@ -1,4 +1,4 @@
-"""The w1 reports and traces, pinned byte for byte.
+"""The w1 reports and traces, and two validate-world reports, pinned byte for byte.
 
 Any change to a report's bytes must be deliberate: update the hash here and
 say in the change log what changed and why.
@@ -34,6 +34,12 @@ TRACE_SHA256 = {
     "demo": "14f9393c45908df03d9127c9215302e91f23edf722bede15fe9fa6e24fd7986b",
 }
 
+# validate-world on the w1 config, and on w1 with a gap between its cells
+VALIDATE_WORLD_SHA256 = {
+    "w1": "08d2a549e1de29f29f767b9b2792de6dd0473eaa211f4b08442bc8d5e5cd61bc",
+    "gap": "f681cef0e603fa5c33ee55283bc02231b6a2b9c53c5228c8a3c7729b7605e4bb",
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -67,3 +73,21 @@ def test_w1_trace_bytes(cmd, tmp_path, monkeypatch):
     argv = [cmd, "--config", f"configs/{cmd}_w1.json", "--out", str(out), "--trace", str(trace)]
     assert main(argv) == 0
     assert _sha256(trace) == TRACE_SHA256[cmd]
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_WORLD_SHA256))
+def test_validate_world_report_bytes(case, tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    if case == "w1":
+        monkeypatch.chdir(ROOT)
+        config, code = "configs/calibrate_w1.json", 0
+    else:
+        # the report embeds the world path: keep it relative, so the bytes are fixed
+        world = json.loads((ROOT / "configs" / "w1.json").read_text(encoding="utf-8"))
+        world["cells"][1]["left"] = 0.85
+        monkeypatch.chdir(tmp_path)
+        Path("gap.json").write_text(json.dumps(world), encoding="utf-8")
+        config, code = "gap_config.json", 3
+        Path(config).write_text(json.dumps({"world": "gap.json"}), encoding="utf-8")
+    assert main(["validate-world", "--config", config, "--out", str(out)]) == code
+    assert _sha256(out) == VALIDATE_WORLD_SHA256[case]

@@ -86,6 +86,8 @@ def test_loss_spec_validation():
         pr.LossSpec(kind="zero_one", epsilon=1.0)
     with pytest.raises(ValueError):
         pr.LossSpec(kind="zero_one", epsilon=-0.1)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        pr.LossSpec(kind="zero_one", epsilon=float("nan"))
     with pytest.raises(ValueError):
         pr.LossSpec(kind="table", epsilon=0.0)
     with pytest.raises(ValueError):
