@@ -1,10 +1,11 @@
 """The hot replication kernels, vectorized in numpy.
 
-``replication_uniforms`` draws each replication's uniforms, ``cell_indices``
-maps uniforms to cells, ``cell_counts`` turns them into occupancy counts
-(calibration points per cell), and ``stop_positions`` applies the
+``replication_uniforms`` draws each replication's uniforms, ``cell_counts``
+turns them into occupancy counts (calibration points per cell) by counting
+the uniforms below each cell-mass CDF edge, and ``stop_positions`` applies the
 fixed-sequence stopping rule to counts; ``tau_indices`` is that rule on a
-fixed grid. Each works on a block of replications at once and depends on
+fixed grid. ``cell_indices`` maps single uniforms to cells, for test inputs
+and samplers. Each works on a block of replications at once and depends on
 nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
@@ -170,14 +171,23 @@ def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Occupancy counts (sets, n_cells) of ``cells``, (n, sets) cell indices
-    with one column per set. ``cells`` is overwritten with each entry's bin
-    ``c*sets + r``, because each fresh block this size costs page faults."""
-    m = cells.shape[1]
-    cells *= m
-    cells += np.arange(m)
-    return np.bincount(cells.ravel(), minlength=n_cells * m).reshape(n_cells, m).T
+def cell_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Occupancy counts (sets, cells) of ``u``, (n, sets) uniforms with one
+    column per set: per column, the counts of ``cell_indices(cdf, u)``.
+
+    Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
+    ``cdf[c-1]``. The last cell takes everything at or above the last interior
+    edge, so a uniform past a last CDF entry below 1 lands there too. One
+    pass over the block per interior edge is cheaper than a search per
+    uniform and a histogram up to about 50 cells.
+    """
+    n, sets = u.shape
+    below = np.empty((len(cdf) + 1, sets), dtype=np.intp)
+    below[0] = 0
+    below[-1] = n
+    for c, edge in enumerate(cdf[:-1].tolist(), 1):
+        below[c] = np.count_nonzero(u < edge, axis=0)
+    return np.diff(below, axis=0).T
 
 
 def stop_positions(

@@ -146,15 +146,24 @@ def exact_deferral_mass(w: CellWorld, r: float) -> float:
     return float(np.sum(w.masses[deferred]))
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (int or float, not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def loss_from_dict(d: dict) -> LossSpec:
+    """The loss of a JSON object; epsilon and table entries must be numbers."""
     table = d.get("table")
-    return LossSpec(
-        kind=d["kind"],
-        epsilon=float(d["epsilon"]),
-        table=tuple(tuple(float(v) for v in row) for row in table)
-        if table is not None
-        else None,
-    )
+    if table is not None:
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise TypeError("table must be a list of lists of numbers")
+        table = tuple(
+            tuple(_number(v, f"table [{i}][{j}]") for j, v in enumerate(row))
+            for i, row in enumerate(table)
+        )
+    return LossSpec(kind=d["kind"], epsilon=_number(d["epsilon"], "epsilon"), table=table)
 
 
 def loss_to_dict(loss: LossSpec) -> dict:

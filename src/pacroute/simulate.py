@@ -14,7 +14,8 @@ another, so results do not depend on how the work is split and memory does
 not grow with the replication count. Because scores and labels are
 cell-constant, a replication's outcome depends only on how many of its
 calibration points land in each cell (its occupancy counts); the engine
-therefore draws cell indices directly and never materializes positions.
+therefore counts each replication's uniforms below every cell-mass CDF edge
+and never materializes positions or per-point cell indices.
 Monte-Carlo chunks and the exact oracle share one map from the walk's stop
 (and, on the auto grid, the occupied level below it) to a threshold.
 """
@@ -270,9 +271,8 @@ def _tau_values_for_replications(
         if need_test_draws:
             test_cells[start:stop] = _kernels.cell_indices(cdf, u[:, n])
         # u.T is C-contiguous for the column-major blocks of replication_uniforms
-        cells = _kernels.cell_indices(cdf, u[:, :n].T)
-        taus[start:stop] = select(_kernels.cell_counts(cells, len(w.cells)))
-        del u, cells  # free the block before the next one is drawn
+        taus[start:stop] = select(_kernels.cell_counts(cdf, u[:, :n].T))
+        del u  # free the block before the next one is drawn
     return taus, test_cells
 
 

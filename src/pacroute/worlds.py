@@ -278,21 +278,29 @@ def normalized_masses(weights) -> list[float]:
     return [float(x) for x in m]
 
 
+# JSON keys of a cell, in Cell's field order, with the type each converts to
+_CELL_KEYS = (("left", float), ("right", float), ("mass", float),
+              ("expert", int), ("fast", int), ("score", float))
+
+
+def _json_field(d: dict, key: str, kind, where: str):
+    """``d[key]`` as ``kind``: a JSON number (not a bool), integral for int."""
+    value = d[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and not (isinstance(value, int) or value.is_integer())):
+        noun = "an integer" if kind is int else "a number"
+        raise TypeError(f"{where}{key} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def world_from_dict(d: dict) -> CellWorld:
     """Build a world from its JSON form, validating it; raises WorldValidationError."""
     try:
         cells = tuple(
-            Cell(
-                left=float(c["left"]),
-                right=float(c["right"]),
-                mass=float(c["mass"]),
-                expert_label=int(c["expert"]),
-                fast_label=int(c["fast"]),
-                score=float(c["score"]),
-            )
-            for c in d["cells"]
+            Cell(*(_json_field(c, key, kind, f"cell {i}: ") for key, kind in _CELL_KEYS))
+            for i, c in enumerate(d["cells"])
         )
-        w = CellWorld(cells=cells, alphabet_size=int(d["alphabet_size"]))
+        w = CellWorld(cells=cells, alphabet_size=_json_field(d, "alphabet_size", int, ""))
     except (KeyError, TypeError, ValueError) as e:
         raise WorldValidationError([f"malformed world object: {e}"]) from e
     violations = validate_world(w)

@@ -182,6 +182,33 @@ def test_malformed_loss_table_exits_2(tmp_path, w1_path):
     assert run_cli(["audit", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "loss",
+    [
+        {"kind": "zero_one", "epsilon": "0"},
+        {"kind": "zero_one", "epsilon": False},
+        {"kind": "table", "epsilon": 0.0, "table": [["0", True], [True, "0"]]},
+        {"kind": "table", "epsilon": 0.0, "table": [[0.0, True], [1.0, 0.0]]},
+        {"kind": "table", "epsilon": 0.0, "table": ["01", "10"]},
+    ],
+    ids=["epsilon_string", "epsilon_bool", "table_strings", "table_bool",
+         "table_rows_strings"],
+)
+def test_loss_entries_must_be_numbers(tmp_path, w1_path, capsys, loss):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**BASE_CONFIG, "world": w1_path, "loss": loss,
+         "calibration": {"n": 100, "seed": 7}},
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["calibrate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: invalid loss spec:" in err
+    assert "must be a " in err
+    assert not out.exists()
+
+
 def test_pac_epsilon_mismatch_exits_2(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
@@ -584,6 +611,23 @@ def test_validate_world_bad_exits_3(tmp_path):
     rep = read_json(out)
     assert rep["report"]["valid"] is False
     assert rep["report"]["violations"]
+
+
+@pytest.mark.parametrize("key, value", [("mass", "0.8"), ("expert", 1.7)])
+def test_validate_world_refuses_non_numbers_exits_3(tmp_path, key, value):
+    bad = {"alphabet_size": 2, "cells": [dict(c) for c in W1_DICT["cells"]]}
+    bad["cells"][0][key] = value
+    world_path = tmp_path / "bad.json"
+    world_path.write_text(json.dumps(bad))
+    cfg = write_config(tmp_path, "c.json", {"world": str(world_path)})
+    out = tmp_path / "v.json"
+    assert run_cli(["validate-world", "--config", cfg, "--out", out]) == 3
+    rep = read_json(out)
+    assert rep["report"]["valid"] is False
+    assert rep["report"]["violations"] == [
+        f"malformed world object: cell 0: {key} must be "
+        f"{'an integer' if key == 'expert' else 'a number'}, got {value!r}"
+    ]
 
 
 def test_reports_embed_config_without_workers(tmp_path, w1_path):

@@ -3,9 +3,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacroute
-from pacroute._kernels import tau_indices
+from pacroute._kernels import cell_counts, cell_indices, tau_indices
 
 from conftest import child_env
 
@@ -22,6 +24,33 @@ def test_numpy_kernel_hand_case():
     )
     out = tau_indices(counts, first_k, 1, 2)
     assert list(out) == [1, 1, -1]
+
+
+@st.composite
+def cdf_and_uniforms(draw):
+    """A cell-mass CDF of 1..64 cells (zero masses give tied edges; the last
+    entry may fall short of 1) and an (n, sets) block of uniforms, some of
+    them exactly on an edge or one ulp either side of it."""
+    masses = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64)
+                  .filter(lambda ms: sum(ms) > 0))
+    cdf = np.cumsum(masses) / sum(masses) * draw(st.sampled_from([1.0, 0.999, 0.5]))
+    n, sets = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    edges = edges[edges < 1.0]
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    u = draw(st.lists(st.one_of(uniform, st.sampled_from(edges.tolist())),
+                      min_size=n * sets, max_size=n * sets))
+    return cdf, np.array(u).reshape(n, sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdf_and_uniforms())
+def test_cell_counts_match_per_column_histogram(case):
+    cdf, u = case
+    counts = cell_counts(cdf, u)
+    expected = [np.bincount(cell_indices(cdf, col), minlength=len(cdf)) for col in u.T]
+    assert counts.shape == (u.shape[1], len(cdf))
+    assert np.array_equal(counts, expected)
 
 
 def test_numpy_fallback_runs_without_numba():

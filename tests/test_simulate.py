@@ -206,19 +206,26 @@ def _reference_walk(w, loss, pac, n, reps, seed, stream):
     return taus, test_cells
 
 
-@pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])
-def test_chunked_walk_matches_row_by_row_reference(w1, loss01, grid):
-    # two full chunks and a partial one; alpha=0.3 gives b* = 17 against a
-    # Binomial(100, 0.2) bad count, so the walk stops at either grid point
+@pytest.mark.parametrize(
+    "make_world, grid, n_taus",
+    [(make_w1, (0.5, 0.95), 2), (make_w1, None, 2), (make_ten_cell, None, 7)],
+    ids=["fixed", "auto", "ten_cell_auto"],
+)
+def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_taus):
+    # two full chunks and a partial one; alpha=0.3 gives b* = 17. On w1 the
+    # bad count is Binomial(100, 0.2), so the walk stops at either grid
+    # point; on the ten-cell world each odd cell is bad and adds 0.05-0.1 to
+    # the bad mass below its score, so the walk stops at several levels
+    w = make_world()
     pac = pr.PacConfig(epsilon=0.0, alpha=0.3, delta_split=0.05, threshold_grid=grid)
     n, reps, seed, stream = 100, 2 * CHUNK + 3, 2024, 5
-    ref_taus, ref_cells = _reference_walk(w1, loss01, pac, n, reps, seed, stream)
-    assert len(np.unique(ref_taus)) == 2
-    taus, cells = _tau_values_for_replications(w1, loss01, pac, n, reps, seed, stream)
+    ref_taus, ref_cells = _reference_walk(w, loss01, pac, n, reps, seed, stream)
+    assert len(np.unique(ref_taus)) == n_taus
+    taus, cells = _tau_values_for_replications(w, loss01, pac, n, reps, seed, stream)
     assert cells is None
     assert np.array_equal(taus, ref_taus)
     taus, cells = _tau_values_for_replications(
-        w1, loss01, pac, n, reps, seed, stream, need_test_draws=True
+        w, loss01, pac, n, reps, seed, stream, need_test_draws=True
     )
     assert np.array_equal(taus, ref_taus)
     assert np.array_equal(cells, ref_cells)

@@ -223,6 +223,36 @@ def test_world_from_dict_rejects_invalid():
     assert any("total mass" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("left", "0"), ("right", True), ("mass", "0.8"), ("mass", None),
+        ("score", [0.1]), ("score", False),
+        ("expert", 1.7), ("expert", "1"), ("fast", True), ("fast", float("nan")),
+        ("alphabet_size", "2"), ("alphabet_size", 2.5),
+    ],
+)
+def test_world_from_dict_refuses_non_numbers(key, value):
+    d = world_to_dict(make_w1())
+    (d if key == "alphabet_size" else d["cells"][1])[key] = value
+    with pytest.raises(pr.WorldValidationError) as err:
+        world_from_dict(d)
+    noun = "a number" if key in ("left", "right", "mass", "score") else "an integer"
+    assert err.value.violations == [
+        f"malformed world object: {'' if key == 'alphabet_size' else 'cell 1: '}"
+        f"{key} must be {noun}, got {value!r}"
+    ]
+
+
+def test_world_from_dict_accepts_integral_float_labels(w1):
+    d = world_to_dict(w1)
+    d["alphabet_size"] = 2.0
+    d["cells"][1]["expert"] = 1.0
+    again = world_from_dict(d)
+    assert again == w1
+    assert type(again.cells[1].expert_label) is int
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
