@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .risk import LossSpec
-from .worlds import Cell, CellWorld, cell_at, interval_mass, split_at
+import numpy as np
+
+from .risk import LossSpec, check_loss_compatible
+from .worlds import Cell, CellWorld, cell_at, cell_index_at, interval_mass, split_at
 
 __all__ = [
+    "DemoPreconditionError",
     "PerturbationSpec",
     "find_radius",
     "choose_adversarial_label",
@@ -26,6 +29,11 @@ __all__ = [
 ]
 
 _INITIAL_RADIUS = 0.1
+
+
+class DemoPreconditionError(ValueError):
+    """The demo cannot be built at this point: the fast model is already bad
+    there, or no float ball around it is light enough."""
 
 
 @dataclass(frozen=True)
@@ -52,13 +60,13 @@ def _ball_mass(w: CellWorld, x_star: float, radius: float) -> float:
 def find_radius(w: CellWorld, x_star: float, eta: float, n: int) -> tuple[float, float]:
     """Halve the radius from 0.1 until the ball mass drops strictly below eta/(2n).
 
-    Returns (radius, ball_mass). Terminates for every valid world: the
-    density is bounded, so the mass of a shrinking interval goes to zero.
+    Returns (radius, ball_mass). A cell only a few subnormals wide can keep
+    every float ball too heavy; then DemoPreconditionError is raised.
     """
     if not 0.0 <= x_star <= 1.0:
         raise ValueError(f"x_star must be in [0,1], got {x_star!r}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
+    if not 0.0 < eta < np.inf:  # NaN included
+        raise ValueError(f"eta must be finite and > 0, got {eta!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     target = eta / (2.0 * n)
@@ -67,7 +75,9 @@ def find_radius(w: CellWorld, x_star: float, eta: float, n: int) -> tuple[float,
     while mass >= target:
         radius /= 2.0
         if radius == 0.0:
-            raise RuntimeError("radius underflowed before the mass target was met")
+            raise DemoPreconditionError(
+                f"no float ball is light enough: every ball around x_star={x_star!r} "
+                f"(cell {cell_index_at(w, x_star)}) has mass >= eta/(2n) = {target!r}")
         mass = _ball_mass(w, x_star, radius)
     return radius, mass
 
@@ -78,12 +88,13 @@ def choose_adversarial_label(w: CellWorld, loss: LossSpec, x_star: float) -> int
     Zero-one loss: the next label cyclically (any mismatch has loss 1).
     Table loss: the smallest label whose entry exceeds epsilon.
     """
+    check_loss_compatible(w, loss)
     fast = cell_at(w, x_star).fast_label
     if loss.kind == "zero_one":
         return (fast + 1) % w.alphabet_size
-    for y in range(w.alphabet_size):
-        if loss.exceeds(fast, y):
-            return y
+    bad = np.flatnonzero(loss.exceeds(fast, np.arange(w.alphabet_size)))
+    if bad.size:
+        return int(bad[0])
     raise ValueError(
         f"no label has loss > {loss.epsilon!r} against fast label {fast} at "
         f"x={x_star!r}; the perturbation cannot be built"
@@ -126,6 +137,7 @@ def perturb(w: CellWorld, loss: LossSpec, spec: PerturbationSpec) -> CellWorld:
         )
     if not 0 <= spec.adversarial_label < w.alphabet_size:
         raise ValueError(f"adversarial label {spec.adversarial_label} outside alphabet")
+    check_loss_compatible(w, loss)
     fast_at_star = cell_at(w, spec.x_star).fast_label
     if not loss.exceeds(fast_at_star, spec.adversarial_label):
         raise ValueError(

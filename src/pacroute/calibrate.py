@@ -101,14 +101,15 @@ class CalibrationOutcome:
 
 
 @lru_cache(maxsize=256)
-def binomial_pvalue_table(n: int, t: float) -> tuple[float, ...]:
-    """Lower-tail CDF of Binomial(n, t) at every count 0..n.
+def binomial_pvalue_table(n: int, t: float) -> np.ndarray:
+    """Lower-tail CDF of Binomial(n, t) at every count 0..n, as a read-only
+    float64 array (the cache shares it between callers).
 
     Terms are computed in log space and summed directly from whichever end is
     smaller: the prefix when the tail is below one half, else one minus the
     suffix. That keeps values near 1 accurate to a few ulp and pins the full
     tail to exactly 1 (empty suffix). The table is nondecreasing by
-    construction, which the kernels rely on.
+    construction, which the kernels and ``max_rejectable_count`` rely on.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0,1), got {t!r}")
@@ -131,14 +132,15 @@ def binomial_pvalue_table(n: int, t: float) -> tuple[float, ...]:
     suffix_above[:n] = np.cumsum(terms[::-1])[-2::-1]
     cdf = np.where(prefix <= 0.5, prefix, 1.0 - suffix_above)
     cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
-    return tuple(float(v) for v in cdf)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def binomial_pvalue(b: int, n: int, t: float) -> float:
     """Exact P(Binomial(n, t) <= b); the p-value for H0: exceedance rate > t."""
     if not 0 <= b <= n:
         raise ValueError(f"need 0 <= b <= n, got b={b} n={n}")
-    return binomial_pvalue_table(n, t)[b]
+    return float(binomial_pvalue_table(n, t)[b])
 
 
 def max_rejectable_count(n: int, t: float, delta: float) -> int:
@@ -148,14 +150,7 @@ def max_rejectable_count(n: int, t: float, delta: float) -> int:
     candidate threshold is exactly "count <= this value"; the Monte-Carlo
     kernels rely on that equivalence.
     """
-    table = binomial_pvalue_table(n, t)
-    best = -1
-    for b, p in enumerate(table):
-        if p <= delta:
-            best = b
-        else:
-            break
-    return best
+    return int(np.searchsorted(binomial_pvalue_table(n, t), delta, side="right")) - 1
 
 
 def empirical_exceedances(
@@ -171,14 +166,7 @@ def empirical_exceedances(
         raise ValueError("calibration set is empty")
     check_loss_compatible(w, loss)
     idx = cell_indices_at(w, d.xs)
-    scores = w.scores[idx]
-    fast = w.fast_labels[idx]
-    if loss.kind == "zero_one":
-        bad = fast != d.ys
-    else:
-        table = np.asarray(loss.table)
-        bad = table[fast, d.ys] > loss.epsilon
-    return int(np.sum((scores <= tau) & bad))
+    return int(np.sum((w.scores[idx] <= tau) & loss.exceeds(w.fast_labels[idx], d.ys)))
 
 
 def auto_threshold_grid(observed_scores) -> tuple[float, ...]:

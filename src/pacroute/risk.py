@@ -82,8 +82,12 @@ class LossSpec:
             return 1.0 if prediction != truth else 0.0
         return float(self.table[prediction][truth])
 
-    def exceeds(self, prediction: int, truth: int) -> bool:
-        return self.value(prediction, truth) > self.epsilon
+    def exceeds(self, prediction, truth):
+        """Is the fast answer bad (loss > epsilon)? Takes labels or label arrays;
+        a zero-one mismatch always is, as its loss 1 exceeds epsilon < 1."""
+        if self.kind == "zero_one":
+            return prediction != truth
+        return np.asarray(self.table)[prediction, truth] > self.epsilon
 
 
 def route(r: float, score: float) -> str:
@@ -114,9 +118,7 @@ def check_loss_compatible(w: CellWorld, loss: LossSpec) -> None:
 def cell_exceedance_flags(w: CellWorld, loss: LossSpec) -> np.ndarray:
     """Per-cell flag: does the fast model's loss against the expert exceed epsilon?"""
     check_loss_compatible(w, loss)
-    return np.array(
-        [loss.exceeds(c.fast_label, c.expert_label) for c in w.cells], dtype=bool
-    )
+    return loss.exceeds(w.fast_labels, w.expert_labels)
 
 
 class DisagreementRegion(NamedTuple):

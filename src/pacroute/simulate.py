@@ -30,8 +30,9 @@ import numpy as np
 from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
-from .adversary import make_perturbation, perturb, PerturbationSpec, tv_product_bound
-from .calibrate import PacConfig, binomial_pvalue_table, max_rejectable_count
+from .adversary import (DemoPreconditionError, PerturbationSpec, make_perturbation,
+                        perturb, tv_product_bound)
+from .calibrate import PacConfig, binomial_pvalue, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
@@ -40,7 +41,7 @@ from .risk import (
     exact_miscoverage,
 )
 from .serialize import encode_threshold
-from .worlds import CellWorld, cell_at
+from .worlds import CellWorld, cell_at, cell_index_at, cell_indices_at
 
 __all__ = [
     "JOINT",
@@ -72,10 +73,6 @@ STREAM_JOINT = 1
 STREAM_PERTURBED_AUDIT = 2
 
 _ALGORITHMS = ("calibrated", "trivial")
-
-
-class DemoPreconditionError(ValueError):
-    """The demo point sits where the fast model is already bad."""
 
 
 @dataclass(frozen=True)
@@ -280,17 +277,14 @@ def _point_records(
     w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray
 ) -> tuple[PointAudit, ...]:
     m = len(tau_values)
+    idx = cell_indices_at(w, np.asarray(points, dtype=float))
+    bad = cell_exceedance_flags(w, loss)[idx].tolist()
     recs = []
-    for x in points:
-        c = cell_at(w, float(x))
-        est = float(np.sum(c.score <= tau_values)) / m
+    for x, score, is_bad in zip(points, w.scores[idx].tolist(), bad):
+        est = float(np.sum(score <= tau_values)) / m
         std_err = math.sqrt(est * (1.0 - est) / m)
-        viol = est if loss.exceeds(c.fast_label, c.expert_label) else 0.0
-        recs.append(
-            PointAudit(
-                x=float(x), est_fast_prob=est, est_violation_prob=viol, std_err=std_err
-            )
-        )
+        recs.append(PointAudit(x=float(x), est_fast_prob=est,
+                               est_violation_prob=est if is_bad else 0.0, std_err=std_err))
     return tuple(recs)
 
 
@@ -364,7 +358,7 @@ def _lower_tail(b_star: int, n: int, t: float) -> float:
         return 0.0
     if t <= 0.0 or b_star >= n:
         return 1.0
-    return binomial_pvalue_table(n, float(t))[b_star]
+    return binomial_pvalue(b_star, n, float(t))
 
 
 def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
@@ -462,9 +456,10 @@ def demo_with_replications(
 ):
     """Audit a router at x_star, then again under a near-indistinguishable rival world.
 
-    Pipeline: (1) audit the base world (x_star is always the first audit
-    point); (2) solve and apply the local label swap around x_star; (3) audit
-    the perturbed world with fresh replications; (4) estimate the base joint
+    Pipeline: (1) solve and apply the local label swap around x_star, which
+    draws nothing, so bad input is refused before any replication; (2) audit
+    the base world (x_star is always the first audit point); (3) audit the
+    perturbed world with fresh replications; (4) estimate the base joint
     risk and mean deferral mass. Verdicts:
 
       demo_vacuous          base fast-usage at x_star is within alpha, so the
@@ -477,19 +472,22 @@ def demo_with_replications(
                             (plus Monte-Carlo error)
       nontrivial            the router actually saves work (mean deferral < 1)
 
-    x_star must sit where the fast model is fine (loss <= epsilon); otherwise
-    DemoPreconditionError is raised. A router that is already trivial at
-    x_star yields verdict ``demo_vacuous`` rather than an error.
+    x_star must sit where the fast model is fine (loss <= epsilon) and have a
+    light enough float ball around it; otherwise DemoPreconditionError is
+    raised. A router already trivial at x_star yields ``demo_vacuous``.
 
     Returns (report, perturbed_world, audit_points, base_taus,
     perturbed_taus); the last four are the raw material trace writers need.
     """
-    c = cell_at(base, x_star)
-    if loss.exceeds(c.fast_label, c.expert_label):
+    if cell_exceedance_flags(base, loss)[cell_index_at(base, x_star)]:
         raise DemoPreconditionError(
             f"x_star={x_star!r} lies in the disagreement region; the swap "
             "would not change anything there"
         )
+    spec = make_perturbation(base, loss, x_star, eta, n)
+    perturbed = perturb(base, loss, spec)
+    if not cell_exceedance_flags(perturbed, loss)[cell_index_at(perturbed, x_star)]:
+        raise RuntimeError("perturbed world is not bad at x_star; construction bug")
     points = (float(x_star),) + tuple(
         p for p in _resolve_audit_points(cfg_mc, base) if p != x_star
     )
@@ -502,11 +500,6 @@ def demo_with_replications(
         base, loss, cfg_pac, cfg_points, n,
         algorithm=algorithm, stream=STREAM_AUDIT,
     )
-    spec = make_perturbation(base, loss, x_star, eta, n)
-    perturbed = perturb(base, loss, spec)
-    pc = cell_at(perturbed, x_star)
-    if not loss.exceeds(pc.fast_label, pc.expert_label):
-        raise RuntimeError("perturbed world is not bad at x_star; construction bug")
     pert_report, pert_taus = audit_profile(
         perturbed, loss, cfg_pac, cfg_points, n,
         algorithm=algorithm, stream=STREAM_PERTURBED_AUDIT,
@@ -556,18 +549,19 @@ def trace_blocks(
     template whose only holes are the replication index. The text is what
     ``csv.writer`` writes for those rows: ``repr`` floats, ALWAYS_DEFER as
     the string, ``\\r\\n`` line ends and nothing quoted."""
-    cells = [cell_at(w, float(x)) for x in points]
-    bad = [loss.exceeds(c.fast_label, c.expert_label) for c in cells]
-    n_points = len(cells)
+    idx = cell_indices_at(w, np.asarray(points, dtype=float))
+    scores = w.scores[idx].tolist()
+    bad = cell_exceedance_flags(w, loss)[idx].tolist()
+    n_points = len(idx)
     templates: dict[float, str] = {}
 
     def template(tau: float) -> str:
         # g = 1: defer (score above tau); ties go fast
         tau_text = encode_threshold(tau)
         return "".join(
-            f"{prefix}%d,{float(x)!r},{tau_text},{int(c.score > tau)},"
-            f"{int(c.score <= tau and is_bad)}\r\n"
-            for x, c, is_bad in zip(points, cells, bad)
+            f"{prefix}%d,{float(x)!r},{tau_text},{int(score > tau)},"
+            f"{int(score <= tau and is_bad)}\r\n"
+            for x, score, is_bad in zip(points, scores, bad)
         )
 
     per_block = max(1, TRACE_BLOCK_ROWS // n_points)

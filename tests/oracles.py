@@ -13,6 +13,10 @@ form, from binomial tails. Two enumerators check it from other routes:
 
 ``csv_trace_text`` is the reference for the trace writer: one tuple per row,
 formatted by ``csv.writer``.
+
+``exceeds_scalar`` and ``max_rejectable_count_scan`` are the one-value-at-a-
+time rules that the array forms in :mod:`pacroute.risk` and
+:mod:`pacroute.calibrate` replaced.
 """
 
 import csv
@@ -23,9 +27,25 @@ import math
 import numpy as np
 
 import pacroute as pr
+from pacroute.calibrate import binomial_pvalue_table
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import encode_threshold
 from pacroute.simulate import _threshold_selector, _walk
+
+
+def exceeds_scalar(loss, prediction, truth):
+    """Is one label pair bad: its loss strictly above epsilon?"""
+    return loss.value(prediction, truth) > loss.epsilon
+
+
+def max_rejectable_count_scan(n, t, delta):
+    """Scan the p-value table up to the first count whose p-value exceeds delta."""
+    best = -1
+    for b, p in enumerate(binomial_pvalue_table(n, t)):
+        if p > delta:
+            break
+        best = b
+    return best
 
 
 def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
@@ -98,7 +118,7 @@ def iter_trace_rows(w, loss, points, tau_values):
     """Yield (replication, point, tau_hat, g, risk_exceeded) rows, one per
     replication and point."""
     cells = [pr.cell_at(w, float(x)) for x in points]
-    bad = [loss.exceeds(c.fast_label, c.expert_label) for c in cells]
+    bad = [exceeds_scalar(loss, c.fast_label, c.expert_label) for c in cells]
     for r, tau in enumerate(tau_values):
         tau_out = encode_threshold(tau)
         for x, c, is_bad in zip(points, cells, bad):

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute.calibrate import (
     auto_threshold_grid,
     binomial_pvalue,
+    binomial_pvalue_table,
     max_rejectable_count,
     select_threshold,
 )
 from pacroute.risk import ALWAYS_DEFER
 
 from conftest import make_three_cell, make_w1
+from oracles import max_rejectable_count_scan
 
 # closed forms computed independently: (1-t)^n for the zero-count tail
 PV_0_10_005 = 0.5987369392383787  # 0.95**10
@@ -64,6 +68,29 @@ def test_max_rejectable_count_matches_pvalue_rule():
         b_star = max_rejectable_count(n, t, delta)
         for b in range(n + 1):
             assert (b <= b_star) == (binomial_pvalue(b, n, t) <= delta)
+
+
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(st.integers(1, 2000), _open_unit, _open_unit, st.data())
+@settings(max_examples=100, deadline=None)
+def test_max_rejectable_count_matches_scan(n, t, delta, data):
+    table = binomial_pvalue_table(n, t)
+    # a delta equal to a table entry is where "<=" and "<" part
+    at_entry = float(table[data.draw(st.integers(0, n))])
+    for d in (delta, at_entry):
+        if 0.0 < d < 1.0:
+            assert max_rejectable_count(n, t, d) == max_rejectable_count_scan(n, t, d)
+
+
+def test_pvalue_table_is_read_only():
+    # the cache hands the same array to every caller
+    table = binomial_pvalue_table(20, 0.3)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+    assert binomial_pvalue_table(20, 0.3) is table
 
 
 def test_empirical_exceedances_none_below_tau(w1, loss01):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pacroute import cli
+from pacroute import cli, simulate
 from pacroute.cli import main
 from pacroute.worlds import world_to_dict
 
@@ -420,6 +420,87 @@ def test_demo_precondition_exits_4(tmp_path, w1_path):
         },
     )
     assert run_cli(["demo", "--config", cfg]) == 4
+
+
+@pytest.fixture
+def no_replications(monkeypatch):
+    """Fail the test if any replication's uniforms are drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
+
+
+@pytest.mark.parametrize("algorithm", ["calibrated", "trivial"])
+@pytest.mark.parametrize("command", ["audit", "demo"])
+def test_undersized_table_loss_exits_2(tmp_path, capsys, no_replications, command, algorithm):
+    # the trivial router draws nothing, so only the bad-cell flags can refuse the table
+    world = {"alphabet_size": 3, "cells": [
+        {"left": 0.0, "right": 0.5, "mass": 0.5, "expert": 0, "fast": 0, "score": 0.1},
+        {"left": 0.5, "right": 1.0, "mass": 0.5, "expert": 2, "fast": 0, "score": 0.9},
+    ]}
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": write_config(tmp_path, "w.json", world),
+            "loss": {"kind": "table", "epsilon": 0.0, "table": [[0, 1], [1, 0]]},
+            "mc": {"replications": 20, "master_seed": 11},
+            "calibration": {"n": 100},
+            "demo": {"x_star": 0.2, "eta": 0.01, "n": 100},
+            "algorithm": algorithm,
+        },
+    )
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert "loss table is 2x2 but the world uses 3 labels" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
+def test_demo_bad_eta_exits_2_before_any_replication(
+    tmp_path, w1_path, capsys, no_replications, eta
+):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "mc": {"replications": 20, "master_seed": 11},
+            "demo": {"x_star": 0.4, "eta": eta, "n": 100},
+        },
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["demo", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"eta must be finite and > 0, got {eta!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_demo_near_atomic_cell_exits_4(tmp_path, capsys, no_replications):
+    # a valid world, but every float ball around 0 holds most of cell 0's mass
+    world = {"alphabet_size": 2, "cells": [
+        {"left": 0.0, "right": 1e-320, "mass": 0.5, "expert": 0, "fast": 0, "score": 0.1},
+        {"left": 1e-320, "right": 1.0, "mass": 0.5, "expert": 0, "fast": 0, "score": 0.9},
+    ]}
+    world_path = write_config(tmp_path, "w.json", world)
+    cfg = {**BASE_CONFIG, "world": world_path}
+    assert run_cli(["validate-world", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**cfg, "mc": {"replications": 20, "master_seed": 11},
+         "demo": {"x_star": 0.0, "eta": 0.01, "n": 100}},
+    )
+    capsys.readouterr()
+    assert run_cli(["demo", "--config", cfg, "--out", tmp_path / "r.json"]) == 4
+    err = capsys.readouterr().err
+    assert "no float ball is light enough" in err
+    assert "x_star=0.0 (cell 0)" in err
+    assert "Traceback" not in err
 
 
 def test_demo_trivial_algorithm(tmp_path, w1_path):

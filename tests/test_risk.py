@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute.risk import ALWAYS_DEFER, EXPERT, FAST
+from pacroute.adversary import choose_adversarial_label
+from pacroute.risk import ALWAYS_DEFER, EXPERT, FAST, cell_exceedance_flags
 
-from conftest import corpus, make_masses_short_of_one
+from conftest import corpus, make_masses_short_of_one, world_strategy
+from oracles import exceeds_scalar
 
 
 def test_route_strict_inequality():
@@ -101,6 +105,12 @@ def test_table_loss_must_cover_alphabet():
     small = pr.LossSpec(kind="table", epsilon=0.0, table=((0.0, 1.0), (1.0, 0.0)))
     with pytest.raises(ValueError):
         pr.disagreement_region(w, small)
+    # the adversary looks labels up in the table too
+    with pytest.raises(ValueError, match="loss table is 2x2"):
+        choose_adversarial_label(w, small, 0.5)
+    spec = pr.make_perturbation(w, pr.LossSpec(kind="zero_one", epsilon=0.0), 0.5, 0.01, 10)
+    with pytest.raises(ValueError, match="loss table is 2x2"):
+        pr.perturb(w, small, spec)
 
 
 def test_table_loss_lookup_order():
@@ -164,3 +174,47 @@ def test_miscoverage_matches_monte_carlo(loss01):
         exact = pr.exact_miscoverage(w, loss01, tau)
         se = np.sqrt(exact * (1 - exact) / 100_000)
         assert abs(freq - exact) <= max(4 * se, 1e-12)
+
+
+@st.composite
+def loss_strategy(draw, alphabet):
+    """A zero-one or table loss that covers ``alphabet`` labels. Table entries
+    often equal epsilon, where exceedance must stay strict."""
+    epsilon = draw(st.floats(0.0, 0.99))
+    if draw(st.booleans()):
+        return pr.LossSpec(kind="zero_one", epsilon=epsilon)
+    k = draw(st.integers(alphabet, alphabet + 1))
+    entry = st.one_of(st.just(epsilon), st.floats(0.0, 2.0))
+    table = tuple(
+        tuple(0.0 if i == j else draw(entry) for j in range(k)) for i in range(k)
+    )
+    return pr.LossSpec(kind="table", epsilon=epsilon, table=table)
+
+
+@given(world_strategy(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bad_cell_rules_match_scalar_reference(w, data):
+    loss = data.draw(loss_strategy(w.alphabet_size))
+    assert cell_exceedance_flags(w, loss).tolist() == [
+        exceeds_scalar(loss, c.fast_label, c.expert_label) for c in w.cells
+    ]
+    # calibration labels drawn freely, as from a relabeled world
+    m = data.draw(st.integers(1, 20))
+    xs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    ys = data.draw(st.lists(st.integers(0, w.alphabet_size - 1), min_size=m, max_size=m))
+    tau = data.draw(st.floats(-6.0, 6.0))
+    cells = [pr.cell_at(w, x) for x in xs]
+    d = pr.CalibrationSet(xs=np.array(xs), ys=np.array(ys, dtype=np.int64))
+    assert pr.empirical_exceedances(d, w, loss, tau) == sum(
+        c.score <= tau and exceeds_scalar(loss, c.fast_label, y) for c, y in zip(cells, ys)
+    )
+    fast = cells[0].fast_label
+    bad = [y for y in range(w.alphabet_size) if exceeds_scalar(loss, fast, y)]
+    if not bad:
+        with pytest.raises(ValueError, match="no label has loss"):
+            choose_adversarial_label(w, loss, xs[0])
+        return
+    label = choose_adversarial_label(w, loss, xs[0])
+    # zero-one takes the next label cyclically, a table the smallest bad one
+    assert label == ((fast + 1) % w.alphabet_size if loss.kind == "zero_one" else bad[0])
+    assert label in bad

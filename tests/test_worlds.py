@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute.worlds import cell_index_at, world_from_dict, world_to_dict
 
-from conftest import corpus, make_w1
+from conftest import corpus, make_w1, world_strategy
 
 
 def test_validate_accepts_w1():
@@ -259,45 +259,6 @@ def test_world_from_dict_accepts_integral_float_labels(w1):
 _weights = st.lists(
     st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=6
 ).filter(lambda ws: sum(ws) > 0.1)
-
-
-# a cell must hold its own float midpoint (validate_world); cuts this far
-# apart always leave one
-MIN_CUT_GAP = 1e-9
-
-
-@st.composite
-def world_strategy(draw):
-    n_cuts = draw(st.integers(0, 5))
-    cuts = draw(
-        st.lists(
-            st.floats(0.01, 0.99, allow_nan=False),
-            min_size=n_cuts,
-            max_size=n_cuts,
-            unique=True,
-        )
-    )
-    bounds = [0.0] + sorted(cuts) + [1.0]
-    assume(all(b - a >= MIN_CUT_GAP for a, b in zip(bounds, bounds[1:])))
-    k = len(bounds) - 1
-    weights = draw(
-        st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=k, max_size=k)
-    )
-    assume(sum(weights) > 0.1)
-    masses = pr.normalized_masses(weights)
-    alphabet = draw(st.integers(2, 4))
-    experts = draw(
-        st.lists(st.integers(0, alphabet - 1), min_size=k, max_size=k)
-    )
-    fasts = draw(st.lists(st.integers(0, alphabet - 1), min_size=k, max_size=k))
-    scores = draw(
-        st.lists(st.floats(-5, 5, allow_nan=False), min_size=k, max_size=k)
-    )
-    cells = tuple(
-        pr.Cell(bounds[i], bounds[i + 1], masses[i], experts[i], fasts[i], scores[i])
-        for i in range(k)
-    )
-    return pr.CellWorld(cells=cells, alphabet_size=alphabet)
 
 
 @given(world_strategy())
