@@ -3,10 +3,11 @@
 ``replication_uniforms`` draws each replication's uniforms, ``cell_counts``
 turns them into occupancy counts (calibration points per cell) by counting
 the uniforms below each cell-mass CDF edge, and ``stop_positions`` applies the
-fixed-sequence stopping rule to counts; ``tau_indices`` is that rule on a
-fixed grid. ``cell_indices`` maps single uniforms to cells, for test inputs
-and samplers. Each works on a block of replications at once and depends on
-nothing but its inputs.
+fixed-sequence stopping rule to counts, as one product of the counts with a
+(cells, positions) indicator; ``tau_indices`` is that rule on a fixed grid.
+``cell_indices`` maps single uniforms to cells, for test inputs and samplers.
+Each works on a block of replications at once and depends on nothing but its
+inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
@@ -198,11 +199,9 @@ def stop_positions(
     rejects, or ``n_positions`` if none does. ``position[c]`` is the first
     position at which cell ``c``'s samples count as bad (n_positions = never).
     """
-    order = np.argsort(position, kind="stable")
-    # running[:, j]: samples in the first j cells taken in position order
-    running = np.cumsum(np.pad(counts[:, order], ((0, 0), (1, 0))), axis=1)
-    counting = np.searchsorted(position[order], np.arange(n_positions), side="right")
-    rejecting = running[:, counting] <= b_star
+    # running[:, j]: samples in the cells that count as bad by position j
+    counting = position[:, None] <= np.arange(n_positions)
+    rejecting = counts @ counting.astype(counts.dtype) <= b_star
     return np.where(rejecting.all(axis=1), n_positions, np.argmin(rejecting, axis=1))
 
 

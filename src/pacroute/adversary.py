@@ -122,7 +122,7 @@ def perturb(w: CellWorld, loss: LossSpec, spec: PerturbationSpec) -> CellWorld:
 
     Masses, scores and fast labels are untouched, and cells outside the ball
     are carried over unchanged, so the X-marginal is identical to the base
-    world's.
+    world's. Raises DemoPreconditionError if the ball relabels none of x_star's cell.
     """
     recomputed = _ball_mass(w, spec.x_star, spec.radius)
     if recomputed != spec.ball_mass:
@@ -147,11 +147,15 @@ def perturb(w: CellWorld, loss: LossSpec, spec: PerturbationSpec) -> CellWorld:
     lo = spec.x_star - spec.radius
     hi = spec.x_star + spec.radius
     base = split_at(w, [p for p in (lo, hi) if 0.0 < p < 1.0])
+    inside = [c.left >= lo and c.right <= hi for c in base.cells]
+    if not inside[cell_index_at(base, spec.x_star)]:  # e.g. x_star +- radius == x_star
+        raise DemoPreconditionError(
+            f"no float ball is light enough: the one of radius {spec.radius!r} around "
+            f"x_star={spec.x_star!r} (cell {cell_index_at(w, spec.x_star)}) relabels none of it")
     cells = tuple(
         Cell(c.left, c.right, c.mass, spec.adversarial_label, c.fast_label, c.score)
-        if c.left >= lo and c.right <= hi
-        else c
-        for c in base.cells
+        if swap else c
+        for c, swap in zip(base.cells, inside)
     )
     return CellWorld(cells=cells, alphabet_size=base.alphabet_size)
 

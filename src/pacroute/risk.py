@@ -56,6 +56,8 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not self.epsilon >= 0:  # NaN included
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if self.epsilon == np.inf:
+            raise ValueError("epsilon must be finite, got inf")
         if self.kind == "zero_one":
             if self.table is not None:
                 raise ValueError("zero_one loss takes no table")
@@ -73,8 +75,9 @@ class LossSpec:
                 if row[i] != 0.0:
                     raise ValueError(f"loss table diagonal [{i}][{i}] must be 0")
                 for j, v in enumerate(row):
-                    if v < 0:
-                        raise ValueError(f"loss table [{i}][{j}] must be >= 0")
+                    if not 0 <= v < np.inf:  # NaN included
+                        raise ValueError(
+                            f"loss table [{i}][{j}] must be finite and >= 0, got {v!r}")
 
     def value(self, prediction: int, truth: int) -> float:
         """Loss of predicting ``prediction`` when the expert says ``truth``."""

@@ -16,14 +16,14 @@ cell-constant, a replication's outcome depends only on how many of its
 calibration points land in each cell (its occupancy counts); the engine
 therefore counts each replication's uniforms below every cell-mass CDF edge
 and never materializes positions or per-point cell indices.
-Monte-Carlo chunks and the exact oracle share one map from the walk's stop
-(and, on the auto grid, the occupied level below it) to a threshold.
+Monte-Carlo chunks and the exact oracle read one threshold table, indexed by
+the walk's stop and (on the auto grid) the occupied level below it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,13 +179,14 @@ def _resolve_audit_points(cfg_mc: McConfig, w: CellWorld) -> tuple[float, ...]:
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
-    """``(b_star, position, n_positions, threshold)`` of the count walk over n
+    """``(b_star, position, bad_position, taus)`` of the count walk over n
     points. Positions are grid indices on a fixed grid and the distinct scores
-    on the auto grid; ``position[c]`` is the first at which cell ``c``'s
-    samples would count as bad (n_positions: past a fixed grid).
-    ``threshold(prev, stop)`` is what ``select_threshold`` picks when the walk
-    stops at ``stop`` (n_positions: never) and ``prev`` is the highest
-    occupied position below it (-1: none).
+    on the auto grid; ``position[c]`` is cell ``c``'s (n_positions: past a
+    fixed grid) and ``bad_position[c]`` the first at which its samples count
+    as bad (n_positions: never). ``taus[stop, prev + 1]`` is what
+    ``select_threshold`` picks when the walk stops at ``stop`` (n_positions:
+    never) and ``prev`` is the highest occupied position below it (-1: none);
+    n_positions is ``len(taus) - 1``.
 
     The trivial router is this walk with b* = -1: no count rejects, so every
     walk stops at position 0 and selects ALWAYS_DEFER."""
@@ -197,38 +198,36 @@ def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: s
     b_star = (max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
               if algorithm == "calibrated" else -1)
     if cfg_pac.threshold_grid is not None:
-        grid = np.append(cfg_pac.threshold_grid, ALWAYS_DEFER)  # grid[-1]: stop at 0
-        position = np.searchsorted(grid[:-1], w.scores, side="left")
-        return b_star, position, len(grid) - 1, lambda prev, stop: grid[stop - 1]
-    levels, position = np.unique(w.scores, return_inverse=True)
-    top = len(levels) - 1
-
-    def threshold(prev, stop):
+        by_stop = np.concatenate(([ALWAYS_DEFER], cfg_pac.threshold_grid))
+        position = np.searchsorted(by_stop[1:], w.scores, side="left")
+        taus = np.broadcast_to(by_stop[:, None], (len(by_stop),) * 2)  # ignores prev
+    else:
+        levels, position = np.unique(w.scores, return_inverse=True)
+        top = len(levels) - 1
+        stop, prev = np.ogrid[:top + 2, -1:top + 1]
         # the walk stops on an occupied level (or level 0 if b* = -1); the
-        # midpoint up from prev or one above it, as auto_threshold_grid computes
-        below = levels[prev]
-        midpoint = (below + levels[np.minimum(stop, top)]) / 2.0
-        return np.where(prev < 0, ALWAYS_DEFER, np.where(stop <= top, midpoint, below + 1.0))
+        # midpoint up from prev or one above it, as auto_threshold_grid computes.
+        # Built in place: the table is (levels + 1)**2 floats.
+        taus = levels[prev] + levels[np.minimum(stop, top)]
+        taus /= 2.0
+        taus[-1, 1:] = levels + 1.0
+        taus[:, 0] = ALWAYS_DEFER
+    bad_position = np.where(cell_exceedance_flags(w, loss), position, len(taus) - 1)
+    return b_star, position, bad_position, taus
 
-    return b_star, position, top + 1, threshold
 
-
-def _threshold_selector(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, walk):
-    """``select(counts)``: the threshold ``select_threshold`` picks from any
-    calibration set with these (sets, cells) occupancy counts, given the
-    ``_walk`` over that many points."""
-    b_star, position, n_pos, threshold = walk
-    bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
-    if cfg_pac.threshold_grid is not None:  # the threshold ignores prev
-        return lambda c: threshold(None, _kernels.tau_indices(c, bad_position, b_star, n_pos) + 1)
-
-    def select(counts: np.ndarray) -> np.ndarray:
-        stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
-        # the highest occupied position below the stop (-1: none)
-        prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
-        return threshold(prev, stop)
-
-    return select
+def _select(cfg_pac: PacConfig, walk, counts: np.ndarray) -> np.ndarray:
+    """The threshold ``select_threshold`` picks from each calibration set with
+    these (sets, cells) occupancy counts, given the ``_walk`` over that many
+    points."""
+    b_star, position, bad_position, taus = walk
+    n_pos = len(taus) - 1
+    if cfg_pac.threshold_grid is not None:
+        return taus[_kernels.tau_indices(counts, bad_position, b_star, n_pos) + 1, 0]
+    stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
+    # the highest occupied position below the stop (-1: none)
+    prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
+    return taus[stop, prev + 1]
 
 
 def _tau_values_for_replications(
@@ -260,7 +259,6 @@ def _tau_values_for_replications(
         return np.full(replications, ALWAYS_DEFER), test_cells
     cols = n + 1 if need_test_draws else n
     cdf = w.mass_cdf
-    select = _threshold_selector(w, loss, cfg_pac, walk)
     taus = np.empty(replications)
     for start in range(0, replications, CHUNK):
         stop = min(start + CHUNK, replications)
@@ -268,7 +266,7 @@ def _tau_values_for_replications(
         if need_test_draws:
             test_cells[start:stop] = _kernels.cell_indices(cdf, u[:, n])
         # u.T is C-contiguous for the column-major blocks of replication_uniforms
-        taus[start:stop] = select(_kernels.cell_counts(cdf, u[:, :n].T))
+        taus[start:stop] = _select(cfg_pac, walk, _kernels.cell_counts(cdf, u[:, :n].T))
         del u  # free the block before the next one is drawn
     return taus, test_cells
 
@@ -371,11 +369,12 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
     empty, the points fall on the others, so G(a, j) = P(positions a..j-1
     empty, stop at j) is (mass off them)^n times a difference of two such
     tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j)."""
-    b_star, position, n_pos, threshold = _walk(w, loss, cfg_pac, n, algorithm)
+    b_star, position, bad_position, taus = _walk(w, loss, cfg_pac, n, algorithm)
+    n_pos = len(taus) - 1
     # masses by position; position n_pos holds the cells past a fixed grid
+    # (and, by bad position, the good cells: the law never reads that bin)
     mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
-    bad = w.masses * cell_exceedance_flags(w, loss)  # 0 on good cells
-    bad_mass = np.bincount(position, weights=bad, minlength=n_pos + 1)
+    bad_mass = np.bincount(bad_position, weights=w.masses, minlength=n_pos + 1)
     below = np.concatenate(([0.0], np.cumsum(mass)))  # mass on positions < a
     bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
     above = np.cumsum(mass[::-1])[::-1]  # mass on positions >= j
@@ -389,8 +388,8 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
             stopped = (0.0 if j == n_pos
                        else _lower_tail(b_star, n, (bad_below[a] + bad_mass[j]) / rest))
             g[j, a] = (rest**n if a < j else 1.0) * (passed - stopped)
-    stop, prev = np.tril_indices(n_pos + 1)  # column a = 0..j holds prev = a - 1
-    return np.diff(g, axis=1, prepend=0.0)[stop, prev], threshold(prev - 1, stop)
+    stop, a = np.tril_indices(n_pos + 1)  # column a = 0..j holds prev = a - 1
+    return np.diff(g, axis=1, prepend=0.0)[stop, a], taus[stop, a]
 
 
 def enumerate_distribution(
@@ -486,16 +485,10 @@ def demo_with_replications(
         )
     spec = make_perturbation(base, loss, x_star, eta, n)
     perturbed = perturb(base, loss, spec)
-    if not cell_exceedance_flags(perturbed, loss)[cell_index_at(perturbed, x_star)]:
-        raise RuntimeError("perturbed world is not bad at x_star; construction bug")
     points = (float(x_star),) + tuple(
         p for p in _resolve_audit_points(cfg_mc, base) if p != x_star
     )
-    cfg_points = McConfig(
-        replications=cfg_mc.replications,
-        master_seed=cfg_mc.master_seed,
-        audit_points=points,
-    )
+    cfg_points = replace(cfg_mc, audit_points=points)
     base_report, base_taus = audit_profile(
         base, loss, cfg_pac, cfg_points, n,
         algorithm=algorithm, stream=STREAM_AUDIT,

@@ -14,9 +14,10 @@ form, from binomial tails. Two enumerators check it from other routes:
 ``csv_trace_text`` is the reference for the trace writer: one tuple per row,
 formatted by ``csv.writer``.
 
-``exceeds_scalar`` and ``max_rejectable_count_scan`` are the one-value-at-a-
-time rules that the array forms in :mod:`pacroute.risk` and
-:mod:`pacroute.calibrate` replaced.
+``exceeds_scalar``, ``max_rejectable_count_scan`` and ``stop_position_scan``
+are the one-value-at-a-time rules that the array forms in
+:mod:`pacroute.risk`, :mod:`pacroute.calibrate` and :mod:`pacroute._kernels`
+replaced.
 """
 
 import csv
@@ -30,7 +31,7 @@ import pacroute as pr
 from pacroute.calibrate import binomial_pvalue_table
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import encode_threshold
-from pacroute.simulate import _threshold_selector, _walk
+from pacroute.simulate import _select, _walk
 
 
 def exceeds_scalar(loss, prediction, truth):
@@ -46,6 +47,17 @@ def max_rejectable_count_scan(n, t, delta):
             break
         best = b
     return best
+
+
+def stop_position_scan(counts, position, b_star, n_positions):
+    """One set's stop: walk the positions in order, adding each cell's count
+    from its position on, and stop at the first running count above b_star."""
+    running = 0
+    for p in range(n_positions):
+        running += sum(k for k, q in zip(counts, position) if q == p)
+        if running > b_star:
+            return p
+    return n_positions
 
 
 def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
@@ -90,8 +102,7 @@ def _compositions(total, bins):
 def occupancy_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
     """Return (value, total_probability) by summing over occupancy vectors."""
     outcomes = list(_compositions(n, len(w.cells)))
-    select = _threshold_selector(w, loss, pac, _walk(w, loss, pac, n, algorithm))
-    taus = select(np.array(outcomes))
+    taus = _select(pac, _walk(w, loss, pac, n, algorithm), np.array(outcomes))
     value = 0.0
     total = 0.0
     for counts, tau in zip(outcomes, taus.tolist()):

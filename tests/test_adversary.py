@@ -141,6 +141,19 @@ def test_perturb_rejects_inconsistent_spec(w1, loss01):
         pr.perturb(w1, loss01, tampered)
 
 
+def test_perturb_refuses_ball_that_misses_x_star(loss01):
+    # 0.5 +- radius rounds to 0.5, so the light enough ball holds no cell piece
+    w = pr.CellWorld(cells=(
+        pr.Cell(0.0, 0.499999999999999, 0.05, 0, 0, 0.1),
+        pr.Cell(0.499999999999999, 0.500000000000001, 0.9, 0, 0, 0.5),
+        pr.Cell(0.500000000000001, 1.0, 0.05, 1, 0, 0.9),
+    ), alphabet_size=2)
+    spec = make_perturbation(w, loss01, 0.5, 0.01, 100)
+    assert spec.ball_mass == 0.0
+    with pytest.raises(pr.DemoPreconditionError, match=r"x_star=0\.5 \(cell 1\)"):
+        pr.perturb(w, loss01, spec)
+
+
 def test_tv_single_identical_worlds(w1):
     assert pr.tv_single(w1, w1) == 0.0
 

@@ -282,6 +282,34 @@ def test_nan_epsilon_exits_2(tmp_path, w1_path, capsys):
     assert "must equal" not in err
 
 
+@pytest.mark.parametrize(
+    "loss",
+    [
+        {"kind": "table", "epsilon": 0.0, "table": [[0, math.nan], [1, 0]]},
+        {"kind": "table", "epsilon": 0.0, "table": [[0, 1], [math.inf, 0]]},
+        {"kind": "table", "epsilon": math.inf, "table": [[0, 1], [1, 0]]},
+    ],
+    ids=["table_nan", "table_inf", "epsilon_inf"],
+)
+def test_non_finite_loss_exits_2_before_any_replication(
+    tmp_path, w1_path, capsys, no_replications, loss
+):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {**BASE_CONFIG, "world": w1_path, "loss": loss,
+         "pac": {**BASE_CONFIG["pac"], "epsilon": loss["epsilon"]},
+         "mc": {"replications": 20, "master_seed": 3}, "calibration": {"n": 40}},
+    )
+    out = tmp_path / "audit.json"
+    assert run_cli(["audit", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "invalid loss spec:" in err
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_audit_trivial_flag(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
@@ -480,11 +508,25 @@ def test_demo_bad_eta_exits_2_before_any_replication(
     assert not out.exists()
 
 
-def test_demo_near_atomic_cell_exits_4(tmp_path, capsys, no_replications):
-    # a valid world, but every float ball around 0 holds most of cell 0's mass
+# A valid world, but no float ball around x_star is light enough and still
+# holds a piece of x_star's cell.
+NARROW_CELL_WORLDS = {
+    # every float ball around 0 holds most of cell 0's mass
+    "subnormal_cell": ([(0.0, 1e-320, 0.5, 0, 0.1), (1e-320, 1.0, 0.5, 0, 0.9)], 0.0, 0),
+    # the light enough ball 0.5 +- 2.2e-17 rounds to the point 0.5: mass 0
+    "ball_rounds_to_point": ([(0.0, 0.499999999999999, 0.05, 0, 0.1),
+                              (0.499999999999999, 0.500000000000001, 0.9, 0, 0.5),
+                              (0.500000000000001, 1.0, 0.05, 1, 0.9)], 0.5, 1),
+}
+
+
+@pytest.mark.parametrize("case", NARROW_CELL_WORLDS.values(), ids=NARROW_CELL_WORLDS)
+def test_demo_near_atomic_cell_exits_4(tmp_path, capsys, no_replications, case):
+    cells, x_star, cell = case
     world = {"alphabet_size": 2, "cells": [
-        {"left": 0.0, "right": 1e-320, "mass": 0.5, "expert": 0, "fast": 0, "score": 0.1},
-        {"left": 1e-320, "right": 1.0, "mass": 0.5, "expert": 0, "fast": 0, "score": 0.9},
+        {"left": left, "right": right, "mass": mass, "expert": expert, "fast": 0,
+         "score": score}
+        for left, right, mass, expert, score in cells
     ]}
     world_path = write_config(tmp_path, "w.json", world)
     cfg = {**BASE_CONFIG, "world": world_path}
@@ -493,13 +535,13 @@ def test_demo_near_atomic_cell_exits_4(tmp_path, capsys, no_replications):
         tmp_path,
         "c.json",
         {**cfg, "mc": {"replications": 20, "master_seed": 11},
-         "demo": {"x_star": 0.0, "eta": 0.01, "n": 100}},
+         "demo": {"x_star": x_star, "eta": 0.01, "n": 100}},
     )
     capsys.readouterr()
     assert run_cli(["demo", "--config", cfg, "--out", tmp_path / "r.json"]) == 4
     err = capsys.readouterr().err
     assert "no float ball is light enough" in err
-    assert "x_star=0.0 (cell 0)" in err
+    assert f"x_star={x_star!r} (cell {cell})" in err
     assert "Traceback" not in err
 
 

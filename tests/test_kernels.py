@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute
-from pacroute._kernels import cell_counts, cell_indices, tau_indices
+from pacroute._kernels import cell_counts, cell_indices, stop_positions, tau_indices
 
 from conftest import child_env
+from oracles import stop_position_scan
 
 
 def test_numpy_kernel_hand_case():
@@ -24,6 +25,27 @@ def test_numpy_kernel_hand_case():
     )
     out = tau_indices(counts, first_k, 1, 2)
     assert list(out) == [1, 1, -1]
+
+
+@st.composite
+def walk_counts(draw):
+    """(counts, position, b_star, n_positions): up to 6 sets over up to 8
+    cells, positions with ties and n_positions ("never"), b_star in -1..n."""
+    cells, n_positions = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    n = draw(st.integers(0, 12))
+    position = draw(st.lists(st.integers(0, n_positions), min_size=cells, max_size=cells))
+    counts = draw(st.lists(st.lists(st.integers(0, n), min_size=cells, max_size=cells),
+                           min_size=1, max_size=6))
+    return np.array(counts), np.array(position), draw(st.integers(-1, n)), n_positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_counts())
+def test_stop_positions_match_per_set_scan(case):
+    counts, position, b_star, n_positions = case
+    expected = [stop_position_scan(row, position.tolist(), b_star, n_positions)
+                for row in counts.tolist()]
+    assert stop_positions(counts, position, b_star, n_positions).tolist() == expected
 
 
 @st.composite

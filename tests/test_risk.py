@@ -92,6 +92,12 @@ def test_loss_spec_validation():
         pr.LossSpec(kind="zero_one", epsilon=-0.1)
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
         pr.LossSpec(kind="zero_one", epsilon=float("nan"))
+    table = ((0.0, 1.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        pr.LossSpec(kind="table", epsilon=float("inf"), table=table)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=r"loss table \[0\]\[1\] must be finite and >= 0"):
+            pr.LossSpec(kind="table", epsilon=0.0, table=((0.0, bad), (1.0, 0.0)))
     with pytest.raises(ValueError):
         pr.LossSpec(kind="table", epsilon=0.0)
     with pytest.raises(ValueError):
