@@ -5,9 +5,11 @@ override the config, and ``--workers`` is accepted for compatibility but has
 no effect on outputs or on work. ``audit`` and ``demo`` also take ``--trace``,
 which streams per-replication CSV rows; the other commands refuse it.
 
-The config is checked in full before any work runs: ``_resolve`` parses it
-once, into the values a command computes with and the resolved config its
-report embeds. ``_emit`` writes every report in one envelope.
+The config is checked in full before any work runs. A key that no command
+reads is refused, and numbers follow ``worlds.json_number``. ``_resolve``
+parses the config once, by the ``_KEYS`` table, into the values a command
+computes with and the resolved config its report embeds. ``_emit`` writes
+every report in one envelope.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
 written included), 3 world validation error, 4 demo precondition error.
@@ -34,7 +36,7 @@ from .simulate import (
     enumerate_distribution,
     trace_blocks,
 )
-from .worlds import WorldValidationError, load_world, sample_calibration
+from .worlds import WorldValidationError, json_field, json_number, load_world, sample_calibration
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,34 +48,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str, kind, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(
-            f"{where}[{key!r}] must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+# section -> key -> (kind, default): a key without one is required, and the
+# default may be written out ("joint"); a list is "auto" (None) or numbers
+_KEYS = {
+    "pac": {"epsilon": (float,), "alpha": (float,), "delta_split": (float, None),
+            "threshold_grid": (list,)},
+    "mc": {"replications": (int,), "master_seed": (int,), "audit_points": (list,)},
+    "calibration": {"n": (int,), "seed": (int,)},
+    "demo": {"x_star": (float,), "eta": (float,), "n": (int,)},
+    "oracle": {"n": (int,), "x": (float, JOINT)},
+}
 
-
-def _numbers(raw: dict, key: str, where: str):
-    """``raw[key]`` as a tuple of floats, or None for "auto" (the default)."""
-    value = raw.get(key, "auto")
-    if value == "auto":
-        return None
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{where}.{key} must be a list of numbers or \"auto\"")
-    return tuple(float(v) for v in value)
-
-
-def _auto(values):
-    return "auto" if values is None else list(values)
+# every key a config may hold, by section; "config" is the top level
+_ALLOWED = {"config": ("world", "out", "algorithm", "loss", *_KEYS),
+            "loss": ("kind", "epsilon", "table"), **_KEYS}
 
 
 def _load_config(path: str) -> dict:
@@ -90,13 +78,45 @@ def _load_config(path: str) -> dict:
 
 
 def _load_world_from_config(cfg: dict):
-    path = _require(cfg, "world", str)
+    path = json_field(cfg, "world", str, "config")
     try:
         return path, load_world(path)
     except OSError as e:
         raise ConfigError(f"cannot read world file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"world file {path} is not valid JSON: {e}") from e
+
+
+def _check_keys(cfg: dict) -> None:
+    """Refuse a key that no command reads; one config may serve every command."""
+    for where, keys in _ALLOWED.items():
+        section = cfg if where == "config" else cfg.get(where)
+        unknown = [k for k in section if k not in keys] if isinstance(section, dict) else ()
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _read(cfg: dict, name: str, keys, seed) -> dict:
+    """The ``keys`` (None: all) of section ``name`` by their ``_KEYS`` kinds; a
+    ``seed`` (``--seed``) that is not None replaces the seed read."""
+    raw = json_field(cfg, name, dict, "config")
+    out = {}
+    for key in keys or _KEYS[name]:
+        kind, *default = _KEYS[name][key]
+        if kind is list:
+            try:
+                out[key] = None if raw.get(key, "auto") == "auto" else tuple(
+                    json_number(v, float, f"entry {i}")
+                    for i, v in enumerate(json_field(raw, key, list, name)))
+            except ValueError as e:
+                raise ConfigError(f"{name}.{key} must be a list of numbers or \"auto\": {e}")
+        elif default and raw.get(key, default[0]) == default[0]:
+            out[key] = default[0]
+        else:
+            out[key] = json_field(raw, key, kind, name)
+        if key in ("seed", "master_seed") and seed is not None:
+            out[key] = seed
+    return out
 
 
 def _resolve(command: str, cfg: dict, args):
@@ -107,50 +127,22 @@ def _resolve(command: str, cfg: dict, args):
     section; ``config`` is the resolved config its report embeds.
     """
     world_path, world = _load_world_from_config(cfg)
-    raw = _require(cfg, "loss", dict)
     try:
-        loss = loss_from_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"invalid loss spec: {e}") from e
-    raw = _require(cfg, "pac", dict)
-    grid = _numbers(raw, "threshold_grid", "pac")
-    delta_split = raw.get("delta_split")
-    if delta_split is not None:
-        delta_split = _require(raw, "delta_split", float, "pac")
-    try:
-        pac = PacConfig(
-            epsilon=_require(raw, "epsilon", float, "pac"),
-            alpha=_require(raw, "alpha", float, "pac"),
-            delta_split=delta_split,
-            threshold_grid=grid,
-        )
+        loss = loss_from_dict(json_field(cfg, "loss", dict, "config"))
     except ValueError as e:
-        raise ConfigError(f"invalid pac config: {e}") from e
-    if pac.epsilon != loss.epsilon:
-        raise ConfigError(
-            f"pac.epsilon ({pac.epsilon!r}) must equal loss.epsilon "
-            f"({loss.epsilon!r})"
-        )
-    values = {"loss": loss, "pac": pac}
-    config = {
-        "world": world_path,
-        "loss": loss_to_dict(loss),
-        "pac": {**asdict(pac), "threshold_grid": _auto(pac.threshold_grid)},
-    }
-    if command in ("audit", "demo"):
-        raw = _require(cfg, "mc", dict)
-        points = _numbers(raw, "audit_points", "mc")
-        master_seed = _require(raw, "master_seed", int, "mc")
+        raise ConfigError(f"invalid loss spec: {e}") from e
+    values = {"loss": loss}
+    config = {"world": world_path, "loss": loss_to_dict(loss)}
+    for name in ("pac", "mc") if command in ("audit", "demo") else ("pac",):
+        fields = _read(cfg, name, None, args.seed)
         try:
-            mc = McConfig(
-                replications=_require(raw, "replications", int, "mc"),
-                master_seed=master_seed if args.seed is None else args.seed,
-                audit_points=points,
-            )
+            values[name] = (PacConfig if name == "pac" else McConfig)(**fields)
         except ValueError as e:
-            raise ConfigError(f"invalid mc config: {e}") from e
-        values["mc"] = mc
-        config["mc"] = {**asdict(mc), "audit_points": _auto(mc.audit_points)}
+            raise ConfigError(f"invalid {name} config: {e}") from e
+        config[name] = {k: "auto" if v is None else v for k, v in asdict(values[name]).items()}
+    if values["pac"].epsilon != loss.epsilon:
+        raise ConfigError(f"pac.epsilon ({values['pac'].epsilon!r}) must equal "
+                          f"loss.epsilon ({loss.epsilon!r})")
     if command != "calibrate":
         algorithm = cfg.get("algorithm", "calibrated")
         if algorithm not in ("calibrated", "trivial"):
@@ -159,17 +151,13 @@ def _resolve(command: str, cfg: dict, args):
             )
         values["algorithm"] = config["algorithm"] = algorithm
     _, name, keys = _COMMANDS[command]
-    raw = _require(cfg, name, dict)
-    section = {key: _require(raw, key, kind, name) for key, kind in keys.items()}
-    if command == "calibrate" and args.seed is not None:
-        section["seed"] = args.seed
+    section = config[name] = _read(cfg, name, keys, args.seed)
+    for key, low in (("n", 1), ("seed", 0)):
+        if section.get(key, low) < low:
+            raise ConfigError(f"{name}.{key} must be >= {low}, got {section[key]}")
     values.update(section)
-    if command == "oracle":
-        x = section["x"] = raw.get("x", JOINT)
-        if x != JOINT and (not isinstance(x, (int, float)) or isinstance(x, bool)):
-            raise ConfigError(f"oracle.x must be a float or \"{JOINT}\", got {x!r}")
-        values["x"] = x if x == JOINT else float(x)
-    config[name] = section
+    if command == "oracle":  # the echo keeps x as written
+        config[name] = {**section, "x": cfg[name].get("x", JOINT)}
     return world, SimpleNamespace(**values), config
 
 
@@ -248,19 +236,20 @@ def _oracle(world, run, args):
     )
 
 
-# command -> (what it computes, the config section it reads besides world,
-# loss, pac and mc, and that section's keys with their types)
+# command -> (what it computes, the section it reads besides world, loss, pac
+# and mc, and that section's keys it reads: None for all)
 _COMMANDS = {
-    "calibrate": (_calibrate, "calibration", {"n": int, "seed": int}),
-    "audit": (_audit, "calibration", {"n": int}),
-    "demo": (_demo, "demo", {"x_star": float, "eta": float, "n": int}),
-    "oracle": (_oracle, "oracle", {"n": int}),
+    "calibrate": (_calibrate, "calibration", None),
+    "audit": (_audit, "calibration", ("n",)),
+    "demo": (_demo, "demo", None),
+    "oracle": (_oracle, "oracle", None),
 }
 
 
 def _run(command: str, cfg: dict, args) -> int:
+    _check_keys(cfg)
     if "out" in cfg:
-        _require(cfg, "out", str)
+        json_field(cfg, "out", str, "config")
     if command == "validate-world":
         try:
             _load_world_from_config(cfg)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .worlds import CellWorld, cell_at
+from .worlds import CellWorld, cell_at, json_field, json_number
 
 __all__ = [
     "LossSpec",
@@ -151,24 +151,19 @@ def exact_deferral_mass(w: CellWorld, r: float) -> float:
     return float(np.sum(w.masses[deferred]))
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number (int or float, not bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {type(value).__name__}")
-    return float(value)
-
-
 def loss_from_dict(d: dict) -> LossSpec:
     """The loss of a JSON object; epsilon and table entries must be numbers."""
+    kind = json_field(d, "kind", str, "loss")
+    epsilon = json_field(d, "epsilon", float, "loss")
     table = d.get("table")
     if table is not None:
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
-            raise TypeError("table must be a list of lists of numbers")
+            raise ValueError("loss.table must be a list of lists of numbers")
         table = tuple(
-            tuple(_number(v, f"table [{i}][{j}]") for j, v in enumerate(row))
+            tuple(json_number(v, float, f"loss.table[{i}][{j}]") for j, v in enumerate(row))
             for i, row in enumerate(table)
         )
-    return LossSpec(kind=d["kind"], epsilon=_number(d["epsilon"], "epsilon"), table=table)
+    return LossSpec(kind=kind, epsilon=epsilon, table=table)
 
 
 def loss_to_dict(loss: LossSpec) -> dict:

@@ -10,7 +10,7 @@ is what the exact oracles rely on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -278,30 +278,54 @@ def normalized_masses(weights) -> list[float]:
     return [float(x) for x in m]
 
 
+def json_number(value, kind, what: str):
+    """``value`` as ``kind`` (float or int) if it is a JSON number a float can hold:
+    not a bool, and for an int integral (as a float only up to 2**53, so ``100.0``
+    is 100). Finiteness is the caller's to judge. Raises ValueError naming ``what``."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be {noun} a float can hold") from None
+    if kind is int and isinstance(value, float) and abs(value) > 2**53:
+        raise ValueError(f"{what} written as a float must be at most 2**53, got {value!r}")
+    return number if kind is float else int(value)
+
+
+def json_field(obj, key: str, kind, where: str, what: str | None = None):
+    """``obj[key]`` if ``obj`` is a JSON object (named ``where``) holding ``key``
+    of type ``kind``: dict, list, str, or float or int by :func:`json_number`,
+    naming the field ``what`` (default ``where.key``). Raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} is missing required key {key!r}")
+    value = obj[key]
+    if kind in (float, int):
+        return json_number(value, kind, what or f"{where}.{key}")
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}[{key!r}] must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 # JSON keys of a cell, in Cell's field order, with the type each converts to
 _CELL_KEYS = (("left", float), ("right", float), ("mass", float),
               ("expert", int), ("fast", int), ("score", float))
-
-
-def _json_field(d: dict, key: str, kind, where: str):
-    """``d[key]`` as ``kind``: a JSON number (not a bool), integral for int."""
-    value = d[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and not (isinstance(value, int) or value.is_integer())):
-        noun = "an integer" if kind is int else "a number"
-        raise TypeError(f"{where}{key} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 def world_from_dict(d: dict) -> CellWorld:
     """Build a world from its JSON form, validating it; raises WorldValidationError."""
     try:
         cells = tuple(
-            Cell(*(_json_field(c, key, kind, f"cell {i}: ") for key, kind in _CELL_KEYS))
-            for i, c in enumerate(d["cells"])
+            Cell(*(json_field(c, key, kind, f"cell {i}", f"cell {i}: {key}")
+                   for key, kind in _CELL_KEYS))
+            for i, c in enumerate(json_field(d, "cells", list, "world"))
         )
-        w = CellWorld(cells=cells, alphabet_size=_json_field(d, "alphabet_size", int, ""))
-    except (KeyError, TypeError, ValueError) as e:
+        w = CellWorld(cells, json_field(d, "alphabet_size", int, "world", "alphabet_size"))
+    except ValueError as e:
         raise WorldValidationError([f"malformed world object: {e}"]) from e
     violations = validate_world(w)
     if violations:
@@ -310,20 +334,9 @@ def world_from_dict(d: dict) -> CellWorld:
 
 
 def world_to_dict(w: CellWorld) -> dict:
-    return {
-        "alphabet_size": w.alphabet_size,
-        "cells": [
-            {
-                "left": c.left,
-                "right": c.right,
-                "mass": c.mass,
-                "expert": c.expert_label,
-                "fast": c.fast_label,
-                "score": c.score,
-            }
-            for c in w.cells
-        ],
-    }
+    keys = [key for key, _ in _CELL_KEYS]
+    return {"alphabet_size": w.alphabet_size,
+            "cells": [dict(zip(keys, astuple(c))) for c in w.cells]}
 
 
 def load_world(path) -> CellWorld:

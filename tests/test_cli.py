@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -841,3 +842,190 @@ def test_float_format_17_digits(tmp_path, w1_path):
     run_cli(["calibrate", "--config", cfg, "--out", out])
     text = out.read_text()
     assert "0.10000000000000001" in text  # alpha = 0.1 at 17 significant digits
+
+# A JSON integer no float can hold: float() of it raises OverflowError.
+HUGE = 10**400
+
+
+def _audit_payload(w1_path):
+    return {**BASE_CONFIG, "world": w1_path, "mc": {"replications": 20, "master_seed": 3},
+            "calibration": {"n": 40}, "demo": {"x_star": 0.4, "eta": 0.01, "n": 40},
+            "oracle": {"n": 3}}
+
+
+# (command, section, key, value); each value holds HUGE where a number goes
+HUGE_CONFIG_FIELDS = [
+    ("audit", "pac", "alpha", HUGE),
+    ("audit", "pac", "delta_split", HUGE),
+    ("audit", "pac", "threshold_grid", [0.5, HUGE]),
+    ("audit", "mc", "audit_points", [0.4, HUGE]),
+    ("demo", "demo", "eta", HUGE),
+    ("demo", "demo", "x_star", HUGE),
+    ("oracle", "oracle", "x", HUGE),
+    ("audit", "loss", "epsilon", HUGE),
+    ("audit", "loss", "table", [[0, HUGE], [1, 0]]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value", HUGE_CONFIG_FIELDS,
+    ids=[f"{s}.{k}" for _, s, k, _ in HUGE_CONFIG_FIELDS],
+)
+def test_number_no_float_can_hold_exits_2(
+    tmp_path, w1_path, capsys, no_replications, command, section, key, value
+):
+    payload = _audit_payload(w1_path)
+    if section == "loss":
+        payload["loss"] = {"kind": "table", "epsilon": 0.0, "table": [[0, 1], [1, 0]]}
+    payload[section] = {**payload[section], key: value}
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert "a float can hold" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["left", "right", "mass", "score"])
+@pytest.mark.parametrize("command", ["calibrate", "audit", "validate-world"])
+def test_world_number_no_float_can_hold_exits_3(
+    tmp_path, w1_path, capsys, no_replications, command, key
+):
+    world = {"alphabet_size": 2, "cells": [dict(c) for c in W1_DICT["cells"]]}
+    world["cells"][0][key] = HUGE
+    payload = {**_audit_payload(w1_path), "world": write_config(tmp_path, "w.json", world),
+               "calibration": {"n": 40, "seed": 1}}
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    expected = f"malformed world object: cell 0: {key} must be a number a float can hold"
+    if command == "validate-world":
+        assert read_json(out)["report"]["violations"] == [expected]
+    else:
+        assert expected in err
+        assert not out.exists()
+
+
+def test_integral_float_ints_match_the_integer_form(tmp_path, w1_path):
+    def report(n, replications, master_seed, seed):
+        payload = {**BASE_CONFIG, "world": w1_path,
+                   "mc": {"replications": replications, "master_seed": master_seed},
+                   "calibration": {"n": n, "seed": seed}}
+        cfg = write_config(tmp_path, "c.json", payload)
+        outs = {}
+        for command in ("calibrate", "audit"):
+            outs[command] = tmp_path / f"{command}.json"
+            assert run_cli([command, "--config", cfg, "--out", outs[command]]) == 0
+        return {command: path.read_bytes() for command, path in outs.items()}
+
+    assert report(60.0, 40.0, 20250810.0, 7.0) == report(60, 40, 20250810, 7)
+
+
+@pytest.mark.parametrize("section, key", [("mc", "master_seed"), ("calibration", "seed")])
+def test_seed_beyond_2_53_written_as_float_exits_2(tmp_path, w1_path, capsys, section, key):
+    payload = {**_audit_payload(w1_path), "calibration": {"n": 40, "seed": 1}}
+    payload[section] = {**payload[section], key: 2.0**60}
+    command = "audit" if section == "mc" else "calibrate"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{key} written as a float must be at most 2**53" in err
+
+
+@pytest.mark.parametrize("seed_flag", [False, True], ids=["config", "flag"])
+def test_negative_calibration_seed_is_named(tmp_path, w1_path, capsys, seed_flag):
+    seed = 7 if seed_flag else -1
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path,
+                                            "calibration": {"n": 40, "seed": seed}})
+    argv = ["calibrate", "--config", cfg] + (["--seed", -1] if seed_flag else [])
+    assert run_cli(argv) == 2
+    assert "config error: calibration.seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["pac"].update(threshold_gird=[0.5, 0.95]),
+         "unknown key 'threshold_gird' in pac"),
+        (lambda p: p.update(algoritm="trivial"), "unknown key 'algoritm' in config"),
+        (lambda p: p["loss"].update(tabel=[[0, 1], [1, 0]]), "unknown key 'tabel' in loss"),
+        (lambda p: p["mc"].update(replication=10), "unknown key 'replication' in mc"),
+        (lambda p: p["oracle"].update(y=0.5), "unknown key 'y' in oracle"),
+    ],
+    ids=["pac_grid", "algorithm", "loss_table", "mc", "oracle"],
+)
+def test_misspelled_key_exits_2_before_any_work(
+    tmp_path, w1_path, capsys, no_replications, edit, message
+):
+    payload = json.loads(json.dumps(_audit_payload(w1_path)))
+    edit(payload)
+    out = tmp_path / "r.json"
+    assert run_cli(["audit", "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "world, message",
+    [
+        ({"alphabet_size": 2, "cells": [{k: v for k, v in c.items() if k != "left"}
+                                        for c in W1_DICT["cells"]]},
+         "cell 0 is missing required key 'left'"),
+        ({"alphabet_size": 2, "cells": {"a": 1}}, "world['cells'] must be list, got dict"),
+        ([W1_DICT], "world must be a JSON object, got list"),
+        ({"alphabet_size": 2, "cells": [1]}, "cell 0 must be a JSON object, got int"),
+    ],
+    ids=["missing_key", "cells_object", "list_root", "cell_not_object"],
+)
+def test_malformed_world_is_named(tmp_path, capsys, world, message):
+    cfg = write_config(tmp_path, "c.json", {"world": write_config(tmp_path, "w.json", world)})
+    out = tmp_path / "v.json"
+    assert run_cli(["validate-world", "--config", cfg, "--out", out]) == 3
+    assert read_json(out)["report"]["violations"] == [f"malformed world object: {message}"]
+
+
+@pytest.mark.parametrize(
+    "loss, message",
+    [
+        ({"kind": "zero_one"}, "loss is missing required key 'epsilon'"),
+        ([0.0], "config['loss'] must be dict, got list"),
+        ({"kind": "table", "epsilon": 0.0, "table": [1, 0]},
+         "loss.table must be a list of lists of numbers"),
+    ],
+    ids=["missing_key", "list", "table_rows_numbers"],
+)
+def test_malformed_loss_is_named(tmp_path, w1_path, capsys, loss, message):
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path, "loss": loss,
+                                            "calibration": {"n": 40, "seed": 1}})
+    assert run_cli(["calibrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid loss spec: {message}" in err
+    assert "Traceback" not in err
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def test_readme_config_schema_lists_every_accepted_key():
+    cfg = _readme_config()
+    assert set(cfg) == set(cli._ALLOWED["config"])
+    for section, keys in cli._ALLOWED.items():
+        if section != "config":
+            assert set(cfg[section]) == set(keys), section
+
+
+@pytest.mark.parametrize("command", ["calibrate", "audit", "demo", "oracle"])
+def test_readme_config_runs_every_command(tmp_path, monkeypatch, command):
+    # the schema's world path is relative to the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    cfg = write_config(tmp_path, "c.json", _readme_config())
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 0
+    assert read_json(out)["command"] == command

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute.worlds import cell_index_at, world_from_dict, world_to_dict
+from pacroute.worlds import cell_index_at, json_number, world_from_dict, world_to_dict
 
 from conftest import corpus, make_w1, world_strategy
 
@@ -251,6 +251,27 @@ def test_world_from_dict_accepts_integral_float_labels(w1):
     again = world_from_dict(d)
     assert again == w1
     assert type(again.cells[1].expert_label) is int
+
+
+@pytest.mark.parametrize(
+    "value, kind, expected",
+    [(100.0, int, 100), (-(2.0**53), int, -(2**53)), (2**60, int, 2**60), (1, float, 1.0),
+     (float("inf"), float, float("inf"))],
+)
+def test_json_number_accepts(value, kind, expected):
+    got = json_number(value, kind, "f")
+    assert got == expected
+    assert type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(True, float), (False, int), ("1", float), (None, int), ([1], float), (1.5, int),
+     (float("nan"), int), (2.0**53 + 2, int), (10**400, float), (10**400, int)],
+)
+def test_json_number_refuses(value, kind):
+    with pytest.raises(ValueError, match="^f (must|written)"):
+        json_number(value, kind, "f")
 
 
 # ---------------------------------------------------------------------------
