@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .adversary import (
     PerturbationSpec,
     find_radius,
-    make_perturbation,
     perturb,
     tv_product_bound,
     tv_single,
@@ -92,7 +91,6 @@ __all__ = [
     "find_radius",
     "interval_mass",
     "load_world",
-    "make_perturbation",
     "mc_joint_risk",
     "normalized_masses",
     "perturb",

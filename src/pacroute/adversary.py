@@ -1,11 +1,11 @@
 """Locally perturbed worlds that calibration data cannot distinguish.
 
-Around a chosen point we shrink an interval until its mass is below
-eta / (2n), then swap the expert label inside it for one the fast model gets
-badly wrong. The X-marginal is untouched, so the perturbed world differs
-from the base only on that sliver: a single draw differs with probability
-equal to the sliver's mass, and the n-fold product law by at most 2n times
-that, which stays below eta by construction.
+Around a chosen point, :func:`perturb` shrinks an interval until its mass is
+below eta / (2n), then swaps the expert label inside it for one the fast
+model gets badly wrong. The X-marginal is untouched, so the perturbed world
+differs from the base only on that sliver: a single draw differs with
+probability equal to the sliver's mass, and the n-fold product law by at
+most 2n times that, which stays below eta by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import LossSpec, check_loss_compatible
+from .risk import LossSpec, cell_exceedance_flags, check_loss_compatible
 from .worlds import Cell, CellWorld, cell_at, cell_index_at, interval_mass, split_at
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "PerturbationSpec",
     "find_radius",
     "choose_adversarial_label",
-    "make_perturbation",
     "perturb",
     "tv_single",
     "tv_product_bound",
@@ -32,8 +31,8 @@ _INITIAL_RADIUS = 0.1
 
 
 class DemoPreconditionError(ValueError):
-    """The demo cannot be built at this point: the fast model is already bad
-    there, or no float ball around it is light enough."""
+    """:func:`perturb` cannot use this point (its docstring lists why); only
+    this module raises it."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ def choose_adversarial_label(w: CellWorld, loss: LossSpec, x_star: float) -> int
     """A label the fast model at x_star gets wrong by more than epsilon.
 
     Zero-one loss: the next label cyclically (any mismatch has loss 1).
-    Table loss: the smallest label whose entry exceeds epsilon.
+    Table loss: the smallest label whose entry exceeds epsilon; if there is
+    none, DemoPreconditionError is raised.
     """
     check_loss_compatible(w, loss)
     fast = cell_at(w, x_star).fast_label
@@ -95,69 +95,45 @@ def choose_adversarial_label(w: CellWorld, loss: LossSpec, x_star: float) -> int
     bad = np.flatnonzero(loss.exceeds(fast, np.arange(w.alphabet_size)))
     if bad.size:
         return int(bad[0])
-    raise ValueError(
+    raise DemoPreconditionError(
         f"no label has loss > {loss.epsilon!r} against fast label {fast} at "
-        f"x={x_star!r}; the perturbation cannot be built"
+        f"x_star={x_star!r}; the perturbation cannot be built"
     )
 
 
-def make_perturbation(
+def perturb(
     w: CellWorld, loss: LossSpec, x_star: float, eta: float, n: int
-) -> PerturbationSpec:
-    """Solve the radius and pick the swapped label; the result satisfies all bounds."""
-    radius, mass = find_radius(w, x_star, eta, n)
-    label = choose_adversarial_label(w, loss, x_star)
-    return PerturbationSpec(
-        x_star=x_star,
-        eta=eta,
-        n=n,
-        radius=radius,
-        ball_mass=mass,
-        adversarial_label=label,
-    )
+) -> tuple[PerturbationSpec, CellWorld]:
+    """The solved spec and the world relabeled inside the ball it names.
 
-
-def perturb(w: CellWorld, loss: LossSpec, spec: PerturbationSpec) -> CellWorld:
-    """Swap the expert label to the adversarial one inside the solved ball.
-
-    Masses, scores and fast labels are untouched, and cells outside the ball
-    are carried over unchanged, so the X-marginal is identical to the base
-    world's. Raises DemoPreconditionError if the ball relabels none of x_star's cell.
+    Solves the radius (:func:`find_radius`) and the label
+    (:func:`choose_adversarial_label`). Masses, scores and fast labels are
+    untouched and cells outside the ball carried over, so the X-marginal is
+    the base world's. Raises DemoPreconditionError, in this order, if x_star's
+    cell is already bad, no float ball is light enough, the ball relabels
+    none of x_star's cell, or no label is bad against the fast label there.
     """
-    recomputed = _ball_mass(w, spec.x_star, spec.radius)
-    if recomputed != spec.ball_mass:
-        raise ValueError(
-            f"spec inconsistent with world: ball mass recomputes to "
-            f"{recomputed!r}, spec says {spec.ball_mass!r}"
+    if cell_exceedance_flags(w, loss)[cell_index_at(w, x_star)]:
+        raise DemoPreconditionError(
+            f"x_star={x_star!r} lies in the disagreement region; the swap "
+            "would not change anything there"
         )
-    if not spec.ball_mass < spec.eta / (2.0 * spec.n):
-        raise ValueError(
-            f"ball mass {spec.ball_mass!r} is not strictly below "
-            f"eta/(2n) = {spec.eta / (2.0 * spec.n)!r}"
-        )
-    if not 0 <= spec.adversarial_label < w.alphabet_size:
-        raise ValueError(f"adversarial label {spec.adversarial_label} outside alphabet")
-    check_loss_compatible(w, loss)
-    fast_at_star = cell_at(w, spec.x_star).fast_label
-    if not loss.exceeds(fast_at_star, spec.adversarial_label):
-        raise ValueError(
-            "adversarial label does not make the fast model bad at x_star "
-            "under this loss"
-        )
-    lo = spec.x_star - spec.radius
-    hi = spec.x_star + spec.radius
+    radius, mass = find_radius(w, x_star, eta, n)
+    lo, hi = x_star - radius, x_star + radius
     base = split_at(w, [p for p in (lo, hi) if 0.0 < p < 1.0])
     inside = [c.left >= lo and c.right <= hi for c in base.cells]
-    if not inside[cell_index_at(base, spec.x_star)]:  # e.g. x_star +- radius == x_star
+    if not inside[cell_index_at(base, x_star)]:  # e.g. x_star +- radius == x_star
         raise DemoPreconditionError(
-            f"no float ball is light enough: the one of radius {spec.radius!r} around "
-            f"x_star={spec.x_star!r} (cell {cell_index_at(w, spec.x_star)}) relabels none of it")
+            f"no float ball is light enough: the one of radius {radius!r} around "
+            f"x_star={x_star!r} (cell {cell_index_at(w, x_star)}) relabels none of it")
+    label = choose_adversarial_label(w, loss, x_star)
     cells = tuple(
-        Cell(c.left, c.right, c.mass, spec.adversarial_label, c.fast_label, c.score)
-        if swap else c
+        Cell(c.left, c.right, c.mass, label, c.fast_label, c.score) if swap else c
         for c, swap in zip(base.cells, inside)
     )
-    return CellWorld(cells=cells, alphabet_size=base.alphabet_size)
+    spec = PerturbationSpec(x_star=x_star, eta=eta, n=n, radius=radius, ball_mass=mass,
+                            adversarial_label=label)
+    return spec, CellWorld(cells=cells, alphabet_size=base.alphabet_size)
 
 
 def tv_single(w: CellWorld, w2: CellWorld) -> float:

@@ -155,6 +155,9 @@ def _resolve(command: str, cfg: dict, args):
     for key, low in (("n", 1), ("seed", 0)):
         if section.get(key, low) < low:
             raise ConfigError(f"{name}.{key} must be >= {low}, got {section[key]}")
+    for key in ("x_star", "x"):  # oracle.x may also be "joint"
+        if isinstance(section.get(key), float) and not 0.0 <= section[key] <= 1.0:
+            raise ConfigError(f"{name}.{key} must be in [0, 1], got {section[key]!r}")
     values.update(section)
     if command == "oracle":  # the echo keeps x as written
         config[name] = {**section, "x": cfg[name].get("x", JOINT)}

@@ -30,8 +30,7 @@ import numpy as np
 from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
-from .adversary import (DemoPreconditionError, PerturbationSpec, make_perturbation,
-                        perturb, tv_product_bound)
+from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, binomial_pvalue, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
@@ -41,7 +40,7 @@ from .risk import (
     exact_miscoverage,
 )
 from .serialize import encode_threshold
-from .worlds import CellWorld, cell_at, cell_index_at, cell_indices_at
+from .worlds import CellWorld, cell_at, cell_indices_at
 
 __all__ = [
     "JOINT",
@@ -73,6 +72,9 @@ STREAM_JOINT = 1
 STREAM_PERTURBED_AUDIT = 2
 
 _ALGORITHMS = ("calibrated", "trivial")
+
+# audit points closer than this differ only by rounding and audit the same input
+_TWIN_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,12 @@ class OracleResult:
 def default_audit_points(w: CellWorld) -> tuple[float, ...]:
     """21 equispaced points plus every cell midpoint, sorted and deduplicated.
 
-    A point within 1e-12 of the point kept before it is dropped: a midpoint
-    and a grid point that differ only by rounding audit the same input.
+    A point within _TWIN_GAP (1e-12) of the point kept before it is dropped.
     """
     mids = (w.lefts + w.rights) / 2.0
     kept: list[float] = []
     for p in np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids])).tolist():
-        if not kept or p - kept[-1] > 1e-12:
+        if not kept or p - kept[-1] > _TWIN_GAP:
             kept.append(p)
     return tuple(kept)
 
@@ -471,22 +472,16 @@ def demo_with_replications(
                             (plus Monte-Carlo error)
       nontrivial            the router actually saves work (mean deferral < 1)
 
-    x_star must sit where the fast model is fine (loss <= epsilon) and have a
-    light enough float ball around it; otherwise DemoPreconditionError is
-    raised. A router already trivial at x_star yields ``demo_vacuous``.
+    :func:`pacroute.adversary.perturb` refuses an x_star it cannot use with
+    DemoPreconditionError. A router already trivial at x_star yields
+    ``demo_vacuous``. An audit point within 1e-12 of x_star is dropped.
 
     Returns (report, perturbed_world, audit_points, base_taus,
     perturbed_taus); the last four are the raw material trace writers need.
     """
-    if cell_exceedance_flags(base, loss)[cell_index_at(base, x_star)]:
-        raise DemoPreconditionError(
-            f"x_star={x_star!r} lies in the disagreement region; the swap "
-            "would not change anything there"
-        )
-    spec = make_perturbation(base, loss, x_star, eta, n)
-    perturbed = perturb(base, loss, spec)
+    spec, perturbed = perturb(base, loss, x_star, eta, n)
     points = (float(x_star),) + tuple(
-        p for p in _resolve_audit_points(cfg_mc, base) if p != x_star
+        p for p in _resolve_audit_points(cfg_mc, base) if abs(p - x_star) > _TWIN_GAP
     )
     cfg_points = replace(cfg_mc, audit_points=points)
     base_report, base_taus = audit_profile(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pacroute as pr
-from pacroute.adversary import find_radius, make_perturbation
+from pacroute.adversary import find_radius
 from pacroute.cli import main as cli_main
 from pacroute.simulate import (
     JOINT,
@@ -100,8 +100,7 @@ def test_criterion_5_perturbation_construction():
     w1 = make_w1()
     radius, mass = find_radius(w1, 0.4, 0.01, 100)
     ok = mass < 5e-5
-    spec = make_perturbation(w1, LOSS01, 0.4, 0.01, 100)
-    perturbed = pr.perturb(w1, LOSS01, spec)
+    _, perturbed = pr.perturb(w1, LOSS01, 0.4, 0.01, 100)
     base_split = pr.split_at(w1, [0.4 - radius, 0.4 + radius])
     tv1 = pr.tv_single(base_split, perturbed)
     ok = ok and abs(tv1 - mass) <= 1e-15

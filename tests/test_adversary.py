@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pacroute as pr
-from pacroute.adversary import choose_adversarial_label, find_radius, make_perturbation
+from pacroute.adversary import choose_adversarial_label, find_radius
 
 from conftest import corpus, make_w1
 
@@ -69,13 +69,12 @@ def test_choose_adversarial_label_table():
         epsilon=1.0,
         table=((0.0, 0.2, 0.9), (0.2, 0.0, 0.1), (0.9, 0.1, 0.0)),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(pr.DemoPreconditionError, match=r"fast label 0 at x_star=0\.5;"):
         choose_adversarial_label(w, saturated, 0.5)
 
 
 def test_perturb_keeps_marginal(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    p = pr.perturb(w1, loss01, spec)
+    _, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     rng = np.random.default_rng(8)
     for _ in range(100):
         a, b = sorted(rng.random(2))
@@ -85,8 +84,7 @@ def test_perturb_keeps_marginal(w1, loss01):
 
 
 def test_perturb_swaps_label_at_center(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    p = pr.perturb(w1, loss01, spec)
+    spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     assert pr.cell_at(p, 0.4).expert_label == spec.adversarial_label
     # pointwise loss at the center flips from 0 to 1 once routed fast
     assert pr.pointwise_risk(w1, loss01, 0.5, 0.4) == 0.0
@@ -94,8 +92,7 @@ def test_perturb_swaps_label_at_center(w1, loss01):
 
 
 def test_perturb_noop_outside_ball(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    p = pr.perturb(w1, loss01, spec)
+    spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     rng = np.random.default_rng(12)
     for _ in range(300):
         x = float(rng.random())
@@ -121,24 +118,9 @@ def test_perturb_preserves_validity_and_scores(loss01):
                 break
         if x_star is None:
             continue
-        spec = make_perturbation(w, loss01, x_star, 0.05, 25)
-        p = pr.perturb(w, loss01, spec)
+        _, p = pr.perturb(w, loss01, x_star, 0.05, 25)
         assert pr.validate_world(p) == []
         assert p.alphabet_size == w.alphabet_size
-
-
-def test_perturb_rejects_inconsistent_spec(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    tampered = pr.PerturbationSpec(
-        x_star=spec.x_star,
-        eta=spec.eta,
-        n=spec.n,
-        radius=spec.radius,
-        ball_mass=spec.ball_mass * 0.5,
-        adversarial_label=spec.adversarial_label,
-    )
-    with pytest.raises(ValueError):
-        pr.perturb(w1, loss01, tampered)
 
 
 def test_perturb_refuses_ball_that_misses_x_star(loss01):
@@ -148,10 +130,36 @@ def test_perturb_refuses_ball_that_misses_x_star(loss01):
         pr.Cell(0.499999999999999, 0.500000000000001, 0.9, 0, 0, 0.5),
         pr.Cell(0.500000000000001, 1.0, 0.05, 1, 0, 0.9),
     ), alphabet_size=2)
-    spec = make_perturbation(w, loss01, 0.5, 0.01, 100)
-    assert spec.ball_mass == 0.0
+    assert find_radius(w, 0.5, 0.01, 100)[1] == 0.0
     with pytest.raises(pr.DemoPreconditionError, match=r"x_star=0\.5 \(cell 1\)"):
-        pr.perturb(w, loss01, spec)
+        pr.perturb(w, loss01, 0.5, 0.01, 100)
+
+
+# row 0 has no entry above epsilon, so no label is bad against fast label 0
+NO_BAD_LABEL = pr.LossSpec(kind="table", epsilon=0.5,
+                           table=((0.0, 0.1, 0.1), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)))
+
+
+def _world(*cells, alphabet_size=2):
+    return pr.CellWorld(tuple(pr.Cell(*c) for c in cells), alphabet_size)
+
+
+@pytest.mark.parametrize("w, loss, x_star, message", [
+    (make_w1(), pr.LossSpec(kind="zero_one", epsilon=0.0), 0.9,
+     r"^x_star=0\.9 lies in the disagreement region"),
+    (_world((0.0, 0.8, 0.8, 0, 0, 0.2), (0.8, 1.0, 0.2, 0, 1, 0.9), alphabet_size=3),
+     NO_BAD_LABEL, 0.4, r"^no label has loss > 0\.5 against fast label 0 at x_star=0\.4;"),
+    # two refusals apply; the earlier one in perturb's order is raised
+    (_world((0.0, 1e-320, 0.5, 1, 0, 0.1), (1e-320, 1.0, 0.5, 0, 0, 0.9)),
+     pr.LossSpec(kind="zero_one", epsilon=0.0), 0.0, r"^x_star=0\.0 lies in the disagreement"),
+    (_world((0.0, 0.499999999999999, 0.05, 0, 0, 0.1),
+            (0.499999999999999, 0.500000000000001, 0.9, 0, 0, 0.5),
+            (0.500000000000001, 1.0, 0.05, 1, 0, 0.9), alphabet_size=3),
+     NO_BAD_LABEL, 0.5, r"^no float ball is light enough: .* x_star=0\.5 \(cell 1\)"),
+], ids=["bad_cell", "no_bad_label", "bad_cell_before_heavy_ball", "ball_before_label"])
+def test_perturb_refusals_name_x_star(w, loss, x_star, message):
+    with pytest.raises(pr.DemoPreconditionError, match=message):
+        pr.perturb(w, loss, x_star, 0.01, 100)
 
 
 def test_tv_single_identical_worlds(w1):
@@ -167,8 +175,7 @@ def test_tv_single_one_relabeled_cell(w1):
 
 
 def test_tv_single_equals_ball_mass(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    p = pr.perturb(w1, loss01, spec)
+    spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     base = pr.split_at(w1, [0.4 - spec.radius, 0.4 + spec.radius])
     # ball interior to one cell: identical arithmetic on both paths
     assert pr.tv_single(base, p) == spec.ball_mass
@@ -207,18 +214,16 @@ def test_tv_product_bound_validates():
 def test_constructed_spec_meets_bound_chain(w1, loss01):
     # mass < eta/(2n) strictly, hence the product bound stays below eta
     for eta, n in [(0.01, 100), (0.5, 7), (0.05, 1)]:
-        spec = make_perturbation(w1, loss01, 0.4, eta, n)
+        spec, p = pr.perturb(w1, loss01, 0.4, eta, n)
         assert spec.ball_mass < eta / (2 * n)
         assert pr.tv_product_bound(spec.ball_mass, n) < eta
-        p = pr.perturb(w1, loss01, spec)
         assert pr.interval_mass(
             p, max(0.0, 0.4 - spec.radius), min(1.0, 0.4 + spec.radius)
         ) == pytest.approx(spec.ball_mass, abs=1e-15)
 
 
 def test_perturbed_disagreement_gains_ball_cells(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.4, 0.01, 100)
-    p = pr.perturb(w1, loss01, spec)
+    spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     base_region = pr.disagreement_region(
         pr.split_at(w1, [0.4 - spec.radius, 0.4 + spec.radius]), loss01
     )
@@ -235,17 +240,16 @@ def test_perturbed_disagreement_gains_ball_cells(w1, loss01):
 
 def test_large_eta_clamps_bound(w1, loss01):
     # eta > 1 is allowed; the product bound just clamps at 1
-    spec = make_perturbation(w1, loss01, 0.4, 1.9, 1)
+    spec, _ = pr.perturb(w1, loss01, 0.4, 1.9, 1)
     assert spec.ball_mass < 1.9 / 2
     assert pr.tv_product_bound(spec.ball_mass, 1) <= 1.0
 
 
 def test_perturbation_truncates_at_domain_edge(w1, loss01):
-    spec = make_perturbation(w1, loss01, 0.0, 0.01, 50)
+    spec, p = pr.perturb(w1, loss01, 0.0, 0.01, 50)
     # the ball (x*-r, x*+r) clips to [0, r); mass comes from the clipped part
     assert spec.ball_mass == pr.interval_mass(w1, 0.0, spec.radius)
     assert spec.ball_mass < 0.01 / 100
-    p = pr.perturb(w1, loss01, spec)
     assert pr.validate_world(p) == []
     assert pr.cell_at(p, 0.0).expert_label == spec.adversarial_label
     assert pr.cell_at(p, 2 * spec.radius).expert_label == 0
@@ -259,9 +263,8 @@ def test_perturbation_ball_spanning_cells(loss01):
         ),
         alphabet_size=2,
     )
-    spec = make_perturbation(w, loss01, 0.5, 0.2, 1)
+    spec, p = pr.perturb(w, loss01, 0.5, 0.2, 1)
     assert spec.radius > 0.01  # wide enough to straddle the boundary at 0.5
-    p = pr.perturb(w, loss01, spec)
     assert pr.validate_world(p) == []
     # both sides of the boundary are relabeled, scores untouched
     just_left = 0.5 - spec.radius / 2

@@ -451,6 +451,26 @@ def test_demo_precondition_exits_4(tmp_path, w1_path):
     assert run_cli(["demo", "--config", cfg]) == 4
 
 
+def test_demo_without_bad_label_exits_4(tmp_path, capsys):
+    # x_star's cell agrees, but no label is worse than epsilon against fast label 0
+    world = {"alphabet_size": 3, "cells": [
+        {"left": 0.0, "right": 0.8, "mass": 0.8, "expert": 0, "fast": 0, "score": 0.2},
+        {"left": 0.8, "right": 1.0, "mass": 0.2, "expert": 0, "fast": 1, "score": 0.9},
+    ]}
+    loss = {"kind": "table", "epsilon": 0.5, "table": [[0, 0.1, 0.1], [1, 0, 1], [1, 1, 0]]}
+    cfg = write_config(tmp_path, "c.json", {
+        "world": write_config(tmp_path, "w.json", world), "loss": loss,
+        "pac": {**BASE_CONFIG["pac"], "epsilon": 0.5},
+        "mc": {"replications": 20, "master_seed": 11},
+        "demo": {"x_star": 0.4, "eta": 0.01, "n": 100},
+    })
+    assert run_cli(["demo", "--config", cfg, "--out", tmp_path / "r.json"]) == 4
+    err = capsys.readouterr().err
+    assert ("demo precondition error: no label has loss > 0.5 against fast label 0 at "
+            "x_star=0.4; the perturbation cannot be built") in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.fixture
 def no_replications(monkeypatch):
     """Fail the test if any replication's uniforms are drawn."""
@@ -945,6 +965,20 @@ def test_negative_calibration_seed_is_named(tmp_path, w1_path, capsys, seed_flag
     assert "config error: calibration.seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1.5, -0.5, math.nan])
+@pytest.mark.parametrize("command, key", [("demo", "x_star"), ("oracle", "x")])
+def test_out_of_range_x_is_named(tmp_path, w1_path, capsys, no_replications, command, key,
+                                 value):
+    payload = _audit_payload(w1_path)
+    payload[command] = {**payload[command], key: value}
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {command}.{key} must be in [0, 1], got {value!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -969,23 +1003,69 @@ def test_misspelled_key_exits_2_before_any_work(
     assert not out.exists()
 
 
+def _cells(*cells):
+    """A two-label world of (left, right, mass, score) cells, all labels 0."""
+    return {"alphabet_size": 2, "cells": [
+        {"left": left, "right": right, "mass": mass, "expert": 0, "fast": 0, "score": score}
+        for left, right, mass, score in cells]}
+
+
+MALFORMED = "malformed world object: "
+
+
 @pytest.mark.parametrize(
-    "world, message",
+    "world, violations",
     [
         ({"alphabet_size": 2, "cells": [{k: v for k, v in c.items() if k != "left"}
                                         for c in W1_DICT["cells"]]},
-         "cell 0 is missing required key 'left'"),
-        ({"alphabet_size": 2, "cells": {"a": 1}}, "world['cells'] must be list, got dict"),
-        ([W1_DICT], "world must be a JSON object, got list"),
-        ({"alphabet_size": 2, "cells": [1]}, "cell 0 must be a JSON object, got int"),
+         [MALFORMED + "cell 0 is missing required key 'left'"]),
+        ({"alphabet_size": 2, "cells": {"a": 1}},
+         [MALFORMED + "world['cells'] must be list, got dict"]),
+        ([W1_DICT], [MALFORMED + "world must be a JSON object, got list"]),
+        ({"alphabet_size": 2, "cells": [1]}, [MALFORMED + "cell 0 must be a JSON object, got int"]),
+        ({"alphabet_size": 2, "cells": []}, ["world has no cells"]),
+        (_cells((0.0, 0.8, 0.8, 0.1), (0.8, 0.8, 0.0, 0.5), (0.8, 1.0, 0.2, 0.9)),
+         ["cell 1: left 0.8 must be < right 0.8"]),
+        (_cells((0.0, 0.5, 1.5, 0.1), (0.5, 1.0, -0.5, 0.9)), ["cell 1: mass -0.5 must be >= 0"]),
+        (_cells((0.0, 0.5, 0.5, math.inf), (0.5, 1.0, 0.5, 0.9)),
+         ["cell 0: score inf must be finite"]),
+        (_cells((0.1, 0.5, 0.5, 0.1), (0.5, 1.0, 0.5, 0.9)), ["first cell must start at 0, got 0.1"]),
+        (_cells((0.0, 0.5, 0.5, 0.1), (0.5, 0.9, 0.5, 0.9)), ["last cell must end at 1, got 0.9"]),
     ],
-    ids=["missing_key", "cells_object", "list_root", "cell_not_object"],
+    ids=["missing_key", "cells_object", "list_root", "cell_not_object", "no_cells",
+         "empty_cell", "negative_mass", "score_1e400", "first_edge", "last_edge"],
 )
-def test_malformed_world_is_named(tmp_path, capsys, world, message):
-    cfg = write_config(tmp_path, "c.json", {"world": write_config(tmp_path, "w.json", world)})
+def test_malformed_world_is_named(tmp_path, capsys, world, violations):
+    world_path = tmp_path / "w.json"
+    # JSON has no infinity: the score 1e400 overflows to it when read
+    world_path.write_text(json.dumps(world).replace("Infinity", "1e400"))
+    cfg = write_config(tmp_path, "c.json", {"world": str(world_path)})
     out = tmp_path / "v.json"
     assert run_cli(["validate-world", "--config", cfg, "--out", out]) == 3
-    assert read_json(out)["report"]["violations"] == [f"malformed world object: {message}"]
+    assert read_json(out)["report"]["violations"] == violations
+
+
+@pytest.mark.parametrize(
+    "config_text, world_text, message",
+    [
+        ("{", None, "config {config} is not valid JSON"),
+        ("[]", None, "config root must be a JSON object"),
+        (None, "{", "world file {world} is not valid JSON"),
+    ],
+    ids=["config_json", "config_root_list", "world_json"],
+)
+def test_unreadable_config_or_world_exits_2(tmp_path, capsys, config_text, world_text,
+                                            message):
+    world = tmp_path / "w.json"
+    world.write_text(world_text or json.dumps(W1_DICT))
+    config = tmp_path / "c.json"
+    config.write_text(config_text or json.dumps(
+        {**BASE_CONFIG, "world": str(world), "calibration": {"n": 40, "seed": 1}}))
+    for command in ("calibrate", "validate-world"):
+        assert run_cli([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message.format(config=config, world=world)}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -995,8 +1075,12 @@ def test_malformed_world_is_named(tmp_path, capsys, world, message):
         ([0.0], "config['loss'] must be dict, got list"),
         ({"kind": "table", "epsilon": 0.0, "table": [1, 0]},
          "loss.table must be a list of lists of numbers"),
+        ({"kind": "zero_one", "epsilon": 0.0, "table": [[0, 1], [1, 0]]},
+         "zero_one loss takes no table"),
+        ({"kind": "table", "epsilon": 0.0, "table": [[0, 1], [1]]},
+         "loss table row 1 is not length 2"),
     ],
-    ids=["missing_key", "list", "table_rows_numbers"],
+    ids=["missing_key", "list", "table_rows_numbers", "zero_one_table", "ragged_table"],
 )
 def test_malformed_loss_is_named(tmp_path, w1_path, capsys, loss, message):
     cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path, "loss": loss,

@@ -114,9 +114,8 @@ def test_table_loss_must_cover_alphabet():
     # the adversary looks labels up in the table too
     with pytest.raises(ValueError, match="loss table is 2x2"):
         choose_adversarial_label(w, small, 0.5)
-    spec = pr.make_perturbation(w, pr.LossSpec(kind="zero_one", epsilon=0.0), 0.5, 0.01, 10)
     with pytest.raises(ValueError, match="loss table is 2x2"):
-        pr.perturb(w, small, spec)
+        pr.perturb(w, small, 0.5, 0.01, 10)
 
 
 def test_table_loss_lookup_order():

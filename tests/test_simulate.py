@@ -603,8 +603,7 @@ def test_demo_exact_cross_world_bound(loss01):
     w = make_three_cell()
     x_star = 0.25
     n = 6
-    spec = pr.make_perturbation(w, loss01, x_star, 0.5, n)
-    p = pr.perturb(w, loss01, spec)
+    spec, p = pr.perturb(w, loss01, x_star, 0.5, n)
     base_split = pr.split_at(w, [x_star - spec.radius, x_star + spec.radius])
     g_base = enumerate_distribution(base_split, loss01, PAC_3CELL, n, x_star).value
     g_pert = enumerate_distribution(p, loss01, PAC_3CELL, n, x_star).value
@@ -731,3 +730,11 @@ def test_audit_points_forwarded_in_demo(w1, loss01, pac_w1):
     assert set(points) == {0.1, 0.4, 0.95}
     assert len(base_taus) == 50
     assert [p.x for p in rep.base_audit.points] == list(points)
+
+
+def test_demo_drops_x_star_rounding_twin(w1, loss01, pac_w1):
+    # the default grid holds np.linspace's 0.35000000000000003, not 0.35
+    points = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, _demo_mc(20))[2]
+    assert points[0] == 0.35
+    assert min(abs(p - 0.35) for p in points[1:]) > 1e-12
+    assert len(points) == len(default_audit_points(w1))
