@@ -84,6 +84,13 @@ class PacConfig:
         return self.alpha - self.delta_split
 
 
+def check_epsilon_match(cfg: PacConfig, loss: LossSpec) -> None:
+    """Refuse a PAC target whose tolerance is not the loss's own."""
+    if cfg.epsilon != loss.epsilon:
+        raise ValueError(f"pac.epsilon ({cfg.epsilon!r}) must equal "
+                         f"loss.epsilon ({loss.epsilon!r})")
+
+
 class TestedThreshold(NamedTuple):
     tau: float
     exceedances: int
@@ -185,15 +192,8 @@ def select_threshold(
     n = len(d)
     if n == 0:
         raise ValueError("calibration set is empty")
-    if cfg.epsilon != loss.epsilon:
-        raise ValueError(
-            f"PacConfig.epsilon ({cfg.epsilon!r}) must match "
-            f"LossSpec.epsilon ({loss.epsilon!r})"
-        )
-    if cfg.threshold_grid is not None:
-        grid = cfg.threshold_grid
-    else:
-        grid = auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
+    check_epsilon_match(cfg, loss)
+    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
     t = cfg.test_level
     tested: list[TestedThreshold] = []
     tau_hat = ALWAYS_DEFER

@@ -5,11 +5,11 @@ override the config, and ``--workers`` is accepted for compatibility but has
 no effect on outputs or on work. ``audit`` and ``demo`` also take ``--trace``,
 which streams per-replication CSV rows; the other commands refuse it.
 
-The config is checked in full before any work runs. A key that no command
-reads is refused, and numbers follow ``worlds.json_number``. ``_resolve``
-parses the config once, by the ``_KEYS`` table, into the values a command
-computes with and the resolved config its report embeds. ``_emit`` writes
-every report in one envelope.
+The config and every output path are checked before any work runs. A key
+that no command reads is refused, and numbers follow ``worlds.json_number``.
+``_resolve`` parses the config once, by the ``_KEYS`` table, into the values
+a command computes with and the resolved config its report embeds. ``_emit``
+writes every report in one envelope.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
 written included), 3 world validation error, 4 demo precondition error.
@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 
 from . import __version__
-from .calibrate import PacConfig, select_threshold
+from .calibrate import PacConfig, check_epsilon_match, select_threshold
 from .risk import exact_deferral_mass, exact_miscoverage, loss_from_dict, loss_to_dict
 from .serialize import dump_json, encode_threshold
 from .simulate import (
+    ALGORITHMS,
     JOINT,
     DemoPreconditionError,
     McConfig,
@@ -140,15 +142,12 @@ def _resolve(command: str, cfg: dict, args):
         except ValueError as e:
             raise ConfigError(f"invalid {name} config: {e}") from e
         config[name] = {k: "auto" if v is None else v for k, v in asdict(values[name]).items()}
-    if values["pac"].epsilon != loss.epsilon:
-        raise ConfigError(f"pac.epsilon ({values['pac'].epsilon!r}) must equal "
-                          f"loss.epsilon ({loss.epsilon!r})")
+    check_epsilon_match(values["pac"], loss)
     if command != "calibrate":
         algorithm = cfg.get("algorithm", "calibrated")
-        if algorithm not in ("calibrated", "trivial"):
-            raise ConfigError(
-                f"algorithm must be 'calibrated' or 'trivial', got {algorithm!r}"
-            )
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"algorithm must be {' or '.join(map(repr, ALGORITHMS))}, "
+                              f"got {algorithm!r}")
         values["algorithm"] = config["algorithm"] = algorithm
     _, name, keys = _COMMANDS[command]
     section = config[name] = _read(cfg, name, keys, args.seed)
@@ -159,27 +158,24 @@ def _resolve(command: str, cfg: dict, args):
         if isinstance(section.get(key), float) and not 0.0 <= section[key] <= 1.0:
             raise ConfigError(f"{name}.{key} must be in [0, 1], got {section[key]!r}")
     values.update(section)
-    if command == "oracle":  # the echo keeps x as written
-        config[name] = {**section, "x": cfg[name].get("x", JOINT)}
     return world, SimpleNamespace(**values), config
 
 
-def _write_text(path: str, text: str, blocks=()) -> None:
+def _write_text(path: str, text: str, blocks=(), mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with open(path, mode, encoding="utf-8", newline="") as f:
             f.write(text)
             f.writelines(blocks)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 
 
-def _emit(command: str, config: dict, report, cfg: dict, args) -> None:
-    """Write the report envelope to ``--out``, else the config's "out", else stdout."""
+def _emit(command: str, config: dict, report, out) -> None:
+    """Write the report envelope to ``out``, or to stdout if that is None."""
     text = dump_json({"command": command, "version": __version__, "config": config,
                       "report": report}) + "\n"
-    out_path = args.out or cfg.get("out")
-    if out_path:
-        _write_text(out_path, text)
+    if out:
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -215,11 +211,12 @@ def _audit(world, run, args):
 
 
 def _demo(world, run, args):
-    report, perturbed, points, base_taus, pert_taus = demo_with_replications(
+    report, perturbed, base_taus, pert_taus = demo_with_replications(
         world, run.loss, run.pac, run.x_star, run.eta, run.n, run.mc,
         algorithm=run.algorithm,
     )
     if args.trace:
+        points = [p.x for p in report.base_audit.points]
         lanes = (("base", world, base_taus), ("perturbed", perturbed, pert_taus))
         _write_trace(
             args.trace,
@@ -253,6 +250,7 @@ def _run(command: str, cfg: dict, args) -> int:
     _check_keys(cfg)
     if "out" in cfg:
         json_field(cfg, "out", str, "config")
+    trace, out = getattr(args, "trace", None), args.out or cfg.get("out")
     if command == "validate-world":
         try:
             _load_world_from_config(cfg)
@@ -260,12 +258,17 @@ def _run(command: str, cfg: dict, args) -> int:
         except WorldValidationError as e:
             violations = e.violations
         report = {"valid": not violations, "violations": violations}
-        _emit(command, {"world": cfg["world"]}, report, cfg, args)
+        _emit(command, {"world": cfg["world"]}, report, out)
         return EXIT_WORLD if violations else EXIT_OK
     world, run, config = _resolve(command, cfg, args)
-    if getattr(args, "trace", None):
-        _write_text(args.trace, "")  # an unwritable path fails before any replication
-    _emit(command, config, _COMMANDS[command][0](world, run, args), cfg, args)
+    if trace and out and os.path.realpath(trace) == os.path.realpath(out):
+        raise ConfigError(f"--trace and the report both name {trace}")
+    for path in filter(None, (trace, out)):  # an unwritable output fails before any work
+        existed = os.path.lexists(path)
+        _write_text(path, "", mode="a")  # an existing file keeps its bytes
+        if not existed:
+            os.remove(path)
+    _emit(command, config, _COMMANDS[command][0](world, run, args), out)
     return EXIT_OK
 
 

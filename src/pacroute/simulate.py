@@ -22,6 +22,7 @@ the walk's stop and (on the auto grid) the occupied level below it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -31,7 +32,7 @@ from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
-from .calibrate import PacConfig, binomial_pvalue, max_rejectable_count
+from .calibrate import PacConfig, binomial_pvalue, check_epsilon_match, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
@@ -71,7 +72,7 @@ STREAM_AUDIT = 0
 STREAM_JOINT = 1
 STREAM_PERTURBED_AUDIT = 2
 
-_ALGORITHMS = ("calibrated", "trivial")
+ALGORITHMS = ("calibrated", "trivial")
 
 # audit points closer than this differ only by rounding and audit the same input
 _TWIN_GAP = 1e-12
@@ -82,7 +83,7 @@ class McConfig:
     """Resampling controls: replication count, master seed, audit grid.
 
     ``audit_points=None`` uses :func:`default_audit_points` for the world
-    being audited.
+    being audited. Given points are kept in order, less twins (``_drop_twins``).
     """
 
     replications: int
@@ -103,6 +104,7 @@ class McConfig:
             for p in self.audit_points:
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"audit point {p!r} outside [0,1]")
+            object.__setattr__(self, "audit_points", _drop_twins(self.audit_points))
 
 
 @dataclass(frozen=True)
@@ -160,23 +162,23 @@ class OracleResult:
     quantity: str
 
 
-def default_audit_points(w: CellWorld) -> tuple[float, ...]:
-    """21 equispaced points plus every cell midpoint, sorted and deduplicated.
-
-    A point within _TWIN_GAP (1e-12) of the point kept before it is dropped.
-    """
-    mids = (w.lefts + w.rights) / 2.0
-    kept: list[float] = []
-    for p in np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids])).tolist():
-        if not kept or p - kept[-1] > _TWIN_GAP:
+def _drop_twins(points) -> tuple[float, ...]:
+    """``points`` as floats, in order, less any within _TWIN_GAP of a point
+    kept before it. Kept points lie more than the gap apart, so a point is
+    checked only against its two neighbours among them."""
+    kept, ordered = [], []  # ordered: the kept points, sorted
+    for p in map(float, points):
+        i = bisect.bisect_left(ordered, p)
+        if all(abs(p - q) > _TWIN_GAP for q in ordered[max(i - 1, 0):i + 1]):
             kept.append(p)
+            ordered.insert(i, p)
     return tuple(kept)
 
 
-def _resolve_audit_points(cfg_mc: McConfig, w: CellWorld) -> tuple[float, ...]:
-    if cfg_mc.audit_points is not None:
-        return tuple(float(p) for p in cfg_mc.audit_points)
-    return default_audit_points(w)
+def default_audit_points(w: CellWorld) -> tuple[float, ...]:
+    """21 equispaced points plus every cell midpoint, sorted, less twins."""
+    mids = (w.lefts + w.rights) / 2.0
+    return _drop_twins(np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids])))
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
@@ -191,11 +193,11 @@ def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: s
 
     The trivial router is this walk with b* = -1: no count rejects, so every
     walk stops at position 0 and selects ALWAYS_DEFER."""
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-    if cfg_pac.epsilon != loss.epsilon:
-        raise ValueError(f"PacConfig.epsilon ({cfg_pac.epsilon!r}) must match "
-                         f"LossSpec.epsilon ({loss.epsilon!r})")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if n < 1:
+        raise ValueError(f"calibration size n must be >= 1, got {n}")
+    check_epsilon_match(cfg_pac, loss)
     b_star = (max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
               if algorithm == "calibrated" else -1)
     if cfg_pac.threshold_grid is not None:
@@ -252,8 +254,6 @@ def _tau_values_for_replications(
     calibration too small to reject anything) every replication selects
     ALWAYS_DEFER; nothing is drawn and the test cells are all 0.
     """
-    if n < 1:
-        raise ValueError(f"calibration size n must be >= 1, got {n}")
     walk = _walk(w, loss, cfg_pac, n, algorithm)
     test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
     if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
@@ -302,7 +302,7 @@ def audit_profile(
     The report's ``trivial_verdict`` says whether the router ever uses the fast
     model more often than alpha. Returns (report, per-replication thresholds).
     """
-    points = _resolve_audit_points(cfg_mc, w)
+    points = cfg_mc.audit_points or default_audit_points(w)
     taus, _ = _tau_values_for_replications(
         w, loss, cfg_pac, n, cfg_mc.replications, cfg_mc.master_seed, stream,
         algorithm=algorithm,
@@ -409,8 +409,6 @@ def enumerate_distribution(
     any n. The quantity is evaluated once per distinct threshold. ``x`` is an
     input in [0,1] for P(routed fast at x), or ``JOINT`` for the joint
     exceedance probability."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if x != JOINT:
         x = float(x)
         query_cell = cell_at(w, x)
@@ -476,14 +474,12 @@ def demo_with_replications(
     DemoPreconditionError. A router already trivial at x_star yields
     ``demo_vacuous``. An audit point within 1e-12 of x_star is dropped.
 
-    Returns (report, perturbed_world, audit_points, base_taus,
-    perturbed_taus); the last four are the raw material trace writers need.
+    Returns (report, perturbed_world, base_taus, perturbed_taus); with the
+    points in ``report.base_audit.points``, these are what trace writers need.
     """
     spec, perturbed = perturb(base, loss, x_star, eta, n)
-    points = (float(x_star),) + tuple(
-        p for p in _resolve_audit_points(cfg_mc, base) if abs(p - x_star) > _TWIN_GAP
-    )
-    cfg_points = replace(cfg_mc, audit_points=points)
+    points = (x_star, *(cfg_mc.audit_points or default_audit_points(base)))
+    cfg_points = replace(cfg_mc, audit_points=points)  # drops x_star's twins
     base_report, base_taus = audit_profile(
         base, loss, cfg_pac, cfg_points, n,
         algorithm=algorithm, stream=STREAM_AUDIT,
@@ -522,7 +518,7 @@ def demo_with_replications(
         deferral_mass_mean=deferral_mean,
         verdicts=verdicts,
     )
-    return report, perturbed, points, base_taus, pert_taus
+    return report, perturbed, base_taus, pert_taus
 
 
 def trace_blocks(

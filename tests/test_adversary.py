@@ -194,6 +194,15 @@ def test_tv_single_requires_matching_structure(w1):
     )
     with pytest.raises(ValueError):
         pr.tv_single(w1, reweighted)
+    moved = pr.CellWorld(
+        cells=(
+            pr.Cell(0.0, 0.7, 0.8, 0, 0, 0.1),
+            pr.Cell(0.7, 1.0, 0.2, 1, 0, 0.9),
+        ),
+        alphabet_size=2,
+    )
+    with pytest.raises(ValueError, match="cell 0 boundaries differ"):
+        pr.tv_single(w1, moved)
 
 
 def test_tv_product_bound_values():

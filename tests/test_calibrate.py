@@ -42,6 +42,8 @@ def test_pvalue_validates_inputs():
         binomial_pvalue(11, 10, 0.5)
     with pytest.raises(ValueError):
         binomial_pvalue(-1, 10, 0.5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        binomial_pvalue_table(0, 0.5)
 
 
 def test_pvalue_nondecreasing_in_count():
@@ -213,6 +215,8 @@ def test_select_threshold_rejects_empty_set(w1, loss01, pac_w1):
     empty = pr.CalibrationSet(xs=np.array([]), ys=np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         select_threshold(empty, w1, loss01, pac_w1)
+    with pytest.raises(ValueError, match="empty"):
+        pr.empirical_exceedances(empty, w1, loss01, 0.5)
 
 
 def test_select_threshold_epsilon_mismatch(w1, pac_w1):
@@ -226,6 +230,8 @@ def test_auto_grid_midpoints_plus_top():
     grid = auto_threshold_grid([0.1, 0.9, 0.1, 0.9])
     assert grid == (0.5, 1.9)
     assert auto_threshold_grid([0.3]) == (1.3,)
+    with pytest.raises(ValueError, match="no observed scores"):
+        auto_threshold_grid([])
 
 
 def test_auto_grid_used_when_config_grid_absent(w1, loss01):

@@ -371,6 +371,26 @@ def test_audit_trace_csv(tmp_path, w1_path):
     assert rows[2] == ["0", "0.9", "0.5", "1", "0"]
 
 
+def test_twin_audit_points_audited_once(tmp_path, w1_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "mc": {"replications": 4, "master_seed": 3,
+                   "audit_points": [0.3, 0.3, 0.30000000000000004]},
+            "calibration": {"n": 100},
+        },
+    )
+    out, trace = tmp_path / "a.json", tmp_path / "t.csv"
+    assert run_cli(["audit", "--config", cfg, "--out", out, "--trace", trace]) == 0
+    rep = read_json(out)
+    assert rep["config"]["mc"]["audit_points"] == [0.3]
+    assert [p["x"] for p in rep["report"]["points"]] == [0.3]
+    assert len(trace.read_text().splitlines()) == 1 + 4
+
+
 def test_demo_canonical(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
@@ -656,6 +676,39 @@ def test_unwritable_trace_exits_2_before_any_replication(
     assert run_cli([command, "--config", cfg, "--out", out, "--trace", trace]) == 2
     assert f"config error: cannot write {trace}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "demo"])
+def test_trace_naming_the_report_exits_2_before_any_replication(
+    tmp_path, w1_path, capsys, no_replications, command
+):
+    # demo: the report path comes from the config and is spelled differently
+    out = tmp_path / "r.json"
+    out.write_text("kept")
+    payload = {**_audit_payload(w1_path), **({"out": str(out)} if command == "demo" else {})}
+    argv = [command, "--config", write_config(tmp_path, "c.json", payload),
+            "--trace", f"{tmp_path}/./r.json" if command == "demo" else out]
+    if command == "audit":
+        argv += ["--out", out]
+    assert run_cli(argv) == 2
+    assert "config error: --trace and the report both name" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+def test_unwritable_out_exits_2_before_any_replication(
+    tmp_path, w1_path, capsys, no_replications
+):
+    # the trace is probed first; a file that exists keeps its bytes
+    trace = tmp_path / "t.csv"
+    trace.write_text("kept")
+    out = tmp_path / "missing" / "r.json"
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    assert run_cli(["demo", "--config", cfg, "--out", out, "--trace", trace]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert trace.read_text() == "kept"
+    trace.unlink()
+    assert run_cli(["demo", "--config", cfg, "--out", out, "--trace", trace]) == 2
+    assert not trace.exists()  # the probe leaves no file behind
 
 
 @pytest.mark.parametrize("command", ["calibrate", "oracle", "validate-world"])
@@ -1000,6 +1053,29 @@ def test_misspelled_key_exits_2_before_any_work(
     assert run_cli(["audit", "--config", write_config(tmp_path, "c.json", payload),
                     "--out", out]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["loss"].update(epsilon=0.5),
+         "pac.epsilon (0.0) must equal loss.epsilon (0.5)"),
+        (lambda p: p.update(algorithm="bogus"),
+         "algorithm must be 'calibrated' or 'trivial', got 'bogus'"),
+    ],
+    ids=["epsilon_mismatch", "algorithm"],
+)
+@pytest.mark.parametrize("command", ["audit", "demo", "oracle"])
+def test_refused_values_exit_2_before_any_work(
+    tmp_path, w1_path, capsys, no_replications, command, edit, message
+):
+    payload = json.loads(json.dumps(_audit_payload(w1_path)))
+    edit(payload)
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -73,3 +73,10 @@ def test_replication_index_is_one_uint32_word():
         _replication_uniforms(1, 0, 2, 1, start=2**32 - 1)
     with pytest.raises(ValueError):
         _replication_uniforms(1, 0, 1, 1, start=2**32)
+
+
+@pytest.mark.parametrize("master_seed, stream, start", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+                         ids=["seed", "stream", "start"])
+def test_negative_seed_stream_or_start_refused(master_seed, stream, start):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        _replication_uniforms(master_seed, stream, 1, 1, start=start)

@@ -46,6 +46,13 @@ def test_non_finite_floats_refused(x):
         dump_json({"value": x})
 
 
+def test_none_and_non_string_keys():
+    assert dump_json(None) == "null"
+    assert dump_json({"a": None}) == '{"a": null}'
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dump_json({1: 2})
+
+
 def test_dataclass_written_as_its_fields():
     @dataclass(frozen=True)
     class Outer:

@@ -97,6 +97,73 @@ def test_default_audit_points_drop_rounding_twins():
         assert pr.cell_at(w, near) == pr.cell_at(w, m)
 
 
+@pytest.mark.parametrize("given, kept", [
+    ((0.3, 0.3, 0.30000000000000004), (0.3,)),
+    ((0.9, 0.1, 0.9), (0.9, 0.1)),  # list order kept
+    ((1, 0, 0.5), (1.0, 0.0, 0.5)),
+    ((0.5, 0.5 + 3e-12, 0.5 + 2.5e-12), (0.5, 0.5 + 3e-12)),  # the twin above
+    ((0.5, 0.5 - 3e-12, 0.5 - 2.5e-12), (0.5, 0.5 - 3e-12)),  # the twin below
+])
+def test_mc_config_drops_twin_audit_points(given, kept):
+    points = McConfig(replications=1, master_seed=0, audit_points=given).audit_points
+    assert points == kept
+    assert all(type(p) is float for p in points)
+
+
+@given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.3, 0.3 + 5e-13, 0.3 + 1.5e-12,
+                                                       0.3 - 8e-13, 0.3 + 2.2e-12]),
+                min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_twin_rule_matches_pairwise_reference(points):
+    # each point against every point kept before it
+    kept = []
+    for p in points:
+        if all(abs(p - q) > 1e-12 for q in kept):
+            kept.append(p)
+    mc = McConfig(replications=1, master_seed=0, audit_points=tuple(points))
+    assert mc.audit_points == tuple(kept)
+
+
+def test_audit_profile_audits_twin_points_once(w1, loss01, pac_w1):
+    mc = McConfig(replications=4, master_seed=1, audit_points=(0.3, 0.3, 0.30000000000000004))
+    rep, taus = audit_profile(w1, loss01, pac_w1, mc, 100)
+    assert [p.x for p in rep.points] == [0.3]
+    assert "".join(trace_blocks(w1, loss01, [0.3], taus)).count("\r\n") == 4
+
+
+# (engine, n, algorithm, message): each engine refuses them before any draw
+REFUSED_ENGINE_INPUTS = [
+    (engine, n, algorithm, message)
+    for engine in ("audit_profile", "mc_joint_risk", "enumerate_distribution")
+    for n, algorithm, message in (
+        (0, "calibrated", "n must be >= 1, got 0"),
+        (0, "trivial", "n must be >= 1, got 0"),
+        (10, "bogus", "algorithm must be one of"),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "engine, n, algorithm, message", REFUSED_ENGINE_INPUTS,
+    ids=[f"{e}-{a}-n{n}" for e, n, a, _ in REFUSED_ENGINE_INPUTS],
+)
+def test_engines_refuse_bad_input(w1, loss01, pac_w1, monkeypatch, engine, n, algorithm,
+                                  message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniforms drawn")
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
+    call = {
+        "audit_profile": lambda: audit_profile(
+            w1, loss01, pac_w1, McConfig(replications=5, master_seed=1), n, algorithm=algorithm),
+        "mc_joint_risk": lambda: mc_joint_risk(w1, loss01, pac_w1, 5, 1, n, algorithm=algorithm),
+        "enumerate_distribution": lambda: enumerate_distribution(
+            w1, loss01, pac_w1, n, JOINT, algorithm=algorithm),
+    }[engine]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # conditional profile
 
@@ -723,18 +790,29 @@ def test_trace_memory_does_not_grow_with_replications(w1, loss01):
 
 def test_audit_points_forwarded_in_demo(w1, loss01, pac_w1):
     mc = McConfig(replications=50, master_seed=1, audit_points=(0.1, 0.4, 0.95))
-    rep, _, points, base_taus, _ = demo_with_replications(
+    rep, _, base_taus, _ = demo_with_replications(
         w1, loss01, pac_w1, 0.4, 0.01, 50, mc
     )
+    points = [p.x for p in rep.base_audit.points]
     assert points[0] == 0.4
     assert set(points) == {0.1, 0.4, 0.95}
     assert len(base_taus) == 50
-    assert [p.x for p in rep.base_audit.points] == list(points)
+    assert [p.x for p in rep.perturbed_audit.points] == points
 
 
 def test_demo_drops_x_star_rounding_twin(w1, loss01, pac_w1):
     # the default grid holds np.linspace's 0.35000000000000003, not 0.35
-    points = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, _demo_mc(20))[2]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, _demo_mc(20))[0]
+    points = [p.x for p in rep.base_audit.points]
     assert points[0] == 0.35
     assert min(abs(p - 0.35) for p in points[1:]) > 1e-12
     assert len(points) == len(default_audit_points(w1))
+
+
+def test_demo_drops_configured_twins(w1, loss01, pac_w1):
+    # a configured twin of x_star, and of another configured point, goes
+    mc = McConfig(replications=20, master_seed=1,
+                  audit_points=(0.9, 0.35000000000000003, 0.1, 0.1 + 1e-13))
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, mc)[0]
+    assert [p.x for p in rep.base_audit.points] == [0.35, 0.9, 0.1]
+    assert [p.x for p in rep.perturbed_audit.points] == [0.35, 0.9, 0.1]

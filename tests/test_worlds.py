@@ -123,6 +123,7 @@ def test_split_at_existing_boundary_is_noop(w1):
     s = pr.split_at(w1, [0.8])
     assert len(s.cells) == len(w1.cells)
     assert s == w1
+    assert pr.split_at(w1, []) is w1
 
 
 def test_split_drops_cut_next_to_an_edge():
@@ -197,6 +198,12 @@ def test_sample_requires_positive_n(w1):
         pr.sample_calibration(w1, 0, 1)
 
 
+@pytest.mark.parametrize("xs, ys", [([0.1, 0.2], [0]), ([[0.1]], [[0]])], ids=["length", "2-d"])
+def test_calibration_set_refuses_mismatched_arrays(xs, ys):
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        pr.CalibrationSet(xs=np.array(xs), ys=np.array(ys))
+
+
 def test_sample_accepts_seed_sequence(w1):
     seq = np.random.SeedSequence(entropy=5, spawn_key=(1, 2))
     a = pr.sample_calibration(w1, 20, seq)
@@ -208,6 +215,16 @@ def test_normalized_masses_sum_to_one():
     m = pr.normalized_masses([3, 1, 2, 2])
     assert sum(m) == pytest.approx(1.0, abs=1e-15)
     assert all(x >= 0 for x in m)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([], "nonempty"),
+    ([-1, 2], "nonnegative"),
+    ([0, 0], "positive sum"),
+])
+def test_normalized_masses_refusals(weights, message):
+    with pytest.raises(ValueError, match=message):
+        pr.normalized_masses(weights)
 
 
 def test_world_json_roundtrip(w1):
