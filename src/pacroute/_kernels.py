@@ -3,8 +3,8 @@
 ``replication_uniforms`` draws each replication's uniforms, ``cell_counts``
 turns them into occupancy counts (calibration points per cell) by counting
 the uniforms below each cell-mass CDF edge, and ``stop_positions`` applies the
-fixed-sequence stopping rule to counts, as one product of the counts with a
-(cells, positions) indicator; ``tau_indices`` is that rule on a fixed grid.
+fixed-sequence stopping rule to counts, as a running sum of the counts over
+the cells in position order; ``tau_indices`` is that rule on a fixed grid.
 ``cell_indices`` maps single uniforms to cells, for test inputs and samplers.
 Each works on a block of replications at once and depends on nothing but its
 inputs.
@@ -199,10 +199,11 @@ def stop_positions(
     rejects, or ``n_positions`` if none does. ``position[c]`` is the first
     position at which cell ``c``'s samples count as bad (n_positions = never).
     """
-    # running[:, j]: samples in the cells that count as bad by position j
-    counting = position[:, None] <= np.arange(n_positions)
-    rejecting = counts @ counting.astype(counts.dtype) <= b_star
-    return np.where(rejecting.all(axis=1), n_positions, np.argmin(rejecting, axis=1))
+    order = np.argsort(position)
+    running = counts[:, order]  # summed in place: the first k + 1 cells by position
+    over = np.cumsum(running, axis=1, out=running) > b_star
+    stop = np.where(over.any(axis=1), position[order][over.argmax(axis=1)], n_positions)
+    return stop if b_star >= 0 else np.zeros_like(stop)  # no count is <= b* < 0
 
 
 def tau_indices(

@@ -193,12 +193,14 @@ def select_threshold(
     if n == 0:
         raise ValueError("calibration set is empty")
     check_epsilon_match(cfg, loss)
-    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
+    check_loss_compatible(w, loss)
+    idx = cell_indices_at(w, d.xs)
+    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[idx])
+    bad = np.sort(w.scores[idx][loss.exceeds(w.fast_labels[idx], d.ys)])
     t = cfg.test_level
     tested: list[TestedThreshold] = []
     tau_hat = ALWAYS_DEFER
-    for tau in grid:
-        b = empirical_exceedances(d, w, loss, tau)
+    for tau, b in zip(grid, np.searchsorted(bad, grid, side="right").tolist()):
         p = binomial_pvalue(b, n, t)
         rejected = p <= cfg.delta_split
         tested.append(TestedThreshold(tau=tau, exceedances=b, p_value=p, rejected=rejected))

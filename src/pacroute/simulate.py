@@ -16,14 +16,15 @@ cell-constant, a replication's outcome depends only on how many of its
 calibration points land in each cell (its occupancy counts); the engine
 therefore counts each replication's uniforms below every cell-mass CDF edge
 and never materializes positions or per-point cell indices.
-Monte-Carlo chunks and the exact oracle read one threshold table, indexed by
-the walk's stop and (on the auto grid) the occupied level below it.
+Monte-Carlo chunks and the exact oracle share the walk's threshold rule; the
+oracle sums its closed-form law one stop at a time.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,13 +33,12 @@ from . import _kernels
 # a module attribute looked up at call time, so perfbench/spans.py can time it
 from ._kernels import replication_uniforms as _replication_uniforms
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
-from .calibrate import PacConfig, binomial_pvalue, check_epsilon_match, max_rejectable_count
+from .calibrate import PacConfig, check_epsilon_match, max_rejectable_count
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
     cell_exceedance_flags,
     exact_deferral_mass,
-    exact_miscoverage,
 )
 from .serialize import encode_threshold
 from .worlds import CellWorld, cell_at, cell_indices_at
@@ -182,14 +182,14 @@ def default_audit_points(w: CellWorld) -> tuple[float, ...]:
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
-    """``(b_star, position, bad_position, taus)`` of the count walk over n
-    points. Positions are grid indices on a fixed grid and the distinct scores
-    on the auto grid; ``position[c]`` is cell ``c``'s (n_positions: past a
-    fixed grid) and ``bad_position[c]`` the first at which its samples count
-    as bad (n_positions: never). ``taus[stop, prev + 1]`` is what
-    ``select_threshold`` picks when the walk stops at ``stop`` (n_positions:
-    never) and ``prev`` is the highest occupied position below it (-1: none);
-    n_positions is ``len(taus) - 1``.
+    """``(b_star, position, bad_position, n_positions, threshold)`` of the
+    count walk over n points. Positions are grid indices on a fixed grid and
+    the distinct scores on the auto grid; ``position[c]`` is cell ``c``'s
+    (n_positions: past a fixed grid) and ``bad_position[c]`` the first at which
+    its samples count as bad (n_positions: never). ``threshold(stop, prev)``
+    is what ``select_threshold`` picks when the walk stops at ``stop``
+    (n_positions: never) and ``prev`` is the highest occupied position below
+    it (-1: none), elementwise on arrays; a fixed grid ignores ``prev``.
 
     The trivial router is this walk with b* = -1: no count rejects, so every
     walk stops at position 0 and selects ALWAYS_DEFER."""
@@ -203,34 +203,32 @@ def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: s
     if cfg_pac.threshold_grid is not None:
         by_stop = np.concatenate(([ALWAYS_DEFER], cfg_pac.threshold_grid))
         position = np.searchsorted(by_stop[1:], w.scores, side="left")
-        taus = np.broadcast_to(by_stop[:, None], (len(by_stop),) * 2)  # ignores prev
+        n_pos = len(by_stop) - 1
+        def threshold(stop, prev):
+            return by_stop[stop]
     else:
         levels, position = np.unique(w.scores, return_inverse=True)
-        top = len(levels) - 1
-        stop, prev = np.ogrid[:top + 2, -1:top + 1]
-        # the walk stops on an occupied level (or level 0 if b* = -1); the
-        # midpoint up from prev or one above it, as auto_threshold_grid computes.
-        # Built in place: the table is (levels + 1)**2 floats.
-        taus = levels[prev] + levels[np.minimum(stop, top)]
-        taus /= 2.0
-        taus[-1, 1:] = levels + 1.0
-        taus[:, 0] = ALWAYS_DEFER
-    bad_position = np.where(cell_exceedance_flags(w, loss), position, len(taus) - 1)
-    return b_star, position, bad_position, taus
+        n_pos = len(levels)
+        def threshold(stop, prev):
+            # the midpoint up from prev, or prev + 1 past the top: auto_threshold_grid
+            low, high = levels[prev], levels[np.minimum(stop, n_pos - 1)]
+            tau = np.where(stop < n_pos, (low + high) / 2.0, low + 1.0)
+            return np.where(prev < 0, ALWAYS_DEFER, tau)
+    bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
+    return b_star, position, bad_position, n_pos, threshold
 
 
 def _select(cfg_pac: PacConfig, walk, counts: np.ndarray) -> np.ndarray:
     """The threshold ``select_threshold`` picks from each calibration set with
     these (sets, cells) occupancy counts, given the ``_walk`` over that many
     points."""
-    b_star, position, bad_position, taus = walk
-    n_pos = len(taus) - 1
+    b_star, position, bad_position, n_pos, threshold = walk
     if cfg_pac.threshold_grid is not None:
-        return taus[_kernels.tau_indices(counts, bad_position, b_star, n_pos) + 1, 0]
+        return threshold(_kernels.tau_indices(counts, bad_position, b_star, n_pos) + 1, None)
     stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
     # the highest occupied position below the stop (-1: none)
     prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
-    return taus[stop, prev + 1]
+    return threshold(stop, prev)
 
 
 def _tau_values_for_replications(
@@ -351,18 +349,29 @@ def mc_joint_risk(
     return est, math.sqrt(est * (1.0 - est) / replications)
 
 
-def _lower_tail(b_star: int, n: int, t: float) -> float:
-    """P(Binomial(n, t) <= b_star), also at b_star = -1 and t in {0, 1}."""
-    if b_star < 0 or (t >= 1.0 and b_star < n):
-        return 0.0
-    if t <= 0.0 or b_star >= n:
-        return 1.0
-    return binomial_pvalue(b_star, n, float(t))
+def _lower_tails(b_star: int, n: int, t: np.ndarray) -> np.ndarray:
+    """P(Binomial(n, t) <= b_star) at each ``t``, exactly 0 or 1 at b_star = -1,
+    b_star >= n and t in {0, 1}. Elsewhere the b_star + 1 terms are summed in
+    log space, each row shifted by its largest term."""
+    if b_star < 0 or b_star >= n:
+        return np.full(t.shape, float(b_star >= 0))
+    tails = (t <= 0.0).astype(float)  # t >= 1: every point counts, more than b*
+    inner = (t > 0.0) & (t < 1.0)
+    b = np.arange(b_star + 1)
+    logs = np.multiply.outer(np.log(t[inner]), b)
+    logs += np.multiply.outer(np.log1p(-t[inner]), n - b)
+    logs += math.lgamma(n + 1) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(b_star + 1)])
+    top = logs.max(axis=1, keepdims=True)
+    logs -= top
+    tails[inner] = np.minimum(np.exp(top[:, 0]) * np.exp(logs, out=logs).sum(axis=1), 1.0)
+    return tails
 
 
 def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
                    algorithm: str):
-    """(probabilities, thresholds): the exact law of the selected threshold.
+    """The exact law of the selected threshold: for each stop j, yields
+    (probabilities, thresholds) of (prev = a - 1, stop = j) for a = 0..j.
 
     The points that count as bad by position p are Binomial(n, q_p), q_p the
     bad mass at positions <= p, and never fewer as p grows, so the walk passes
@@ -370,27 +379,24 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
     empty, the points fall on the others, so G(a, j) = P(positions a..j-1
     empty, stop at j) is (mass off them)^n times a difference of two such
     tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j)."""
-    b_star, position, bad_position, taus = _walk(w, loss, cfg_pac, n, algorithm)
-    n_pos = len(taus) - 1
+    b_star, position, bad_position, n_pos, threshold = _walk(w, loss, cfg_pac, n, algorithm)
     # masses by position; position n_pos holds the cells past a fixed grid
-    # (and, by bad position, the good cells: the law never reads that bin)
     mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
     bad_mass = np.bincount(bad_position, weights=w.masses, minlength=n_pos + 1)
+    bad_mass[n_pos] = 0.0  # "never": good cells, and bad cells past a fixed grid
     below = np.concatenate(([0.0], np.cumsum(mass)))  # mass on positions < a
     bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
     above = np.cumsum(mass[::-1])[::-1]  # mass on positions >= j
-    g = np.zeros((n_pos + 1, n_pos + 1))  # g[j, a] = G(a, j) for a <= j
     for j in range(n_pos + 1):
-        for a in range(j + 1):
-            rest = below[a] + above[j]  # mass off positions a..j-1
-            if rest <= 0.0:  # the points have nowhere else to fall
-                continue
-            passed = 1.0 if j == 0 else _lower_tail(b_star, n, bad_below[a] / rest)
-            stopped = (0.0 if j == n_pos
-                       else _lower_tail(b_star, n, (bad_below[a] + bad_mass[j]) / rest))
-            g[j, a] = (rest**n if a < j else 1.0) * (passed - stopped)
-    stop, a = np.tril_indices(n_pos + 1)  # column a = 0..j holds prev = a - 1
-    return np.diff(g, axis=1, prepend=0.0)[stop, a], taus[stop, a]
+        rest = below[:j + 1] + above[j]  # mass off positions a..j-1, a = 0..j
+        scale = np.append(rest[:j]**n, 1.0)
+        live = np.flatnonzero(scale > 0.0)  # G is 0 where the points cannot fall
+        t = (bad_below[live] + [[0.0], [bad_mass[j]]]) / rest[live]  # bad shares q_(j-1), q_j
+        passed, stopped = _lower_tails(b_star, n, t)
+        g = np.zeros(j + 1)
+        # every walk reaches position 0, and none stops past the last
+        g[live] = scale[live] * ((1.0 if j == 0 else passed) - (0.0 if j == n_pos else stopped))
+        yield np.diff(g, prepend=0.0), threshold(j, np.arange(-1, j))
 
 
 def enumerate_distribution(
@@ -406,29 +412,30 @@ def enumerate_distribution(
 
     Scores and labels are cell-constant, so the law over all C(n+cells-1,
     cells-1) occupancy vectors follows in closed form (``_threshold_law``), at
-    any n. The quantity is evaluated once per distinct threshold. ``x`` is an
-    input in [0,1] for P(routed fast at x), or ``JOINT`` for the joint
-    exceedance probability."""
-    if x != JOINT:
+    any n. ``x`` is an input in [0,1] for P(routed fast at x), or ``JOINT``
+    for the joint exceedance probability. Both quantities are step functions
+    of the threshold, read by arrays for each stop. An n whose outcome count
+    has more digits than ``str`` writes is refused first."""
+    if x == JOINT:  # the bad mass at scores up to the threshold
+        order = np.argsort(w.scores)
+        scores, upto = w.scores[order], np.concatenate(
+            ([0.0], np.cumsum((w.masses * cell_exceedance_flags(w, loss))[order])))
+    else:  # 1 from x's score up
         x = float(x)
-        query_cell = cell_at(w, x)
-    probs, taus = _threshold_law(w, loss, cfg_pac, n, algorithm)
-    quantity = {}  # threshold -> the requested quantity under it
+        scores, upto = np.array([cell_at(w, x).score]), np.array([0.0, 1.0])
+    n_outcomes = math.comb(n + w.n_cells - 1, w.n_cells - 1)
+    limit = sys.get_int_max_str_digits()
+    if limit and n_outcomes >= 10**limit:
+        raise ValueError(f"oracle.n = {n} on {w.n_cells} cells has more outcomes than "
+                         f"a report can write: the count has more than {limit} digits")
     value = total = 0.0
-    for prob, tau in zip(probs.tolist(), taus.tolist()):
-        if prob == 0.0:
-            continue
-        total += prob
-        if tau not in quantity:
-            if x == JOINT:
-                quantity[tau] = exact_miscoverage(w, loss, tau)
-            else:
-                quantity[tau] = 1.0 if query_cell.score <= tau else 0.0
-        value += prob * quantity[tau]
+    for probs, taus in _threshold_law(w, loss, cfg_pac, n, algorithm):
+        value += float((probs * upto[np.searchsorted(scores, taus, side="right")]).sum())
+        total += float(probs.sum())
     return OracleResult(
         value=value,
         total_probability=total,
-        n_outcomes=math.comb(n + w.n_cells - 1, w.n_cells - 1),
+        n_outcomes=n_outcomes,
         quantity="joint_risk" if x == JOINT else f"fast_usage_at_{x}",
     )
 

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -112,6 +113,19 @@ def make_ten_cell() -> pr.CellWorld:
     return pr.CellWorld(cells=tuple(cells), alphabet_size=4)
 
 
+def make_distinct_scores(levels: int) -> pr.CellWorld:
+    """``levels`` cells of equal width and random mass, each its own score
+    level; every third is bad."""
+    rng = np.random.default_rng(levels)
+    masses = pr.normalized_masses(rng.uniform(0.5, 1.5, levels))
+    scores = rng.permutation(levels) / levels
+    return pr.CellWorld(
+        cells=tuple(pr.Cell(i / levels, (i + 1) / levels, masses[i], 0, int(i % 3 == 0),
+                            float(scores[i])) for i in range(levels)),
+        alphabet_size=2,
+    )
+
+
 def corpus() -> list[pr.CellWorld]:
     return [
         make_w1(),
@@ -151,7 +165,9 @@ MIN_CUT_GAP = 1e-9
 
 
 @st.composite
-def world_strategy(draw):
+def world_strategy(draw, score=st.floats(-5, 5, allow_nan=False)):
+    """A world of 1-6 cells (some may have zero mass), each score drawn from
+    ``score``."""
     n_cuts = draw(st.integers(0, 5))
     cuts = draw(
         st.lists(
@@ -174,9 +190,7 @@ def world_strategy(draw):
         st.lists(st.integers(0, alphabet - 1), min_size=k, max_size=k)
     )
     fasts = draw(st.lists(st.integers(0, alphabet - 1), min_size=k, max_size=k))
-    scores = draw(
-        st.lists(st.floats(-5, 5, allow_nan=False), min_size=k, max_size=k)
-    )
+    scores = draw(st.lists(score, min_size=k, max_size=k))
     cells = tuple(
         pr.Cell(bounds[i], bounds[i + 1], masses[i], experts[i], fasts[i], scores[i])
         for i in range(k)

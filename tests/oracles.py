@@ -1,7 +1,8 @@
 """Independent test oracles, kept deliberately naive.
 
 The production oracle computes the law of the selected threshold in closed
-form, from binomial tails. Two enumerators check it from other routes:
+form, from binomial tails, one stop at a time. Two enumerators check it from
+other routes, and a scalar form of the same closed form checks it at any n:
 
 - ``brute_force_enumerate`` loops over ordered cell assignments with product
   probabilities, rebuilding a calibration set per assignment and running
@@ -10,14 +11,17 @@ form, from binomial tails. Two enumerators check it from other routes:
   vectors with multinomial weights, selecting each vector's threshold with
   the Monte-Carlo walk's count-based selection. It is the exact reference at
   the sizes the Monte-Carlo runs use (n = 100) on worlds of at most 3 cells.
+- ``threshold_law_scalar`` is the closed form one (prev, stop) pair at a
+  time, each binomial tail read from a full ``binomial_pvalue_table``, and
+  each threshold's quantity computed by ``exact_miscoverage``.
 
 ``csv_trace_text`` is the reference for the trace writer: one tuple per row,
 formatted by ``csv.writer``.
 
-``exceeds_scalar``, ``max_rejectable_count_scan`` and ``stop_position_scan``
-are the one-value-at-a-time rules that the array forms in
-:mod:`pacroute.risk`, :mod:`pacroute.calibrate` and :mod:`pacroute._kernels`
-replaced.
+``exceeds_scalar``, ``max_rejectable_count_scan``, ``stop_position_scan`` and
+``select_threshold_loop`` are the one-value-at-a-time rules that the array
+forms in :mod:`pacroute.risk`, :mod:`pacroute.calibrate` and
+:mod:`pacroute._kernels` replaced.
 """
 
 import csv
@@ -28,10 +32,18 @@ import math
 import numpy as np
 
 import pacroute as pr
-from pacroute.calibrate import binomial_pvalue_table
+from pacroute.calibrate import (
+    CalibrationOutcome,
+    TestedThreshold,
+    auto_threshold_grid,
+    binomial_pvalue,
+    binomial_pvalue_table,
+    check_epsilon_match,
+)
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import encode_threshold
 from pacroute.simulate import _select, _walk
+from pacroute.worlds import cell_indices_at
 
 
 def exceeds_scalar(loss, prediction, truth):
@@ -117,6 +129,69 @@ def occupancy_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
             q = 1.0 if pr.cell_at(w, x).score <= tau else 0.0
         value += prob * q
     return value, total
+
+
+def _lower_tail(b_star, n, t):
+    """P(Binomial(n, t) <= b_star), also at b_star = -1 and t in {0, 1}."""
+    if b_star < 0 or (t >= 1.0 and b_star < n):
+        return 0.0
+    if t <= 0.0 or b_star >= n:
+        return 1.0
+    return float(binomial_pvalue_table(n, float(t))[b_star])
+
+
+def threshold_law_scalar(w, loss, pac, n, x, algorithm="calibrated"):
+    """Return (value, total_probability) of the closed-form law, pair by pair.
+
+    G(a, j) = P(positions a..j-1 empty, stop at j) is (mass off them)^n times
+    P(Binomial(n, q) <= b*) at the bad mass q by position j - 1 less that at
+    j, both given those positions empty, and P(prev = a - 1, stop = j) =
+    G(a, j) - G(a - 1, j)."""
+    b_star, position, bad_position, n_pos, threshold = _walk(w, loss, pac, n, algorithm)
+    mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
+    bad_mass = np.bincount(bad_position, weights=w.masses, minlength=n_pos + 1)
+    below = np.concatenate(([0.0], np.cumsum(mass)))
+    bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
+    above = np.cumsum(mass[::-1])[::-1]
+    g = np.zeros((n_pos + 1, n_pos + 1))  # g[j, a] = G(a, j) for a <= j
+    for j in range(n_pos + 1):
+        for a in range(j + 1):
+            rest = below[a] + above[j]
+            if rest <= 0.0:
+                continue
+            passed = 1.0 if j == 0 else _lower_tail(b_star, n, bad_below[a] / rest)
+            stopped = (0.0 if j == n_pos
+                       else _lower_tail(b_star, n, (bad_below[a] + bad_mass[j]) / rest))
+            g[j, a] = (rest**n if a < j else 1.0) * (passed - stopped)
+    stop, a = np.tril_indices(n_pos + 1)
+    probs = np.diff(g, axis=1, prepend=0.0)[stop, a]
+    taus = np.broadcast_to(threshold(stop, a - 1), probs.shape)
+    value = total = 0.0
+    for prob, tau in zip(probs.tolist(), taus.tolist()):
+        total += prob
+        if x == pr.JOINT:
+            value += prob * pr.exact_miscoverage(w, loss, tau)
+        elif pr.cell_at(w, x).score <= tau:
+            value += prob
+    return value, total
+
+
+def select_threshold_loop(d, w, loss, cfg):
+    """``select_threshold`` counting each grid threshold's exceedances afresh."""
+    n = len(d)
+    check_epsilon_match(cfg, loss)
+    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
+    tested = []
+    tau_hat = ALWAYS_DEFER
+    for tau in grid:
+        b = pr.empirical_exceedances(d, w, loss, tau)
+        p = binomial_pvalue(b, n, cfg.test_level)
+        rejected = p <= cfg.delta_split
+        tested.append(TestedThreshold(tau=tau, exceedances=b, p_value=p, rejected=rejected))
+        if not rejected:
+            break
+        tau_hat = tau
+    return CalibrationOutcome(tau_hat=tau_hat, tested=tuple(tested), n=n)
 
 
 def mc_interval_probability(w, a, b, n_samples=100_000, seed=0):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from pacroute.calibrate import (
 )
 from pacroute.risk import ALWAYS_DEFER
 
-from conftest import make_three_cell, make_w1
-from oracles import max_rejectable_count_scan
+from conftest import make_distinct_scores, make_three_cell, make_w1, world_strategy
+from oracles import max_rejectable_count_scan, select_threshold_loop
 
 # closed forms computed independently: (1-t)^n for the zero-count tail
 PV_0_10_005 = 0.5987369392383787  # 0.95**10
@@ -209,6 +210,42 @@ def test_select_threshold_safety_with_early_exceedance(loss01):
     ys = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
     out = select_threshold(pr.CalibrationSet(xs=xs, ys=ys), w, loss01, pac)
     assert out.tau_hat is ALWAYS_DEFER
+
+
+TABLE_LOSS = pr.LossSpec(kind="table", epsilon=0.5, table=(
+    (0, 1, 0.5, 2), (1, 0, 0.2, 1), (0.7, 1, 0, 0.5), (2, 0.5, 1, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    world_strategy(score=st.sampled_from((-0.5, 0.1, 0.5, 0.9))),
+    st.sampled_from((pr.LossSpec(kind="zero_one", epsilon=0.5), TABLE_LOSS)),
+    st.one_of(st.none(), st.lists(st.sampled_from((-1.0, 0.1, 0.3, 0.5, 0.9, 2.0)),
+                                  min_size=1, max_size=4, unique=True).map(sorted).map(tuple)),
+    st.sampled_from((0.1, 0.5, 0.8)),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_select_threshold_matches_loop(w, loss, grid, alpha, n, seed):
+    # one count per threshold from the sorted bad scores, against one pass
+    # over the set per threshold; the labels are the set's, not the world's
+    pac = pr.PacConfig(epsilon=0.5, alpha=alpha, threshold_grid=grid)
+    d = pr.sample_calibration(w, n, seed)
+    d = pr.CalibrationSet(xs=d.xs, ys=np.random.default_rng(seed).permutation(d.ys))
+    out = select_threshold(d, w, loss, pac)
+    assert out == select_threshold_loop(d, w, loss, pac)
+    assert (out.tau_hat is ALWAYS_DEFER) == (out.tau_hat == ALWAYS_DEFER)
+
+
+def test_select_threshold_is_not_grid_times_n():
+    # 2000 distinct scores, auto grid, n = 20000: about 1500 thresholds tested
+    w = make_distinct_scores(2000)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
+    d = pr.sample_calibration(w, 20000, 11)
+    start = time.perf_counter()
+    out = select_threshold(d, w, pr.LossSpec(kind="zero_one", epsilon=0.0), pac)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.tested) > 1000
 
 
 def test_select_threshold_rejects_empty_set(w1, loss01, pac_w1):

@@ -772,6 +772,31 @@ def test_oracle_ten_cells_n40_exits_0(tmp_path):
     assert rep["n_outcomes"] == math.comb(49, 9)
 
 
+def test_oracle_refuses_outcome_count_no_report_can_write(tmp_path, monkeypatch, capsys):
+    # C(10**4 + 1099, 1099) has about 1580 digits, past a 640-digit limit on
+    # int-to-str conversion: refused before the law is entered
+    cells = [{"left": i / 1100, "right": (i + 1) / 1100, "mass": 1 / 1100, "expert": 0,
+              "fast": i % 2, "score": i / 1100} for i in range(1100)]
+    world_path = tmp_path / "w.json"
+    world_path.write_text(json.dumps({"alphabet_size": 2, "cells": cells}))
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": str(world_path),
+                                            "oracle": {"n": 10_000, "x": "joint"}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("law entered")
+
+    monkeypatch.setattr(simulate, "_threshold_law", refuse)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(["oracle", "--config", cfg, "--out", tmp_path / "o.json"]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert "oracle.n = 10000 on 1100 cells" in err and "640 digits" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_oracle_trivial_fast_prob_zero(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute import simulate
-from pacroute.calibrate import max_rejectable_count, select_threshold
+from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json
 from pacroute.simulate import (
+    ALGORITHMS,
     CHUNK,
     JOINT,
     TRACE_BLOCK_ROWS,
@@ -29,6 +31,7 @@ from pacroute.simulate import (
 
 from conftest import (
     corpus,
+    make_distinct_scores,
     make_five_cell,
     make_masses_short_of_one,
     make_ten_cell,
@@ -36,7 +39,12 @@ from conftest import (
     make_tied_scores,
     make_w1,
 )
-from oracles import brute_force_enumerate, csv_trace_text, occupancy_enumerate
+from oracles import (
+    brute_force_enumerate,
+    csv_trace_text,
+    occupancy_enumerate,
+    threshold_law_scalar,
+)
 from test_worlds import world_strategy
 
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
@@ -453,6 +461,82 @@ def test_enumerate_matches_occupancy_enumerator(loss01, grid, alpha):
             value, total = occupancy_enumerate(w, loss01, pac, n, x)
             assert res.value == pytest.approx(value, abs=1e-12), (w, n, x)
             assert res.total_probability == pytest.approx(total, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    world_strategy(score=st.sampled_from((-0.5, 0.1, 0.5, 0.9))),
+    st.one_of(st.none(), st.lists(st.sampled_from((-1.0, 0.1, 0.3, 0.5, 0.9, 2.0)),
+                                  min_size=1, max_size=4, unique=True).map(sorted).map(tuple)),
+    st.sampled_from((0.1, 0.3, 0.5, 0.8)),
+    st.sampled_from(ALGORITHMS),
+    st.integers(1, 300),
+    st.floats(0.0, 1.0),
+)
+def test_enumerate_matches_scalar_law(w, grid, alpha, algorithm, n, x):
+    # the per-stop law against the pair-by-pair closed form, on worlds with
+    # tied scores and zero-mass cells, at the sizes the Monte-Carlo runs use
+    loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
+    pac = pr.PacConfig(epsilon=0.0, alpha=alpha, threshold_grid=grid)
+    for query in (JOINT, x):
+        res = enumerate_distribution(w, loss, pac, n, query, algorithm=algorithm)
+        value, _ = threshold_law_scalar(w, loss, pac, n, query, algorithm)
+        assert res.value == pytest.approx(value, abs=1e-12), query
+        assert res.total_probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_enumerate_warns_nothing_on_a_denormal_cell(loss01):
+    # the only mass past the grid is 1e-310: the law never divides a good
+    # cell's mass by it
+    w = pr.CellWorld(cells=(pr.Cell(0.0, 0.5, 1.0, 0, 0, 0.1),
+                            pr.Cell(0.5, 1.0, 1e-310, 1, 0, 0.9)), alphabet_size=2)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=(0.5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = enumerate_distribution(w, loss01, pac, 1, JOINT)
+    assert (res.value, res.total_probability) == (0.0, 1.0)
+
+
+# (b*, n, t values, the tail at each): no term to sum, or all terms in one
+EXACT_TAILS = [(-1, 10, (0.0, 0.3, 1.0), 0.0), (10, 10, (0.0, 0.3, 1.0), 1.0),
+               (12, 10, (0.3, 1.0), 1.0), (3, 10, (0.0,), 1.0), (3, 10, (1.0,), 0.0)]
+
+
+@pytest.mark.parametrize("b_star, n, ts, tail", EXACT_TAILS)
+def test_lower_tails_exact_at_the_edges(b_star, n, ts, tail):
+    assert simulate._lower_tails(b_star, n, np.array(ts)).tolist() == [tail] * len(ts)
+
+
+# both sum lgamma terms near n log n, so ulp(n log n) bounds either's error
+@pytest.mark.parametrize("n, tol", [(1, 1e-12), (7, 1e-12), (100, 1e-12), (1000, 1e-12),
+                                    (10_000, 1e-9), (100_000, 1e-9)])
+def test_lower_tails_match_pvalue_table(n, tol):
+    ts = np.array([1e-9, 0.001, 0.02, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+    for b_star in sorted({0, n // 100, n // 20, n // 2, n - 1}):
+        want = [binomial_pvalue_table(n, float(t))[b_star] for t in ts]
+        got = simulate._lower_tails(b_star, n, ts)
+        assert np.max(np.abs(got - want)) <= tol, b_star
+
+
+def test_walk_and_law_memory_flat_in_score_levels(loss01):
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # no (levels + 1)**2 table: a walk and a 16-set chunk over 3000 levels
+    w = make_distinct_scores(3000)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
+    counts = np.random.default_rng(3).multinomial(100, w.masses / w.masses.sum(), size=16)
+    assert peak(lambda: simulate._select(
+        pac, simulate._walk(w, loss01, pac, 100, "calibrated"), counts)) < 5 * 2**20
+    # nor a (levels + 1)**2 law: the exact oracle over 1000 levels
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=None)
+    w = make_distinct_scores(1000)
+    assert peak(lambda: enumerate_distribution(w, loss01, pac, 100, JOINT)) < 5 * 2**20
 
 
 def test_enumerate_three_cell_closed_forms(loss01):
