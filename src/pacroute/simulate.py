@@ -10,12 +10,12 @@ Determinism: replication r of stream s draws the uniforms of
 ``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
 which ``_kernels.replication_uniforms`` recomputes bit for bit across a chunk
 of replications. Chunks of CHUNK replications are seeded and walked one after
-another, so results do not depend on how the work is split and memory does
-not grow with the replication count. Because scores and labels are
-cell-constant, a replication's outcome depends only on how many of its
-calibration points land in each cell (its occupancy counts); the engine
-therefore counts each replication's uniforms below every cell-mass CDF edge
-and never materializes positions or per-point cell indices.
+another, so results do not depend on how the work is split; memory is one
+chunk's working set plus the 8-byte threshold each replication keeps.
+Because scores and labels are cell-constant, a replication's outcome depends
+only on how many of its calibration points land in each cell (its occupancy
+counts); the engine therefore counts each replication's uniforms below every
+cell-mass CDF edge and never materializes positions or per-point cell indices.
 Monte-Carlo chunks and the exact oracle share the walk's threshold rule; the
 oracle sums its closed-form law one stop at a time.
 """
@@ -247,8 +247,9 @@ def _tau_values_for_replications(
 
     With ``need_test_draws``, each replication consumes one extra uniform for
     an independent test input and its cell index is returned alongside.
-    Replications are seeded and walked CHUNK at a time, so memory does not
-    grow with the replication count. When b* < 0 (the trivial router, or a
+    Replications are seeded and walked CHUNK at a time: memory is one chunk's
+    working set plus 8 bytes per replication (16 with test draws, which also
+    keep each test cell). When b* < 0 (the trivial router, or a
     calibration too small to reject anything) every replication selects
     ALWAYS_DEFER; nothing is drawn and the test cells are all 0.
     """

@@ -930,7 +930,7 @@ def test_console_script_entry_point(tmp_path, w1_path):
     assert '"valid": true' in proc.stdout
 
 
-def test_float_format_17_digits(tmp_path, w1_path):
+def test_float_format_shortest_repr(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
         "c.json",
@@ -939,7 +939,9 @@ def test_float_format_17_digits(tmp_path, w1_path):
     out = tmp_path / "r.json"
     run_cli(["calibrate", "--config", cfg, "--out", out])
     text = out.read_text()
-    assert "0.10000000000000001" in text  # alpha = 0.1 at 17 significant digits
+    # a float is its shortest round-trip repr, and an integral one stays a float
+    assert '"alpha": 0.1' in text
+    assert '"epsilon": 0.0' in text
 
 # A JSON integer no float can hold: float() of it raises OverflowError.
 HUGE = 10**400

@@ -4,6 +4,7 @@ Any change to a report's bytes must be deliberate: update the hash here and
 say in the change log what changed and why.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -15,17 +16,17 @@ from pacroute.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN_SHA256 = {
-    "calibrate": "c5b49289ef90287e994db4b1de6d4bcbf0a412f7ca40cde666fa6d6a7d0bf103",
-    "audit": "de41d4cb9e55a8649ffe4c0e6b0945aa61b2d0cdfa0baf1e9f42299e721ad317",
-    "demo": "6536f5817839c52da74e31f4ce7c7d7a9f34ff6508fadf5a825f05a67420e0eb",
-    "oracle": "4ce681be814cf929002e32adf1f6f2e922e8a29567cb0608c4de97075a96a324",
+    "calibrate": "40ef1f631f7d94fffe827f3230c9b873c915580f58af3c2c70a839143d57fb4e",
+    "audit": "fdbff963ee30453efc90fb682b325710d23f3d0d8bb8acd5a22093594575a0e9",
+    "demo": "3c77256369d4e4b41c8edbd90e9bba293013a600a4e7c86ee6076b7bd7fef714",
+    "oracle": "6ece47c33d32a86a1998a531ff7a46a0eea2c0198c886c199657fcb8a8e1f9c6",
 }
 
 # the same configs with "algorithm": "trivial"
 TRIVIAL_SHA256 = {
-    "audit": "1a5c0ee3ea646e652dea95f52a58ca0e9a3355d8179a42b32be30f9699680101",
-    "demo": "63c603d96c8069ac93a5e3c620b749064868b56281beb29f765a931fe56295c2",
-    "oracle": "d61c40856162884dac07f034cd35bfa8035bbd97c2090087365ba679a970e55c",
+    "audit": "c25b9be11edbbcb03458548ad8d5afac4e7f0cc8ce3117ea0ac89b5bc2c6e086",
+    "demo": "859cd9b7ee5cc6f12753ab9474b5a0847acb41a510d6b5c9acc5343585ccb571",
+    "oracle": "e5d7ac5066f9c24e3ff790f36fcf394c9b8badc67b948d3e0825c6671e2115c2",
 }
 
 # the --trace CSVs of the calibrated configs
@@ -73,6 +74,24 @@ def test_w1_trace_bytes(cmd, tmp_path, monkeypatch):
     argv = [cmd, "--config", f"configs/{cmd}_w1.json", "--out", str(out), "--trace", str(trace)]
     assert main(argv) == 0
     assert _sha256(trace) == TRACE_SHA256[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(TRACE_SHA256))
+def test_w1_audit_points_same_text_in_report_and_trace(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out, trace = tmp_path / f"{cmd}.json", tmp_path / f"{cmd}.csv"
+    argv = [cmd, "--config", f"configs/{cmd}_w1.json", "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    # parse_float=str keeps each float as the text the report wrote
+    report = json.loads(out.read_text(encoding="utf-8"), parse_float=str)["report"]
+    audits = ({"": report} if cmd == "audit"
+              else {"base": report["base_audit"], "perturbed": report["perturbed_audit"]})
+    with trace.open(encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    for world, audit in audits.items():
+        points = [p["x"] for p in audit["points"]]
+        assert points
+        assert set(points) == {row["point"] for row in rows if row.get("world", "") == world}
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATE_WORLD_SHA256))

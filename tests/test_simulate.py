@@ -319,6 +319,23 @@ def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
     assert peak(16 * CHUNK) - peak(4 * CHUNK) <= 2 * 2**20
 
 
+def test_audit_memory_grows_by_one_threshold_per_replication(w1, loss01, pac_w1):
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            audit_profile(w1, loss01, pac_w1, McConfig(reps, 3, (0.4,)), 100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(CHUNK)  # fill the caches first, so both runs below start alike
+    small, large = CHUNK, 16 * CHUNK
+    slope = (peak(large) - peak(small)) / (large - small)
+    # the chunk's working set is fixed; each replication keeps its 8-byte
+    # threshold, and at most a 1-byte comparison mask beside it
+    assert 7.5 <= slope <= 9.5
+
+
 # ---------------------------------------------------------------------------
 # joint risk
 
