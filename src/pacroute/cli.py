@@ -12,7 +12,8 @@ a command computes with and the resolved config its report embeds. ``_emit``
 writes every report in one envelope.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
-written included), 3 world validation error, 4 demo precondition error.
+written, or a run too large for memory, included), 3 world validation
+error, 4 demo precondition error.
 """
 
 from __future__ import annotations
@@ -316,6 +317,10 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except ValueError as e:  # a ConfigError, or a value the program refused
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # a size no bound refused, such as n = 10**13
+        print(f"config error: the run does not fit in memory: {str(e) or 'no detail'}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

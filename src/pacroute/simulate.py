@@ -537,32 +537,31 @@ def trace_blocks(
     at a time; ``prefix`` (e.g. ``"base,"``) opens every row.
 
     A row depends on its replication only through the index and the
-    threshold, so each distinct threshold's rows are formatted once, as a
-    template whose only holes are the replication index. The text is what
-    ``csv.writer`` writes for those rows: ``repr`` floats, ALWAYS_DEFER as
-    the string, ``\\r\\n`` line ends and nothing quoted."""
+    threshold, so each distinct threshold's rows are formatted once, as the
+    text pieces between the replication-index holes, and a replication is
+    those pieces joined by its index: one int-to-text conversion per
+    replication. The text is what ``csv.writer`` writes for those rows:
+    ``repr`` floats, ALWAYS_DEFER as the string, ``\\r\\n`` line ends and
+    nothing quoted."""
     idx = cell_indices_at(w, np.asarray(points, dtype=float))
-    scores = w.scores[idx].tolist()
-    bad = cell_exceedance_flags(w, loss)[idx].tolist()
-    n_points = len(idx)
-    templates: dict[float, str] = {}
+    rows = list(zip([repr(float(x)) for x in points], w.scores[idx].tolist(),
+                    cell_exceedance_flags(w, loss)[idx].tolist()))
+    templates: dict[float, list[str]] = {}
 
-    def template(tau: float) -> str:
+    def template(tau: float) -> list[str]:
         # g = 1: defer (score above tau); ties go fast
         tau_text = encode_threshold(tau)
-        return "".join(
-            f"{prefix}%d,{float(x)!r},{tau_text},{int(score > tau)},"
-            f"{int(score <= tau and is_bad)}\r\n"
-            for x, score, is_bad in zip(points, scores, bad)
-        )
+        tails = [f",{x},{tau_text},{int(score > tau)},{int(score <= tau and is_bad)}\r\n"
+                 for x, score, is_bad in rows]
+        return [prefix, *(tail + prefix for tail in tails[:-1]), tails[-1]]
 
-    per_block = max(1, TRACE_BLOCK_ROWS // n_points)
+    per_block = max(1, TRACE_BLOCK_ROWS // len(rows))
     for start in range(0, len(tau_values), per_block):
         block = tau_values[start:start + per_block].tolist()
         parts = []
         for r, tau in enumerate(block, start):
-            text = templates.get(tau)
-            if text is None:
-                text = templates[tau] = template(tau)
-            parts.append(text % ((r,) * n_points))
+            pieces = templates.get(tau)
+            if pieces is None:
+                pieces = templates[tau] = template(tau)
+            parts.append(str(r).join(pieces))
         yield "".join(parts)

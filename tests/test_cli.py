@@ -678,6 +678,39 @@ def test_unwritable_trace_exits_2_before_any_replication(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, seam", [
+    ("calibrate", "sample_calibration"),
+    ("oracle", "enumerate_distribution"),
+    ("audit", "audit_profile"),
+])
+def test_run_too_large_for_memory_exits_2(tmp_path, w1_path, capsys, monkeypatch,
+                                          command, seam):
+    # numpy's message for n = 10**13; nothing is allocated here
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, seam, refuse)
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            **BASE_CONFIG,
+            "world": w1_path,
+            "mc": {"replications": 5, "master_seed": 3},
+            "calibration": {"n": 10**13, "seed": 1},
+            "oracle": {"n": 10**13, "x": "joint"},
+        },
+    )
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the run does not fit in memory: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["audit", "demo"])
 def test_trace_naming_the_report_exits_2_before_any_replication(
     tmp_path, w1_path, capsys, no_replications, command

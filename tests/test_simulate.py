@@ -11,7 +11,7 @@ import pacroute as pr
 from pacroute import simulate
 from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
-from pacroute.serialize import dump_json
+from pacroute.serialize import dump_json, encode_threshold
 from pacroute.simulate import (
     ALGORITHMS,
     CHUNK,
@@ -868,6 +868,28 @@ def test_trace_blocks_match_csv_writer(inputs):
     assert all(r <= max(TRACE_BLOCK_ROWS, len(points)) for r in rows)
     per_block = max(1, TRACE_BLOCK_ROWS // len(points))
     assert len(blocks) == -(-len(taus) // per_block)
+
+
+def test_trace_blocks_across_index_width_and_block_edges(w1, loss01):
+    # 10001 replications cross the 9999 -> 10000 index width and many block edges
+    points = default_audit_points(w1)
+    taus = np.resize([0.5, -np.inf, 0.95], 10_001)
+    text = "".join(trace_blocks(w1, loss01, points, taus, prefix="perturbed,"))
+    assert text == csv_trace_text(w1, loss01, points, taus, "perturbed")
+
+
+def test_trace_formats_each_distinct_threshold_once(w1, loss01, monkeypatch):
+    calls = []
+
+    def counting(tau):
+        calls.append(tau)
+        return encode_threshold(tau)
+
+    monkeypatch.setattr(simulate, "encode_threshold", counting)
+    taus = np.resize([0.5, -np.inf, 0.95, 0.7], 20_000)
+    for _ in trace_blocks(w1, loss01, default_audit_points(w1), taus):
+        pass
+    assert sorted(calls) == [-np.inf, 0.5, 0.7, 0.95]
 
 
 def test_trace_memory_does_not_grow_with_replications(w1, loss01):
