@@ -1,29 +1,31 @@
 """The hot replication kernels, vectorized in numpy.
 
-``replication_uniforms`` draws each replication's uniforms, ``cell_counts``
-turns them into occupancy counts (calibration points per cell) by counting
-the uniforms below each cell-mass CDF edge, and ``stop_positions`` applies the
-fixed-sequence stopping rule to counts, as a running sum of the counts over
-the cells in position order; ``tau_indices`` is that rule on a fixed grid.
-``cell_indices`` maps single uniforms to cells, for test inputs and samplers.
-Each works on a block of replications at once and depends on nothing but its
-inputs.
+``occupancy_counts`` takes a chunk of replications from seeds to occupancy
+counts (calibration points per cell): ``uniform_tiles`` draws their uniforms
+TILE_COLS columns at a time into one reused buffer, and each tile is counted
+below every cell-mass CDF edge while it is in cache, so no chunk ever holds
+all its uniforms. ``stop_positions`` applies the fixed-sequence stopping rule
+to counts, as a running sum of the counts over the cells in position order;
+``tau_indices`` is that rule on a fixed grid. ``cell_indices`` maps single
+uniforms to cells, for test inputs and samplers. Each works on a block of
+replications at once and depends on nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
-``replication_uniforms`` recomputes exactly those bits across replications:
-the ``SeedSequence`` pool mixing (O'Neill's seed_seq design, as numpy
-implements it) in uint32 words, then the 128-bit PCG64 LCG with XSL-RR output
-(O'Neill 2014) in pairs of uint64 words. ``tests/test_seeding.py`` pins it to
-numpy bit for bit.
+``uniform_tiles`` is the one source of draws and recomputes exactly those
+bits across replications: the ``SeedSequence`` pool mixing (O'Neill's
+seed_seq design, as numpy implements it) in uint32 words, once per chunk
+(``_pcg_states``), then the 128-bit PCG64 LCG with XSL-RR output (O'Neill
+2014) in pairs of uint64 words, one column at a time. ``tests/test_seeding.py``
+pins its tiles, joined, to numpy bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["active_backend", "cell_counts", "cell_indices", "replication_uniforms",
-           "stop_positions", "tau_indices"]
+__all__ = ["TILE_COLS", "active_backend", "cell_indices", "occupancy_counts",
+           "stop_positions", "tau_indices", "uniform_tiles"]
 
 # SeedSequence (numpy.random.bit_generator): pool size and hash constants
 _POOL_SIZE = 4
@@ -42,6 +44,9 @@ _MULT_LO = np.uint64(_PCG_MULT & (2**64 - 1))
 _MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
 _MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
 _DOUBLE_UNIT = 2.0**-53
+
+# columns drawn and counted together: one (TILE_COLS, replications) buffer
+TILE_COLS = 16
 
 
 def active_backend() -> str:
@@ -118,15 +123,12 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def replication_uniforms(
-    master_seed: int, stream: int, replications: int, cols: int, *, start: int = 0
-) -> np.ndarray:
-    """Rows ``start .. start+replications-1`` of stream ``stream``'s uniforms.
-
-    Row ``i`` equals ``Generator(PCG64(SeedSequence(master_seed,
-    spawn_key=(stream, start+i)))).random(cols)`` bit for bit. Replication
-    indices are one uint32 spawn-key word, so they must stay below 2**32.
-    """
+def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
+    """PCG64 states ``(hi, lo, inc_hi, inc_lo)``, uint64 arrays over
+    replications ``start .. start+replications-1`` of stream ``stream``, as
+    ``PCG64(SeedSequence(master_seed, spawn_key=(stream, r)))`` leaves them,
+    ready for the first draw. Replication indices are one uint32 spawn-key
+    word, so they must stay below 2**32."""
     if master_seed < 0 or stream < 0 or start < 0:
         raise ValueError("master_seed, stream and start must be >= 0")
     if start + replications > 2**32:
@@ -155,15 +157,32 @@ def replication_uniforms(
     lo = inc_lo + s1
     hi = inc_hi + s0 + (lo < s1)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((cols, replications))
-    for j in range(cols):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR: rotate hi^lo right by the state's top 6 bits
-        x = hi ^ lo
-        rot = hi >> 58
-        x = (x >> rot) | (x << ((-rot) & 63))
-        np.multiply(x >> 11, _DOUBLE_UNIT, out=out[j])
-    return out.T
+    return hi, lo, inc_hi, inc_lo
+
+
+def uniform_tiles(
+    master_seed: int, stream: int, replications: int, cols: int, *, start: int = 0
+):
+    """Yield the uniforms of replications ``start .. start+replications-1``
+    of stream ``stream`` in tiles of up to TILE_COLS columns.
+
+    Each tile is a (columns, replications) view of one reused buffer, valid
+    until the next tile is drawn. Joined in order, the tiles' column ``j`` of
+    replication ``start+i`` is ``Generator(PCG64(SeedSequence(master_seed,
+    spawn_key=(stream, start+i)))).random(cols)[j]`` bit for bit.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg_states(master_seed, stream, replications, start)
+    buf = np.empty((min(TILE_COLS, cols), replications))
+    for first in range(0, cols, TILE_COLS):
+        tile = buf[:cols - first]
+        for row in tile:
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: rotate hi^lo right by the state's top 6 bits
+            x = hi ^ lo
+            rot = hi >> 58
+            x = (x >> rot) | (x << ((-rot) & 63))
+            np.multiply(x >> 11, _DOUBLE_UNIT, out=row)
+        yield tile
 
 
 def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,23 +191,37 @@ def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def cell_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Occupancy counts (sets, cells) of ``u``, (n, sets) uniforms with one
-    column per set: per column, the counts of ``cell_indices(cdf, u)``.
+def occupancy_counts(
+    master_seed: int, stream: int, replications: int, cols: int, cdf: np.ndarray, *,
+    start: int = 0, test_draw: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Occupancy counts (replications, cells) of ``uniform_tiles``' columns,
+    and with ``test_draw`` the ``cell_indices`` of each replication's last
+    column, its test input, which the counts then leave out (else None).
 
     Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
     ``cdf[c-1]``. The last cell takes everything at or above the last interior
-    edge, so a uniform past a last CDF entry below 1 lands there too. One
-    pass over the block per interior edge is cheaper than a search per
-    uniform and a histogram up to about 50 cells.
+    edge, so a uniform past a last CDF entry below 1 lands there too. Each
+    tile is counted below every interior edge while it is in cache, one pass
+    per edge, which beats a search per uniform and a histogram on worlds of
+    a few dozen cells. The working set is one tile and the counts, whatever
+    ``cols``.
     """
-    n, sets = u.shape
-    below = np.empty((len(cdf) + 1, sets), dtype=np.intp)
-    below[0] = 0
-    below[-1] = n
-    for c, edge in enumerate(cdf[:-1].tolist(), 1):
-        below[c] = np.count_nonzero(u < edge, axis=0)
-    return np.diff(below, axis=0).T
+    edges = cdf[:-1].tolist()
+    counts = np.zeros((len(cdf), replications), dtype=np.intp)
+    test_cells, drawn = None, 0
+    for tile in uniform_tiles(master_seed, stream, replications, cols, start=start):
+        drawn += len(tile)
+        if test_draw and drawn == cols:  # the test column ends the last tile
+            test_cells = cell_indices(cdf, tile[-1])
+            tile = tile[:-1]
+        below_prev = 0  # the tile's uniforms below the previous edge
+        for c, edge in enumerate(edges):
+            below = np.count_nonzero(tile < edge, axis=0)
+            counts[c] += below - below_prev
+            below_prev = below
+        counts[-1] += len(tile) - below_prev
+    return counts.T, test_cells
 
 
 def stop_positions(

@@ -178,9 +178,10 @@ def empirical_exceedances(
 
 def auto_threshold_grid(observed_scores) -> tuple[float, ...]:
     """Grid from observed scores: midpoints between distinct values, plus one above."""
-    s = np.unique(np.asarray(observed_scores, dtype=float))
+    s = np.sort(np.asarray(observed_scores, dtype=float))
     if s.size == 0:
         raise ValueError("no observed scores to build a grid from")
+    s = s[np.append(True, s[1:] != s[:-1])]  # np.unique would import numpy.ma
     mids = (s[:-1] + s[1:]) / 2.0
     return tuple(float(v) for v in mids) + (float(s[-1]) + 1.0,)
 

@@ -8,14 +8,16 @@ stitches calibration, audit and the adversarial perturbation into one report.
 
 Determinism: replication r of stream s draws the uniforms of
 ``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
-which ``_kernels.replication_uniforms`` recomputes bit for bit across a chunk
-of replications. Chunks of CHUNK replications are seeded and walked one after
-another, so results do not depend on how the work is split; memory is one
-chunk's working set plus the 8-byte threshold each replication keeps.
-Because scores and labels are cell-constant, a replication's outcome depends
-only on how many of its calibration points land in each cell (its occupancy
-counts); the engine therefore counts each replication's uniforms below every
-cell-mass CDF edge and never materializes positions or per-point cell indices.
+which ``_kernels.uniform_tiles`` recomputes bit for bit across a chunk of
+replications. Chunks of CHUNK replications are seeded and walked one after
+another, so results do not depend on how the work is split. Because scores
+and labels are cell-constant, a replication's outcome depends only on how
+many of its calibration points land in each cell (its occupancy counts); one
+``_kernels.occupancy_counts`` call per chunk draws the uniforms a tile of
+columns at a time and counts each tile below every cell-mass CDF edge, and
+nothing holds a chunk's uniforms, positions or per-point cell indices. Memory
+is one chunk's working set, whatever the calibration size, plus the 8-byte
+threshold each replication keeps.
 Monte-Carlo chunks and the exact oracle share the walk's threshold rule; the
 oracle sums its closed-form law one stop at a time.
 """
@@ -30,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-# a module attribute looked up at call time, so perfbench/spans.py can time it
-from ._kernels import replication_uniforms as _replication_uniforms
+# the seeding seam, looked up at call time: perfbench/spans.py times it by this name
+from ._kernels import occupancy_counts as _replication_uniforms
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, check_epsilon_match, max_rejectable_count
 from .risk import (
@@ -61,8 +63,8 @@ __all__ = [
 
 JOINT = "joint"
 
-# replications seeded and walked together; bounds the walk's working memory
-CHUNK = 4096
+# replications seeded, counted and walked together; bounds the working memory
+CHUNK = 8192
 
 # trace rows formatted and written together; bounds the trace writer's memory
 TRACE_BLOCK_ROWS = 8192
@@ -178,7 +180,8 @@ def _drop_twins(points) -> tuple[float, ...]:
 def default_audit_points(w: CellWorld) -> tuple[float, ...]:
     """21 equispaced points plus every cell midpoint, sorted, less twins."""
     mids = (w.lefts + w.rights) / 2.0
-    return _drop_twins(np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), mids])))
+    # np.sort, not np.unique (which imports numpy.ma): _drop_twins drops the repeats
+    return _drop_twins(np.sort(np.concatenate([np.linspace(0.0, 1.0, 21), mids])))
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
@@ -247,27 +250,27 @@ def _tau_values_for_replications(
 
     With ``need_test_draws``, each replication consumes one extra uniform for
     an independent test input and its cell index is returned alongside.
-    Replications are seeded and walked CHUNK at a time: memory is one chunk's
-    working set plus 8 bytes per replication (16 with test draws, which also
-    keep each test cell). When b* < 0 (the trivial router, or a
-    calibration too small to reject anything) every replication selects
-    ALWAYS_DEFER; nothing is drawn and the test cells are all 0.
+    Replications are seeded, counted and walked CHUNK at a time: memory is
+    one chunk's working set, flat in ``n``, plus 8 bytes per replication (16
+    with test draws, which also keep each test cell). When b* < 0 (the
+    trivial router, or a calibration too small to reject anything) every
+    replication selects ALWAYS_DEFER; nothing is drawn and the test cells are
+    all 0.
     """
     walk = _walk(w, loss, cfg_pac, n, algorithm)
     test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
     if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
         return np.full(replications, ALWAYS_DEFER), test_cells
     cols = n + 1 if need_test_draws else n
-    cdf = w.mass_cdf
     taus = np.empty(replications)
     for start in range(0, replications, CHUNK):
         stop = min(start + CHUNK, replications)
-        u = _replication_uniforms(master_seed, stream, stop - start, cols, start=start)
+        counts, tests = _replication_uniforms(master_seed, stream, stop - start, cols,
+                                              w.mass_cdf, start=start,
+                                              test_draw=need_test_draws)
         if need_test_draws:
-            test_cells[start:stop] = _kernels.cell_indices(cdf, u[:, n])
-        # u.T is C-contiguous for the column-major blocks of replication_uniforms
-        taus[start:stop] = _select(cfg_pac, walk, _kernels.cell_counts(cdf, u[:, :n].T))
-        del u  # free the block before the next one is drawn
+            test_cells[start:stop] = tests
+        taus[start:stop] = _select(cfg_pac, walk, counts)
     return taus, test_cells
 
 

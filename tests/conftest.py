@@ -7,6 +7,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import pacroute as pr
+from pacroute._kernels import uniform_tiles
 
 
 def child_env() -> dict[str, str]:
@@ -17,6 +18,13 @@ def child_env() -> dict[str, str]:
     src = str(Path(pr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def joined_uniforms(master_seed, stream, replications, cols, start=0) -> np.ndarray:
+    """The (replications, cols) uniforms of ``_kernels.uniform_tiles``: each
+    tile copied out of the reused buffer, then joined."""
+    tiles = uniform_tiles(master_seed, stream, replications, cols, start=start)
+    return np.concatenate([tile.copy() for tile in tiles]).T
 
 
 def make_w1() -> pr.CellWorld:

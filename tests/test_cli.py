@@ -963,6 +963,27 @@ def test_console_script_entry_point(tmp_path, w1_path):
     assert '"valid": true' in proc.stdout
 
 
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma on its first call (about 11 ms); pytest
+    # may import it itself, so the commands run in a fresh process
+    root = Path(__file__).resolve().parents[1]
+    auto = json.loads((root / "configs/calibrate_w1.json").read_text())
+    auto["pac"]["threshold_grid"] = "auto"
+    runs = [(cmd, f"configs/{cmd}_w1.json") for cmd in ("calibrate", "audit", "demo")]
+    runs.append(("calibrate", write_config(tmp_path, "auto.json", auto)))
+    code = (
+        "import sys\n"
+        "from pacroute.cli import main\n"
+        f"for i, (cmd, cfg) in enumerate({runs!r}):\n"
+        f"    assert main([cmd, '--config', cfg, '--out', {str(tmp_path)!r} + f'/{{i}}.json']) == 0\n"
+        "    print(cmd, cfg, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [word for cmd, cfg in runs for word in (cmd, cfg, "False")]
+
+
 def test_float_format_shortest_repr(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,

@@ -3,13 +3,20 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute
-from pacroute._kernels import cell_counts, cell_indices, stop_positions, tau_indices
+from pacroute._kernels import (
+    TILE_COLS,
+    cell_indices,
+    occupancy_counts,
+    stop_positions,
+    tau_indices,
+)
 
-from conftest import child_env
+from conftest import child_env, joined_uniforms, make_distinct_scores, make_w1
 from oracles import stop_position_scan
 
 
@@ -48,31 +55,54 @@ def test_stop_positions_match_per_set_scan(case):
     assert stop_positions(counts, position, b_star, n_positions).tolist() == expected
 
 
-@st.composite
-def cdf_and_uniforms(draw):
-    """A cell-mass CDF of 1..64 cells (zero masses give tied edges; the last
-    entry may fall short of 1) and an (n, sets) block of uniforms, some of
-    them exactly on an edge or one ulp either side of it."""
-    masses = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64)
-                  .filter(lambda ms: sum(ms) > 0))
-    cdf = np.cumsum(masses) / sum(masses) * draw(st.sampled_from([1.0, 0.999, 0.5]))
-    n, sets = draw(st.integers(1, 30)), draw(st.integers(1, 5))
-    edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
-    edges = edges[edges < 1.0]
-    uniform = st.floats(0.0, 1.0, exclude_max=True)
-    u = draw(st.lists(st.one_of(uniform, st.sampled_from(edges.tolist())),
-                      min_size=n * sets, max_size=n * sets))
-    return cdf, np.array(u).reshape(n, sets)
+# n at, one below and one past a tile edge: with a test draw, column n then
+# ends a tile, starts a new one, or sits second in one
+TILE_EDGE_NS = [k * TILE_COLS + d for k in (1, 6) for d in (-1, 0, 1)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(cdf_and_uniforms())
-def test_cell_counts_match_per_column_histogram(case):
-    cdf, u = case
-    counts = cell_counts(cdf, u)
-    expected = [np.bincount(cell_indices(cdf, col), minlength=len(cdf)) for col in u.T]
-    assert counts.shape == (u.shape[1], len(cdf))
-    assert np.array_equal(counts, expected)
+def _per_column_histogram(cdf, master_seed, stream, replications, n, test_draw, start):
+    u = joined_uniforms(master_seed, stream, replications, n + test_draw, start=start)
+    counts = [np.bincount(cell_indices(cdf, row[:n]), minlength=len(cdf)) for row in u]
+    return np.array(counts), cell_indices(cdf, u[:, n]) if test_draw else None
+
+
+@pytest.mark.parametrize("test_draw", [False, True], ids=["calibration", "test_draw"])
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+@pytest.mark.parametrize("make_world", [make_w1, lambda: make_distinct_scores(16)],
+                         ids=["2_cells", "16_cells"])
+def test_occupancy_counts_match_per_column_histogram(make_world, n, test_draw):
+    cdf = make_world().mass_cdf
+    counts, test_cells = occupancy_counts(5, 1, 37, n + test_draw, cdf, start=9,
+                                          test_draw=test_draw)
+    want_counts, want_cells = _per_column_histogram(cdf, 5, 1, 37, n, test_draw, 9)
+    assert counts.shape == (37, len(cdf))
+    assert np.array_equal(counts, want_counts)
+    if test_draw:
+        assert np.array_equal(test_cells, want_cells)
+    else:
+        assert test_cells is None
+
+
+def _edges_on_draws(u):
+    # 15 interior edges taken from the block's own draws, so uniforms sit
+    # exactly on them; one is taken twice, a tied edge (an empty cell)
+    picks = np.random.default_rng(0).choice(u.ravel(), 14, replace=False)
+    return np.append(np.sort(np.append(picks, picks[0])), 1.0)
+
+
+@pytest.mark.parametrize("cdf_of", [
+    _edges_on_draws,
+    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 0.0), 1.0),
+    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 1.0), 1.0),
+    lambda u: np.linspace(0.25, 0.5, 3),  # short of 1: the rest lands in the last cell
+], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one"])
+def test_occupancy_counts_at_exact_edges(cdf_of):
+    n = 2 * TILE_COLS + 3
+    cdf = cdf_of(joined_uniforms(8, 0, 64, n + 1))
+    counts, test_cells = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
+    want_counts, want_cells = _per_column_histogram(cdf, 8, 0, 64, n, True, 0)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(test_cells, want_cells)
 
 
 def test_numpy_fallback_runs_without_numba():

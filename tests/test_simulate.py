@@ -19,7 +19,6 @@ from pacroute.simulate import (
     TRACE_BLOCK_ROWS,
     DemoPreconditionError,
     McConfig,
-    _replication_uniforms,
     _tau_values_for_replications,
     audit_profile,
     default_audit_points,
@@ -31,6 +30,7 @@ from pacroute.simulate import (
 
 from conftest import (
     corpus,
+    joined_uniforms,
     make_distinct_scores,
     make_five_cell,
     make_masses_short_of_one,
@@ -217,7 +217,7 @@ def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
     check the count-based walk agrees with the reference implementation.
     Returns the walk's thresholds and the cells each replication occupied."""
     taus, _ = _tau_values_for_replications(w, loss, pac, n, reps, seed, stream)
-    u = _replication_uniforms(seed, stream, reps, n)
+    u = joined_uniforms(seed, stream, reps, n)
     mids = (w.lefts + w.rights) / 2
     occupied = []
     for r in range(reps):
@@ -283,7 +283,7 @@ def _reference_walk(w, loss, pac, n, reps, seed, stream):
 
 @pytest.mark.parametrize(
     "make_world, grid, n_taus",
-    [(make_w1, (0.5, 0.95), 2), (make_w1, None, 2), (make_ten_cell, None, 7)],
+    [(make_w1, (0.5, 0.95), 2), (make_w1, None, 2), (make_ten_cell, None, 8)],
     ids=["fixed", "auto", "ten_cell_auto"],
 )
 def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_taus):
@@ -317,6 +317,21 @@ def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
 
     # only the per-replication outputs (a few bytes each) may grow
     assert peak(16 * CHUNK) - peak(4 * CHUNK) <= 2 * 2**20
+
+
+def test_joint_risk_memory_flat_in_n(w1, loss01, pac_w1):
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mc_joint_risk(w1, loss01, pac_w1, CHUNK, 3, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # uniforms are drawn and counted one tile of columns at a time, so the
+    # chunk's working set does not grow with the calibration size
+    peak(100)  # fill the caches first, so both runs below start alike
+    assert peak(4000) - peak(100) <= 2**20
 
 
 def test_audit_memory_grows_by_one_threshold_per_replication(w1, loss01, pac_w1):
