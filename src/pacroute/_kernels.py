@@ -3,12 +3,13 @@
 ``occupancy_counts`` takes a chunk of replications from seeds to occupancy
 counts (calibration points per cell): ``uniform_tiles`` draws their uniforms
 TILE_COLS columns at a time into one reused buffer, and each tile is counted
-below every cell-mass CDF edge while it is in cache, so no chunk ever holds
-all its uniforms. ``stop_positions`` applies the fixed-sequence stopping rule
-to counts, as a running sum of the counts over the cells in position order;
-``tau_indices`` is that rule on a fixed grid. ``cell_indices`` maps single
-uniforms to cells, for test inputs and samplers. Each works on a block of
-replications at once and depends on nothing but its inputs.
+while it is in cache, so no chunk ever holds all its uniforms. A caller's
+settle rule lets it stop drawing the sets whose result is already fixed.
+``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
+running sum of the counts over the cells in position order; ``tau_indices``
+is that rule on a fixed grid. ``cell_indices`` maps single uniforms to
+cells, for test inputs and samplers. Each works on a block of replications
+at once and depends on nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
@@ -16,8 +17,10 @@ Replication ``r`` of stream ``s`` is specified as
 bits across replications: the ``SeedSequence`` pool mixing (O'Neill's
 seed_seq design, as numpy implements it) in uint32 words, once per chunk
 (``_pcg_states``), then the 128-bit PCG64 LCG with XSL-RR output (O'Neill
-2014) in pairs of uint64 words, one column at a time. ``tests/test_seeding.py``
-pins its tiles, joined, to numpy bit for bit.
+2014) in pairs of uint64 words, one column at a time. A set dropped early
+reaches its test column by jumping ahead, k LCG steps as one multiply-add
+(Brown 1994). ``tests/test_seeding.py`` pins the joined tiles and the jump
+to numpy bit for bit.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# PCG64 128-bit multiplier as uint64 halves, and the low half's 32-bit limbs
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO = np.uint64(_PCG_MULT & (2**64 - 1))
-_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
-_MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
+# the PCG64 multiplier
+_PCG_MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
 _DOUBLE_UNIT = 2.0**-53
 
 # columns drawn and counted together: one (TILE_COLS, replications) buffer
 TILE_COLS = 16
+
+# interior cell edges from which a tile is counted by a search per uniform,
+# not by one pass per edge
+SEARCH_EDGES = 64
 
 
 def active_backend() -> str:
@@ -108,19 +111,49 @@ def _pool_before_last_word(master_seed: int, stream: int) -> tuple[list[int], in
     return pool, hash_const
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One 128-bit LCG step, state*mult + inc mod 2**128, on uint64 halves."""
+def _halves(m: int) -> tuple:
+    """A 128-bit multiplier as ``_mul_add`` takes it: its high and low uint64
+    words, then the low word's two 32-bit limbs."""
+    return tuple(np.uint64(v) for v in (m >> 64, m & (2**64 - 1), m & _MASK32,
+                                        m >> 32 & _MASK32))
+
+
+_PCG_MULT = _halves(_PCG_MULT_INT)
+
+
+def _mul_add(hi, lo, mult: tuple, add_hi, add_lo):
+    """x*mult + add mod 2**128 on uint64 halves, ``mult`` from ``_halves``; with
+    the PCG64 multiplier and a state's increment, one LCG step."""
+    m_hi, m_lo, m_lo0, m_lo1 = mult
     lo0 = lo & _MASK32
     lo1 = lo >> 32
-    p00 = lo0 * _MULT_LO0
-    p01 = lo0 * _MULT_LO1
-    p10 = lo1 * _MULT_LO0
+    p00 = lo0 * m_lo0
+    p01 = lo0 * m_lo1
+    p10 = lo1 * m_lo0
     mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    mulhi = lo1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_hi = hi * _MULT_LO + lo * _MULT_HI + mulhi + inc_hi
-    new_lo = lo * _MULT_LO + inc_lo
-    new_hi += new_lo < inc_lo  # carry out of the low half
+    mulhi = lo1 * m_lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_hi = hi * m_lo + lo * m_hi + mulhi + add_hi
+    new_lo = lo * m_lo + add_lo
+    new_hi += new_lo < add_lo  # carry out of the low half
     return new_hi, new_lo
+
+
+def _lcg_power(steps: int) -> tuple[int, int]:
+    """``(a, c)`` such that ``steps`` PCG64 LCG steps take state s with
+    increment i to s*a + i*c mod 2**128 (Brown 1994, arbitrary strides):
+    a = M**steps and c = 1 + M + ... + M**(steps-1), which is
+    (M**steps - 1)/(M - 1) with M**steps taken mod (M - 1)*2**128."""
+    m = _PCG_MULT_INT
+    return pow(m, steps, 2**128), (pow(m, steps, (m - 1) << 128) - 1) // (m - 1)
+
+
+def _uniforms(hi, lo, out=None):
+    """The doubles PCG64 outputs from states (hi, lo): XSL-RR (rotate hi^lo
+    right by the state's top 6 bits), then the top 53 bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    x = (x >> rot) | (x << ((-rot) & 63))
+    return np.multiply(x >> 11, _DOUBLE_UNIT, out=out)
 
 
 def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
@@ -156,8 +189,7 @@ def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
     inc_lo = (s3 << 1) | 1
     lo = inc_lo + s1
     hi = inc_hi + s0 + (lo < s1)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
+    return (*_mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def uniform_tiles(
@@ -166,23 +198,34 @@ def uniform_tiles(
     """Yield the uniforms of replications ``start .. start+replications-1``
     of stream ``stream`` in tiles of up to TILE_COLS columns.
 
-    Each tile is a (columns, replications) view of one reused buffer, valid
-    until the next tile is drawn. Joined in order, the tiles' column ``j`` of
+    Each tile is a (columns, sets) view of one reused buffer, valid until the
+    next tile is drawn. Joined in order, the tiles' column ``j`` of
     replication ``start+i`` is ``Generator(PCG64(SeedSequence(master_seed,
     spawn_key=(stream, start+i)))).random(cols)[j]`` bit for bit.
+
+    ``send(keep)`` after a tile, a boolean mask over the tile's sets, drops
+    the sets it does not keep from the later tiles and returns their PCG64
+    states ``(hi, lo, inc_hi, inc_lo)``, as their last draw left them.
     """
-    hi, lo, inc_hi, inc_lo = _pcg_states(master_seed, stream, replications, start)
+    state = _pcg_states(master_seed, stream, replications, start)
     buf = np.empty((min(TILE_COLS, cols), replications))
     for first in range(0, cols, TILE_COLS):
-        tile = buf[:cols - first]
+        hi, lo, inc_hi, inc_lo = state
+        tile = buf[:cols - first, :len(hi)]
         for row in tile:
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-            # XSL-RR: rotate hi^lo right by the state's top 6 bits
-            x = hi ^ lo
-            rot = hi >> 58
-            x = (x >> rot) | (x << ((-rot) & 63))
-            np.multiply(x >> 11, _DOUBLE_UNIT, out=row)
-        yield tile
+            hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+            _uniforms(hi, lo, out=row)
+        state = hi, lo, inc_hi, inc_lo
+        keep = yield tile
+        if keep is not None:  # a send: hand back the dropped states
+            yield tuple(a[~keep] for a in state)
+            state = tuple(a[keep] for a in state)
+
+
+def _jump(hi, lo, inc_hi, inc_lo, steps: int):
+    """The states (hi, lo) ``steps`` LCG steps on: s*a + inc*c, by ``_lcg_power``."""
+    a, c = _lcg_power(steps)
+    return _mul_add(hi, lo, _halves(a), *_mul_add(inc_hi, inc_lo, _halves(c), 0, 0))
 
 
 def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -193,7 +236,7 @@ def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def occupancy_counts(
     master_seed: int, stream: int, replications: int, cols: int, cdf: np.ndarray, *,
-    start: int = 0, test_draw: bool = False,
+    start: int = 0, test_draw: bool = False, settled=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Occupancy counts (replications, cells) of ``uniform_tiles``' columns,
     and with ``test_draw`` the ``cell_indices`` of each replication's last
@@ -201,26 +244,53 @@ def occupancy_counts(
 
     Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
     ``cdf[c-1]``. The last cell takes everything at or above the last interior
-    edge, so a uniform past a last CDF entry below 1 lands there too. Each
-    tile is counted below every interior edge while it is in cache, one pass
-    per edge, which beats a search per uniform and a histogram on worlds of
-    a few dozen cells. The working set is one tile and the counts, whatever
-    ``cols``.
+    edge, so a uniform past a last CDF entry below 1 lands there too. Below
+    SEARCH_EDGES interior edges a tile is counted below every edge, one pass
+    per edge; from there on a search per uniform and one histogram per tile
+    are faster. The working set is one tile and the counts, whatever ``cols``.
+
+    ``settled(counts)``, if given, marks the sets, of (cells, sets) partial
+    counts, whose result no later draw can change; a set it marks must stay
+    marked as its counts grow. Once it marks at least half of the sets still
+    drawn, after a tile, those keep the counts they have and are drawn no
+    more. A dropped set's test column is ``_jump``ed to, with the same bits.
     """
     edges = cdf[:-1].tolist()
     counts = np.zeros((len(cdf), replications), dtype=np.intp)
-    test_cells, drawn = None, 0
-    for tile in uniform_tiles(master_seed, stream, replications, cols, start=start):
+    test_cells = np.zeros(replications, dtype=np.intp) if test_draw else None
+    live, ids, drawn = counts, np.arange(replications), 0  # the sets still drawn
+    tiles = uniform_tiles(master_seed, stream, replications, cols, start=start)
+    for tile in tiles:
         drawn += len(tile)
         if test_draw and drawn == cols:  # the test column ends the last tile
-            test_cells = cell_indices(cdf, tile[-1])
+            test_cells[ids] = cell_indices(cdf, tile[-1])
             tile = tile[:-1]
-        below_prev = 0  # the tile's uniforms below the previous edge
-        for c, edge in enumerate(edges):
-            below = np.count_nonzero(tile < edge, axis=0)
-            counts[c] += below - below_prev
-            below_prev = below
-        counts[-1] += len(tile) - below_prev
+        if len(edges) < SEARCH_EDGES:
+            below_prev = 0  # the tile's uniforms below the previous edge
+            for c, edge in enumerate(edges):
+                below = np.count_nonzero(tile < edge, axis=0)
+                live[c] += below - below_prev
+                below_prev = below
+            live[-1] += len(tile) - below_prev
+        else:  # a search per uniform, then one histogram of (cell, set) pairs
+            pairs = cell_indices(cdf, tile) * len(ids) + np.arange(len(ids))
+            live += np.bincount(pairs.ravel(), minlength=live.size).reshape(live.shape)
+        if settled is None or drawn == cols:
+            continue
+        done = settled(live)
+        dropped = np.count_nonzero(done)
+        if not dropped or 2 * dropped < len(ids):
+            continue
+        if live is not counts:
+            counts[:, ids[done]] = live[:, done]
+        state = tiles.send(~done)
+        if test_draw:  # the test column is cols - drawn steps on
+            test_cells[ids[done]] = cell_indices(cdf, _uniforms(*_jump(*state, cols - drawn)))
+        live, ids = live[:, ~done], ids[~done]
+        if not len(ids):
+            break
+    if live is not counts:
+        counts[:, ids] = live
     return counts.T, test_cells
 
 

@@ -12,8 +12,8 @@ a command computes with and the resolved config its report embeds. ``_emit``
 writes every report in one envelope.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
-written, or a run too large for memory, included), 3 world validation
-error, 4 demo precondition error.
+written, an ``n`` above MAX_N, or a run too large for memory, included), 3
+world validation error, 4 demo precondition error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_WORLD = 3
 EXIT_PRECONDITION = 4
+
+# the largest calibration size any command takes (calibration.n, demo.n,
+# oracle.n): at 10**6 each command peaks near 110 MiB, at 10**7 near 770
+MAX_N = 10**6
 
 
 class ConfigError(ValueError):
@@ -155,6 +159,8 @@ def _resolve(command: str, cfg: dict, args):
     for key, low in (("n", 1), ("seed", 0)):
         if section.get(key, low) < low:
             raise ConfigError(f"{name}.{key} must be >= {low}, got {section[key]}")
+    if section["n"] > MAX_N:
+        raise ConfigError(f"{name}.n must be <= {MAX_N}, got {section['n']}")
     for key in ("x_star", "x"):  # oracle.x may also be "joint"
         if isinstance(section.get(key), float) and not 0.0 <= section[key] <= 1.0:
             raise ConfigError(f"{name}.{key} must be in [0, 1], got {section[key]!r}")
@@ -318,7 +324,7 @@ def main(argv=None) -> int:
     except ValueError as e:  # a ConfigError, or a value the program refused
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as e:  # a size no bound refused, such as n = 10**13
+    except MemoryError as e:  # a size no bound refuses
         print(f"config error: the run does not fit in memory: {str(e) or 'no detail'}",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -14,10 +14,14 @@ another, so results do not depend on how the work is split. Because scores
 and labels are cell-constant, a replication's outcome depends only on how
 many of its calibration points land in each cell (its occupancy counts); one
 ``_kernels.occupancy_counts`` call per chunk draws the uniforms a tile of
-columns at a time and counts each tile below every cell-mass CDF edge, and
-nothing holds a chunk's uniforms, positions or per-point cell indices. Memory
-is one chunk's working set, whatever the calibration size, plus the 8-byte
-threshold each replication keeps.
+columns at a time and counts each tile, and nothing holds a chunk's
+uniforms, positions or per-point cell indices. A set is drawn no further once
+its walk is settled (``_settle_rule``): more than b* points at the first bad
+position fix its stop, and on the auto grid an occupied highest reachable
+position below that fixes ``prev``; its test draw, if any, is reached by a
+jump with the same bits. A chunk holds CHUNK sets, fewer on worlds of more
+than CHUNK_CELLS // CHUNK cells. Memory is one chunk's working set, whatever
+the calibration size, plus the 8-byte threshold each replication keeps.
 Monte-Carlo chunks and the exact oracle share the walk's threshold rule; the
 oracle sums its closed-form law one stop at a time.
 """
@@ -65,6 +69,10 @@ JOINT = "joint"
 
 # replications seeded, counted and walked together; bounds the working memory
 CHUNK = 8192
+
+# sets x cells per chunk: worlds of more than CHUNK_CELLS // CHUNK cells take
+# fewer sets per chunk, so that a chunk's (sets, cells) arrays stay bounded
+CHUNK_CELLS = CHUNK * 32
 
 # trace rows formatted and written together; bounds the trace writer's memory
 TRACE_BLOCK_ROWS = 8192
@@ -234,6 +242,37 @@ def _select(cfg_pac: PacConfig, walk, counts: np.ndarray) -> np.ndarray:
     return threshold(stop, prev)
 
 
+def _settle_rule(w: CellWorld, walk, auto_grid: bool):
+    """``settled(counts)`` over (cells, sets) partial occupancy counts for
+    ``occupancy_counts``, or None when no set can settle.
+
+    The walk cannot pass the first bad position once the count there exceeds
+    b*, so every later draw leaves the stop alone. On the auto grid the
+    threshold also reads ``prev``, the highest occupied position below the
+    stop; it is settled once the highest position below the stop that a draw
+    can reach (a nonempty cell-mass CDF interval) is occupied, or when there
+    is none. O(sets) per call, for a few cells."""
+    b_star, position, bad_position, n_pos, _ = walk
+    first_bad = bad_position.min()
+    if first_bad == n_pos:
+        return None
+    bad = np.flatnonzero(bad_position == first_bad)
+    prev = None  # the cells at prev's settled value
+    if auto_grid:
+        edges = w.mass_cdf[:-1]
+        reachable = np.append(edges, 1.0) > np.concatenate(([0.0], edges))
+        below = position[reachable & (position < first_bad)]
+        if below.size:
+            prev = np.flatnonzero(position == below.max())
+
+    def settled(counts):
+        done = counts[bad].sum(axis=0) > b_star
+        if prev is not None:
+            done &= counts[prev].any(axis=0)
+        return done
+    return settled
+
+
 def _tau_values_for_replications(
     w: CellWorld,
     loss: LossSpec,
@@ -250,24 +289,26 @@ def _tau_values_for_replications(
 
     With ``need_test_draws``, each replication consumes one extra uniform for
     an independent test input and its cell index is returned alongside.
-    Replications are seeded, counted and walked CHUNK at a time: memory is
-    one chunk's working set, flat in ``n``, plus 8 bytes per replication (16
-    with test draws, which also keep each test cell). When b* < 0 (the
-    trivial router, or a calibration too small to reject anything) every
-    replication selects ALWAYS_DEFER; nothing is drawn and the test cells are
-    all 0.
+    Replications are seeded, counted and walked a chunk at a time: memory is
+    one chunk's working set, flat in ``n`` and bounded in cells, plus 8 bytes
+    per replication (16 with test draws, which also keep each test cell).
+    When b* < 0 (the trivial router, or a calibration too small to reject
+    anything) every replication selects ALWAYS_DEFER; nothing is drawn and
+    the test cells are all 0.
     """
     walk = _walk(w, loss, cfg_pac, n, algorithm)
     test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
     if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
         return np.full(replications, ALWAYS_DEFER), test_cells
     cols = n + 1 if need_test_draws else n
+    settled = _settle_rule(w, walk, cfg_pac.threshold_grid is None)
+    chunk = max(1, min(CHUNK, CHUNK_CELLS // w.n_cells))
     taus = np.empty(replications)
-    for start in range(0, replications, CHUNK):
-        stop = min(start + CHUNK, replications)
+    for start in range(0, replications, chunk):
+        stop = min(start + chunk, replications)
         counts, tests = _replication_uniforms(master_seed, stream, stop - start, cols,
                                               w.mass_cdf, start=start,
-                                              test_draw=need_test_draws)
+                                              test_draw=need_test_draws, settled=settled)
         if need_test_draws:
             test_cells[start:stop] = tests
         taus[start:stop] = _select(cfg_pac, walk, counts)

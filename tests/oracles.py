@@ -18,6 +18,9 @@ other routes, and a scalar form of the same closed form checks it at any n:
 ``csv_trace_text`` is the reference for the trace writer: one tuple per row,
 formatted by ``csv.writer``.
 
+``taus_drawing_every_column`` is the Monte-Carlo selection with no set
+dropped early: every column drawn from numpy's own Generator.
+
 ``exceeds_scalar``, ``max_rejectable_count_scan``, ``stop_position_scan`` and
 ``select_threshold_loop`` are the one-value-at-a-time rules that the array
 forms in :mod:`pacroute.risk`, :mod:`pacroute.calibrate` and
@@ -32,6 +35,7 @@ import math
 import numpy as np
 
 import pacroute as pr
+from pacroute._kernels import cell_indices
 from pacroute.calibrate import (
     CalibrationOutcome,
     TestedThreshold,
@@ -100,6 +104,24 @@ def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
             q = 1.0 if pr.cell_at(w, x).score <= tau else 0.0
         value += prob * q
     return value, total
+
+
+def taus_drawing_every_column(w, loss, pac, n, replications, master_seed, stream,
+                              need_test_draws=False, algorithm="calibrated"):
+    """``_tau_values_for_replications`` with every column drawn: replication
+    r draws n (+1) uniforms from ``Generator(PCG64(SeedSequence(master_seed,
+    spawn_key=(stream, r))))`` and ``_select`` reads its full occupancy
+    counts. As there, b* < 0 draws nothing: ALWAYS_DEFER, test cells 0."""
+    walk = _walk(w, loss, pac, n, algorithm)
+    if walk[0] < 0:
+        return (np.full(replications, ALWAYS_DEFER),
+                np.zeros(replications, dtype=np.int64) if need_test_draws else None)
+    cells = cell_indices(w.mass_cdf, np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            master_seed, spawn_key=(stream, r)))).random(n + need_test_draws)
+        for r in range(replications)]))
+    counts = np.array([np.bincount(row[:n], minlength=w.n_cells) for row in cells])
+    return _select(pac, walk, counts), cells[:, n] if need_test_draws else None
 
 
 def _compositions(total, bins):

@@ -685,7 +685,8 @@ def test_unwritable_trace_exits_2_before_any_replication(
 ])
 def test_run_too_large_for_memory_exits_2(tmp_path, w1_path, capsys, monkeypatch,
                                           command, seam):
-    # numpy's message for n = 10**13; nothing is allocated here
+    # numpy's message for an allocation too large for memory; nothing is
+    # allocated here, and n is the largest the bound accepts
     message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
 
     def refuse(*args, **kwargs):
@@ -699,8 +700,8 @@ def test_run_too_large_for_memory_exits_2(tmp_path, w1_path, capsys, monkeypatch
             **BASE_CONFIG,
             "world": w1_path,
             "mc": {"replications": 5, "master_seed": 3},
-            "calibration": {"n": 10**13, "seed": 1},
-            "oracle": {"n": 10**13, "x": "joint"},
+            "calibration": {"n": cli.MAX_N, "seed": 1},
+            "oracle": {"n": cli.MAX_N, "x": "joint"},
         },
     )
     out = tmp_path / "r.json"
@@ -708,6 +709,33 @@ def test_run_too_large_for_memory_exits_2(tmp_path, w1_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert f"config error: the run does not fit in memory: {message}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, seam", [
+    ("calibrate", "calibration", "sample_calibration"),
+    ("audit", "calibration", "audit_profile"),
+    ("demo", "demo", "demo_with_replications"),
+    ("oracle", "oracle", "enumerate_distribution"),
+])
+def test_n_above_bound_exits_2_before_any_work(tmp_path, w1_path, capsys, monkeypatch,
+                                               command, section, seam):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, seam, refuse)
+    sections = {"calibration": {"n": 100, "seed": 1}, "oracle": {"n": 100, "x": "joint"},
+                "demo": {"x_star": 0.4, "eta": 0.01, "n": 100}}
+    sections[section]["n"] = 10**13
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path,
+                                            "mc": {"replications": 5, "master_seed": 3},
+                                            **sections})
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    # refused by the bound, not by the MemoryError handler
+    assert f"config error: {section}.n must be <= {cli.MAX_N}, got {10**13}" in err
+    assert "does not fit in memory" not in err
     assert not out.exists()
 
 

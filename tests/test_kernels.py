@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute
+from pacroute import _kernels
 from pacroute._kernels import (
     TILE_COLS,
     cell_indices,
@@ -101,6 +102,56 @@ def test_occupancy_counts_at_exact_edges(cdf_of):
     cdf = cdf_of(joined_uniforms(8, 0, 64, n + 1))
     counts, test_cells = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
     want_counts, want_cells = _per_column_histogram(cdf, 8, 0, 64, n, True, 0)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(test_cells, want_cells)
+
+
+@pytest.mark.parametrize("cdf_of", [
+    _edges_on_draws,
+    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 0.0), 1.0),
+    lambda u: np.linspace(0.25, 0.5, 3),
+], ids=["on_draws", "ulp_below_draws", "short_of_one"])
+def test_search_counting_matches_edge_passes(monkeypatch, cdf_of):
+    # worlds of SEARCH_EDGES interior edges or more are counted by a search
+    # per uniform; forced here on few cells, it must count alike
+    n = 2 * TILE_COLS + 3
+    cdf = cdf_of(joined_uniforms(8, 0, 64, n + 1))
+    want = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
+    monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
+    got = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def _dropping_reference(cdf, u, n, at_least):
+    """Counts and test cells of sets drawn in tiles, where after each tile but
+    the last the sets with ``at_least`` points in the last cell are dropped,
+    keeping their counts so far, once they are at least half of those left."""
+    cells = cell_indices(cdf, u[:, :n])
+    live = np.ones(len(u), dtype=bool)
+    counts = np.array([np.bincount(row, minlength=len(cdf)) for row in cells])
+    for end in range(TILE_COLS, u.shape[1], TILE_COLS):
+        partial = np.array([np.bincount(row[:end], minlength=len(cdf)) for row in cells])
+        done = live & (partial[:, -1] >= at_least)
+        if done.any() and 2 * done.sum() >= live.sum():
+            counts[done] = partial[done]
+            live &= ~done
+    return counts, cell_indices(cdf, u[:, -1])
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["edge_passes", "search"])
+@pytest.mark.parametrize("at_least", [1, 3, 9])
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+def test_dropped_sets_keep_partial_counts_and_test_cells(monkeypatch, n, at_least, search):
+    # a settle rule that stays true as counts grow: points in the last cell
+    if search:
+        monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
+    cdf = make_w1().mass_cdf
+    counts, test_cells = occupancy_counts(
+        4, 2, 300, n + 1, cdf, start=11, test_draw=True,
+        settled=lambda c: c[-1] >= at_least)
+    want_counts, want_cells = _dropping_reference(
+        cdf, joined_uniforms(4, 2, 300, n + 1, start=11), n, at_least)
     assert np.array_equal(counts, want_counts)
     assert np.array_equal(test_cells, want_cells)
 

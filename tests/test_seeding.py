@@ -3,7 +3,8 @@
 The determinism contract names ``Generator(PCG64(SeedSequence(master_seed,
 spawn_key=(stream, r)))).random(cols)`` as replication r's draws; numpy's own
 generator is the reference here for ``_kernels.uniform_tiles``, its tiles
-joined in order.
+joined in order, and for the jump that takes a set dropped early to its
+test column.
 """
 
 import numpy as np
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacroute._kernels import TILE_COLS, uniform_tiles
+from pacroute._kernels import (
+    _PCG_MULT,
+    TILE_COLS,
+    _jump,
+    _lcg_power,
+    _mul_add,
+    _pcg_states,
+    _uniforms,
+    uniform_tiles,
+)
 
 from conftest import joined_uniforms
 
@@ -87,3 +97,34 @@ def test_replication_index_is_one_uint32_word():
 def test_negative_seed_stream_or_start_refused(master_seed, stream, start):
     with pytest.raises(ValueError, match="must be >= 0"):
         joined_uniforms(master_seed, stream, 1, 1, start=start)
+
+
+@given(
+    master_seed=st.integers(0, 2**200 - 1),
+    stream=st.sampled_from([0, 1, 2, 2**33 + 1]),
+    cols=st.integers(1, 2 * TILE_COLS + 2),
+    near_top=st.booleans(),
+    back=st.integers(0, 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_jump_reaches_the_test_column(master_seed, stream, cols, near_top, back):
+    # a set dropped after k draws, for every k up to cols - 1 and so on both
+    # sides of each tile edge, jumps cols - k steps to its test column
+    replications = 3
+    start = 2**32 - replications - back if near_top else back
+    want = numpy_rows(master_seed, stream, replications, cols, start)[:, cols - 1]
+    hi, lo, inc_hi, inc_lo = _pcg_states(master_seed, stream, replications, start)
+    for k in range(cols):
+        assert np.array_equal(_uniforms(*_jump(hi, lo, inc_hi, inc_lo, cols - k)), want), k
+        hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+
+
+@given(seed=st.integers(0, 2**128 - 1),
+       steps=st.one_of(st.integers(0, 3 * TILE_COLS), st.integers(0, 2**128 - 1)))
+@settings(max_examples=100, deadline=None)
+def test_lcg_power_matches_numpy_advance(seed, steps):
+    bit_gen = np.random.PCG64(seed)
+    before = bit_gen.state["state"]
+    a, c = _lcg_power(steps)
+    bit_gen.advance(steps)
+    assert bit_gen.state["state"]["state"] == (before["state"] * a + before["inc"] * c) % 2**128

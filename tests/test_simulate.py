@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute import simulate
+from pacroute import _kernels, simulate
 from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json, encode_threshold
 from pacroute.simulate import (
     ALGORITHMS,
     CHUNK,
+    CHUNK_CELLS,
     JOINT,
     TRACE_BLOCK_ROWS,
     DemoPreconditionError,
@@ -43,6 +45,7 @@ from oracles import (
     brute_force_enumerate,
     csv_trace_text,
     occupancy_enumerate,
+    taus_drawing_every_column,
     threshold_law_scalar,
 )
 from test_worlds import world_strategy
@@ -304,6 +307,79 @@ def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_t
     )
     assert np.array_equal(taus, ref_taus)
     assert np.array_equal(cells, ref_cells)
+
+
+@given(
+    w=world_strategy(score=st.sampled_from([-0.5, 0.1, 0.4, 0.6, 0.9])),
+    grid=st.sampled_from([None, (0.3, 0.6), (0.0, 0.5, 0.95)]),
+    levels=st.sampled_from([(0.3, 0.05), (0.8, 0.3)]),
+    algorithm=st.sampled_from(ALGORITHMS),
+    n=st.sampled_from([1, 15, 16, 17, 33, 100]),
+    need_test_draws=st.booleans(),
+    search=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, need_test_draws,
+                                            search):
+    # tied scores and zero-mass cells; alpha 0.3 gives b* = 0 at n = 15-17,
+    # so many sets settle after the first tile; search: count by a search per
+    # uniform, as on worlds of many cells
+    loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
+    pac = pr.PacConfig(epsilon=0.0, alpha=levels[0], delta_split=levels[1],
+                       threshold_grid=grid)
+    args = (w, loss, pac, n, 96, 5, 3)
+    with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
+        taus, cells = _tau_values_for_replications(
+            *args, need_test_draws=need_test_draws, algorithm=algorithm)
+    want_taus, want_cells = taus_drawing_every_column(
+        *args, need_test_draws=need_test_draws, algorithm=algorithm)
+    assert np.array_equal(taus, want_taus)
+    assert (cells is None) == (want_cells is None)
+    assert cells is None or np.array_equal(cells, want_cells)
+
+
+def _settled(w, loss, pac, n, counts):
+    walk = simulate._walk(w, loss, pac, n, "calibrated")
+    return simulate._settle_rule(w, walk, pac.threshold_grid is None)(counts.T)
+
+
+def test_settle_rule_on_w1_and_the_demo_perturbed_world(w1, loss01, pac_w1):
+    # w1: b* = 1 at n = 100, and 16 draws put two points in the 0.2-mass bad
+    # cell with probability 0.86
+    counts, _ = _kernels.occupancy_counts(3, 0, CHUNK, _kernels.TILE_COLS, w1.mass_cdf)
+    assert np.mean(_settled(w1, loss01, pac_w1, 100, counts)) >= 0.85
+    # the demo's perturbed world: its first bad position holds only the ball,
+    # whose mass is below eta / (2n), so no set settles even with every draw
+    _, perturbed = pr.perturb(w1, loss01, 0.4, 0.01, 100)
+    counts, _ = _kernels.occupancy_counts(3, simulate.STREAM_PERTURBED_AUDIT, CHUNK, 100,
+                                          perturbed.mass_cdf)
+    assert not _settled(perturbed, loss01, pac_w1, 100, counts).any()
+
+
+def test_chunk_sets_shrink_as_cells_grow(loss01, monkeypatch):
+    sizes = []
+
+    def record(master_seed, stream, replications, *args, **kwargs):
+        sizes.append(replications)
+        return _kernels.occupancy_counts(master_seed, stream, replications, *args, **kwargs)
+
+    def peak(w):
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            _tau_values_for_replications(w, loss01, pac, 100, CHUNK, 3, 1, need_test_draws=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", record)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
+    # every world in configs/ and in the benchmark has at most 16 cells
+    peak(make_distinct_scores(16))
+    assert sizes == [CHUNK]
+    # 141 MiB when one chunk held CHUNK sets of 1000 cells
+    assert peak(make_distinct_scores(1000)) < 16 * 2**20
+    assert sum(sizes) == CHUNK and max(sizes) * 1000 <= CHUNK_CELLS
 
 
 def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
