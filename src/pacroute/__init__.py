@@ -16,14 +16,7 @@ from .adversary import (
     tv_product_bound,
     tv_single,
 )
-from .calibrate import (
-    CalibrationOutcome,
-    PacConfig,
-    auto_threshold_grid,
-    binomial_pvalue,
-    empirical_exceedances,
-    select_threshold,
-)
+from .calibrate import CalibrationOutcome, PacConfig, select_threshold
 from .risk import (
     ALWAYS_DEFER,
     EXPERT,
@@ -79,12 +72,9 @@ __all__ = [
     "PerturbationSpec",
     "WorldValidationError",
     "audit_profile",
-    "auto_threshold_grid",
-    "binomial_pvalue",
     "cell_at",
     "demo_with_replications",
     "disagreement_region",
-    "empirical_exceedances",
     "enumerate_distribution",
     "exact_deferral_mass",
     "exact_miscoverage",

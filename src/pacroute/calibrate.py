@@ -14,6 +14,10 @@ P(p(tau_hat) > alpha - delta) <= delta, and the joint probability that a
 fresh input suffers risk above epsilon is at most (alpha - delta) + delta
 = alpha. The exact oracle in :mod:`pacroute.simulate` computes this joint
 probability in closed form, at any calibration size.
+
+The rule has one home, the count walk ``_walk``: ``select_threshold`` runs it
+on one labeled set, ``_select`` on the occupancy counts of many sets, and the
+Monte-Carlo engine and the exact law in :mod:`pacroute.simulate` read it.
 """
 
 from __future__ import annotations
@@ -25,19 +29,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .risk import ALWAYS_DEFER, LossSpec, check_loss_compatible
+from . import _kernels
+from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags
 from .worlds import CalibrationSet, CellWorld, cell_indices_at
 
 __all__ = [
     "PacConfig",
     "TestedThreshold",
     "CalibrationOutcome",
-    "binomial_pvalue",
     "binomial_pvalue_table",
-    "empirical_exceedances",
-    "auto_threshold_grid",
     "select_threshold",
 ]
+
+ALGORITHMS = ("calibrated", "trivial")
 
 
 @dataclass(frozen=True)
@@ -143,13 +147,6 @@ def binomial_pvalue_table(n: int, t: float) -> np.ndarray:
     return cdf
 
 
-def binomial_pvalue(b: int, n: int, t: float) -> float:
-    """Exact P(Binomial(n, t) <= b); the p-value for H0: exceedance rate > t."""
-    if not 0 <= b <= n:
-        raise ValueError(f"need 0 <= b <= n, got b={b} n={n}")
-    return float(binomial_pvalue_table(n, t)[b])
-
-
 def max_rejectable_count(n: int, t: float, delta: float) -> int:
     """Largest count whose p-value is <= delta, or -1 if even zero is too many.
 
@@ -160,52 +157,80 @@ def max_rejectable_count(n: int, t: float, delta: float) -> int:
     return int(np.searchsorted(binomial_pvalue_table(n, t), delta, side="right")) - 1
 
 
-def empirical_exceedances(
-    d: CalibrationSet, w: CellWorld, loss: LossSpec, tau: float
-) -> int:
-    """Count calibration points routed fast at ``tau`` whose fast answer is bad.
+def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
+    """``(b_star, position, bad_position, n_positions, threshold)`` of the
+    count walk over n points. Positions are grid indices on a fixed grid and
+    the distinct scores on the auto grid; ``position[c]`` is cell ``c``'s
+    (n_positions: past a fixed grid) and ``bad_position[c]`` the first at which
+    its samples count as bad (n_positions: never). ``threshold(stop, prev)``
+    is what ``select_threshold`` picks when the walk stops at ``stop``
+    (n_positions: never) and ``prev`` is the highest occupied position below
+    it (-1: none), elementwise on arrays; a fixed grid ignores ``prev``.
 
-    Scores and fast labels come from the world; truth labels come from the
-    calibration set itself, so the statistic stays correct when the data were
-    drawn from a relabeled variant of ``w``.
-    """
-    if len(d) == 0:
-        raise ValueError("calibration set is empty")
-    check_loss_compatible(w, loss)
-    idx = cell_indices_at(w, d.xs)
-    return int(np.sum((w.scores[idx] <= tau) & loss.exceeds(w.fast_labels[idx], d.ys)))
+    The trivial router is this walk with b* = -1: no count rejects, so every
+    walk stops at position 0 and selects ALWAYS_DEFER."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if n < 1:
+        raise ValueError(f"calibration size n must be >= 1, got {n}")
+    check_epsilon_match(cfg_pac, loss)
+    b_star = (max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
+              if algorithm == "calibrated" else -1)
+    if cfg_pac.threshold_grid is not None:
+        by_stop = np.concatenate(([ALWAYS_DEFER], cfg_pac.threshold_grid))
+        position = np.searchsorted(by_stop[1:], w.scores, side="left")
+        n_pos = len(by_stop) - 1
+        def threshold(stop, prev):
+            return by_stop[stop]
+    else:
+        levels, position = np.unique(w.scores, return_inverse=True)
+        n_pos = len(levels)
+        def threshold(stop, prev):
+            # the midpoint up from prev, kept below the next level, or prev + 1 past the top
+            low, high = levels[prev], levels[np.minimum(stop, n_pos - 1)]
+            mid = np.minimum((low + high) / 2.0, np.nextafter(high, low))
+            return np.where(prev < 0, ALWAYS_DEFER, np.where(stop < n_pos, mid, low + 1.0))
+    bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
+    return b_star, position, bad_position, n_pos, threshold
 
 
-def auto_threshold_grid(observed_scores) -> tuple[float, ...]:
-    """Grid from observed scores: midpoints between distinct values, plus one above."""
-    s = np.sort(np.asarray(observed_scores, dtype=float))
-    if s.size == 0:
-        raise ValueError("no observed scores to build a grid from")
-    s = s[np.append(True, s[1:] != s[:-1])]  # np.unique would import numpy.ma
-    mids = (s[:-1] + s[1:]) / 2.0
-    return tuple(float(v) for v in mids) + (float(s[-1]) + 1.0,)
+def _select(cfg_pac: PacConfig, walk, counts: np.ndarray) -> np.ndarray:
+    """The threshold ``select_threshold`` picks from each calibration set with
+    these (sets, cells) occupancy counts, given the ``_walk`` over that many
+    points, with the world's labels as truth."""
+    b_star, position, bad_position, n_pos, threshold = walk
+    if cfg_pac.threshold_grid is not None:
+        return threshold(_kernels.tau_indices(counts, bad_position, b_star, n_pos) + 1, None)
+    stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
+    # the highest occupied position below the stop (-1: none)
+    prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
+    return threshold(stop, prev)
 
 
 def select_threshold(
     d: CalibrationSet, w: CellWorld, loss: LossSpec, cfg: PacConfig
 ) -> CalibrationOutcome:
-    """Fixed-sequence walk up the threshold grid; stop at the first non-rejection."""
+    """Fixed-sequence walk up the threshold grid; stop at the first non-rejection.
+
+    Truth labels come from the set itself, scores and fast labels from the
+    world, so the counts hold for data drawn from a relabeled ``w``."""
     n = len(d)
     if n == 0:
         raise ValueError("calibration set is empty")
-    check_epsilon_match(cfg, loss)
-    check_loss_compatible(w, loss)
+    b_star, position, _, n_pos, threshold = _walk(w, loss, cfg, n, "calibrated")
     idx = cell_indices_at(w, d.xs)
-    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[idx])
-    bad = np.sort(w.scores[idx][loss.exceeds(w.fast_labels[idx], d.ys)])
-    t = cfg.test_level
-    tested: list[TestedThreshold] = []
-    tau_hat = ALWAYS_DEFER
-    for tau, b in zip(grid, np.searchsorted(bad, grid, side="right").tolist()):
-        p = binomial_pvalue(b, n, t)
-        rejected = p <= cfg.delta_split
-        tested.append(TestedThreshold(tau=tau, exceedances=b, p_value=p, rejected=rejected))
-        if not rejected:
-            break
-        tau_hat = tau
-    return CalibrationOutcome(tau_hat=tau_hat, tested=tuple(tested), n=n)
+    at = position[idx]
+    bad = np.cumsum(np.bincount(at[loss.exceeds(w.fast_labels[idx], d.ys)],
+                                minlength=n_pos + 1))  # bad points at positions <= p
+    # every grid threshold, or on the auto grid the set's distinct scores
+    cand = (np.arange(n_pos) if cfg.threshold_grid is not None
+            else np.flatnonzero(np.bincount(at, minlength=n_pos)))
+    # each candidate is tested up to the next one, so this comes before the cut
+    taus = threshold(np.append(cand[1:], n_pos), cand)
+    rejected = int(np.searchsorted(bad[cand], b_star, side="right"))  # counts never fall
+    counts = bad[cand[:rejected + 1]]
+    tested = tuple(map(TestedThreshold, taus[:len(counts)].tolist(), counts.tolist(),
+                       binomial_pvalue_table(n, cfg.test_level)[counts].tolist(),
+                       (counts <= b_star).tolist()))
+    return CalibrationOutcome(tau_hat=tested[rejected - 1].tau if rejected else ALWAYS_DEFER,
+                              tested=tested, n=n)

@@ -26,11 +26,10 @@ from dataclasses import asdict
 from types import SimpleNamespace
 
 from . import __version__
-from .calibrate import PacConfig, check_epsilon_match, select_threshold
+from .calibrate import ALGORITHMS, PacConfig, check_epsilon_match, select_threshold
 from .risk import exact_deferral_mass, exact_miscoverage, loss_from_dict, loss_to_dict
 from .serialize import dump_json, encode_threshold
 from .simulate import (
-    ALGORITHMS,
     JOINT,
     DemoPreconditionError,
     McConfig,

@@ -22,8 +22,8 @@ position below that fixes ``prev``; its test draw, if any, is reached by a
 jump with the same bits. A chunk holds CHUNK sets, fewer on worlds of more
 than CHUNK_CELLS // CHUNK cells. Memory is one chunk's working set, whatever
 the calibration size, plus the 8-byte threshold each replication keeps.
-Monte-Carlo chunks and the exact oracle share the walk's threshold rule; the
-oracle sums its closed-form law one stop at a time.
+Monte-Carlo chunks and the exact oracle read the count walk of
+:mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 # the seeding seam, looked up at call time: perfbench/spans.py times it by this name
 from ._kernels import occupancy_counts as _replication_uniforms
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
-from .calibrate import PacConfig, check_epsilon_match, max_rejectable_count
+from .calibrate import PacConfig, _select, _walk
 from .risk import (
     ALWAYS_DEFER,
     LossSpec,
@@ -81,8 +80,6 @@ TRACE_BLOCK_ROWS = 8192
 STREAM_AUDIT = 0
 STREAM_JOINT = 1
 STREAM_PERTURBED_AUDIT = 2
-
-ALGORITHMS = ("calibrated", "trivial")
 
 # audit points closer than this differ only by rounding and audit the same input
 _TWIN_GAP = 1e-12
@@ -190,56 +187,6 @@ def default_audit_points(w: CellWorld) -> tuple[float, ...]:
     mids = (w.lefts + w.rights) / 2.0
     # np.sort, not np.unique (which imports numpy.ma): _drop_twins drops the repeats
     return _drop_twins(np.sort(np.concatenate([np.linspace(0.0, 1.0, 21), mids])))
-
-
-def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
-    """``(b_star, position, bad_position, n_positions, threshold)`` of the
-    count walk over n points. Positions are grid indices on a fixed grid and
-    the distinct scores on the auto grid; ``position[c]`` is cell ``c``'s
-    (n_positions: past a fixed grid) and ``bad_position[c]`` the first at which
-    its samples count as bad (n_positions: never). ``threshold(stop, prev)``
-    is what ``select_threshold`` picks when the walk stops at ``stop``
-    (n_positions: never) and ``prev`` is the highest occupied position below
-    it (-1: none), elementwise on arrays; a fixed grid ignores ``prev``.
-
-    The trivial router is this walk with b* = -1: no count rejects, so every
-    walk stops at position 0 and selects ALWAYS_DEFER."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if n < 1:
-        raise ValueError(f"calibration size n must be >= 1, got {n}")
-    check_epsilon_match(cfg_pac, loss)
-    b_star = (max_rejectable_count(n, cfg_pac.test_level, cfg_pac.delta_split)
-              if algorithm == "calibrated" else -1)
-    if cfg_pac.threshold_grid is not None:
-        by_stop = np.concatenate(([ALWAYS_DEFER], cfg_pac.threshold_grid))
-        position = np.searchsorted(by_stop[1:], w.scores, side="left")
-        n_pos = len(by_stop) - 1
-        def threshold(stop, prev):
-            return by_stop[stop]
-    else:
-        levels, position = np.unique(w.scores, return_inverse=True)
-        n_pos = len(levels)
-        def threshold(stop, prev):
-            # the midpoint up from prev, or prev + 1 past the top: auto_threshold_grid
-            low, high = levels[prev], levels[np.minimum(stop, n_pos - 1)]
-            tau = np.where(stop < n_pos, (low + high) / 2.0, low + 1.0)
-            return np.where(prev < 0, ALWAYS_DEFER, tau)
-    bad_position = np.where(cell_exceedance_flags(w, loss), position, n_pos)
-    return b_star, position, bad_position, n_pos, threshold
-
-
-def _select(cfg_pac: PacConfig, walk, counts: np.ndarray) -> np.ndarray:
-    """The threshold ``select_threshold`` picks from each calibration set with
-    these (sets, cells) occupancy counts, given the ``_walk`` over that many
-    points."""
-    b_star, position, bad_position, n_pos, threshold = walk
-    if cfg_pac.threshold_grid is not None:
-        return threshold(_kernels.tau_indices(counts, bad_position, b_star, n_pos) + 1, None)
-    stop = _kernels.stop_positions(counts, bad_position, b_star, n_pos)
-    # the highest occupied position below the stop (-1: none)
-    prev = np.where((counts > 0) & (position < stop[:, None]), position, -1).max(axis=1)
-    return threshold(stop, prev)
 
 
 def _settle_rule(w: CellWorld, walk, auto_grid: bool):

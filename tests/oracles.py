@@ -6,7 +6,8 @@ other routes, and a scalar form of the same closed form checks it at any n:
 
 - ``brute_force_enumerate`` loops over ordered cell assignments with product
   probabilities, rebuilding a calibration set per assignment and running
-  ``select_threshold`` on it. It costs cells**n, so it serves n <= 6.
+  ``select_threshold_loop`` on it, which shares no code with the count walk.
+  It costs cells**n, so it serves n <= 6.
 - ``occupancy_enumerate`` sums over the C(n+cells-1, cells-1) occupancy
   vectors with multinomial weights, selecting each vector's threshold with
   the Monte-Carlo walk's count-based selection. It is the exact reference at
@@ -24,7 +25,10 @@ dropped early: every column drawn from numpy's own Generator.
 ``exceeds_scalar``, ``max_rejectable_count_scan``, ``stop_position_scan`` and
 ``select_threshold_loop`` are the one-value-at-a-time rules that the array
 forms in :mod:`pacroute.risk`, :mod:`pacroute.calibrate` and
-:mod:`pacroute._kernels` replaced.
+:mod:`pacroute._kernels` replaced. ``select_threshold_loop`` walks the grid of
+``auto_threshold_grid``, counting ``empirical_exceedances`` afresh and reading
+a scalar ``binomial_pvalue`` at each threshold; it shares no code with the
+count walk that ``select_threshold`` runs.
 """
 
 import csv
@@ -39,14 +43,13 @@ from pacroute._kernels import cell_indices
 from pacroute.calibrate import (
     CalibrationOutcome,
     TestedThreshold,
-    auto_threshold_grid,
-    binomial_pvalue,
+    _select,
+    _walk,
     binomial_pvalue_table,
     check_epsilon_match,
 )
-from pacroute.risk import ALWAYS_DEFER
+from pacroute.risk import ALWAYS_DEFER, check_loss_compatible
 from pacroute.serialize import encode_threshold
-from pacroute.simulate import _select, _walk
 from pacroute.worlds import cell_indices_at
 
 
@@ -93,9 +96,7 @@ def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
         else:
             xs = np.array([mids[c] for c in assign])
             ys = np.array([w.cells[c].expert_label for c in assign], dtype=np.int64)
-            tau = pr.select_threshold(
-                pr.CalibrationSet(xs=xs, ys=ys), w, loss, pac
-            ).tau_hat
+            tau = select_threshold_loop(pr.CalibrationSet(xs=xs, ys=ys), w, loss, pac).tau_hat
         if x == pr.JOINT:
             q = pr.exact_miscoverage(w, loss, tau)
         elif tau is ALWAYS_DEFER:
@@ -198,6 +199,38 @@ def threshold_law_scalar(w, loss, pac, n, x, algorithm="calibrated"):
     return value, total
 
 
+def binomial_pvalue(b, n, t):
+    """Exact P(Binomial(n, t) <= b); the p-value for H0: exceedance rate > t."""
+    if not 0 <= b <= n:
+        raise ValueError(f"need 0 <= b <= n, got b={b} n={n}")
+    return float(binomial_pvalue_table(n, t)[b])
+
+
+def empirical_exceedances(d, w, loss, tau):
+    """Count calibration points routed fast at ``tau`` whose fast answer is bad.
+
+    Scores and fast labels come from the world; truth labels come from the
+    calibration set itself, so the statistic stays correct when the data were
+    drawn from a relabeled variant of ``w``.
+    """
+    if len(d) == 0:
+        raise ValueError("calibration set is empty")
+    check_loss_compatible(w, loss)
+    idx = cell_indices_at(w, d.xs)
+    return int(np.sum((w.scores[idx] <= tau) & loss.exceeds(w.fast_labels[idx], d.ys)))
+
+
+def auto_threshold_grid(observed_scores):
+    """Grid from observed scores: midpoints between distinct values, plus one above.
+    A midpoint that rounds up onto the higher value (the two are one ulp
+    apart) is the lower value instead, so that the higher one is not routed fast."""
+    s = np.unique(np.asarray(observed_scores, dtype=float))
+    if s.size == 0:
+        raise ValueError("no observed scores to build a grid from")
+    mids = [(a + b) / 2.0 if (a + b) / 2.0 < b else a for a, b in zip(s[:-1], s[1:])]
+    return tuple(float(v) for v in mids) + (float(s[-1]) + 1.0,)
+
+
 def select_threshold_loop(d, w, loss, cfg):
     """``select_threshold`` counting each grid threshold's exceedances afresh."""
     n = len(d)
@@ -206,7 +239,7 @@ def select_threshold_loop(d, w, loss, cfg):
     tested = []
     tau_hat = ALWAYS_DEFER
     for tau in grid:
-        b = pr.empirical_exceedances(d, w, loss, tau)
+        b = empirical_exceedances(d, w, loss, tau)
         p = binomial_pvalue(b, n, cfg.test_level)
         rejected = p <= cfg.delta_split
         tested.append(TestedThreshold(tau=tau, exceedances=b, p_value=p, rejected=rejected))

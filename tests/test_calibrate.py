@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute.calibrate import (
-    auto_threshold_grid,
-    binomial_pvalue,
-    binomial_pvalue_table,
-    max_rejectable_count,
-    select_threshold,
-)
+from pacroute import calibrate
+from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
+from pacroute.worlds import cell_indices_at
 
 from conftest import make_distinct_scores, make_three_cell, make_w1, world_strategy
-from oracles import max_rejectable_count_scan, select_threshold_loop
+from oracles import (
+    auto_threshold_grid,
+    binomial_pvalue,
+    empirical_exceedances,
+    max_rejectable_count_scan,
+    select_threshold_loop,
+)
 
 # closed forms computed independently: (1-t)^n for the zero-count tail
 PV_0_10_005 = 0.5987369392383787  # 0.95**10
@@ -101,14 +103,14 @@ def test_empirical_exceedances_none_below_tau(w1, loss01):
     xs = np.linspace(0.81, 0.99, 10)
     ys = np.ones(10, dtype=np.int64)
     d = pr.CalibrationSet(xs=xs, ys=ys)
-    assert pr.empirical_exceedances(d, w1, loss01, 0.5) == 0
+    assert empirical_exceedances(d, w1, loss01, 0.5) == 0
 
 
 def test_empirical_exceedances_all_count(w1, loss01):
     xs = np.linspace(0.81, 0.99, 10)
     ys = np.ones(10, dtype=np.int64)
     d = pr.CalibrationSet(xs=xs, ys=ys)
-    assert pr.empirical_exceedances(d, w1, loss01, 1.0) == 10
+    assert empirical_exceedances(d, w1, loss01, 1.0) == 10
 
 
 def test_empirical_exceedances_hand_count(loss01):
@@ -123,7 +125,7 @@ def test_empirical_exceedances_hand_count(loss01):
     xs = np.array([0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.48, 0.6, 0.7, 0.8])
     ys = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=np.int64)
     d = pr.CalibrationSet(xs=xs, ys=ys)
-    assert pr.empirical_exceedances(d, w, loss01, 0.5) == 3
+    assert empirical_exceedances(d, w, loss01, 0.5) == 3
 
 
 def test_empirical_exceedances_uses_set_labels_not_world(w1, loss01):
@@ -131,14 +133,14 @@ def test_empirical_exceedances_uses_set_labels_not_world(w1, loss01):
     xs = np.array([0.4])
     agree = pr.CalibrationSet(xs=xs, ys=np.array([0], dtype=np.int64))
     relabeled = pr.CalibrationSet(xs=xs, ys=np.array([1], dtype=np.int64))
-    assert pr.empirical_exceedances(agree, w1, loss01, 0.5) == 0
-    assert pr.empirical_exceedances(relabeled, w1, loss01, 0.5) == 1
+    assert empirical_exceedances(agree, w1, loss01, 0.5) == 0
+    assert empirical_exceedances(relabeled, w1, loss01, 0.5) == 1
 
 
 def test_empirical_exceedances_monotone_in_tau(w1, loss01):
     d = pr.sample_calibration(w1, 200, 3)
     taus = np.linspace(-1, 2, 31)
-    counts = [pr.empirical_exceedances(d, w1, loss01, float(t)) for t in taus]
+    counts = [empirical_exceedances(d, w1, loss01, float(t)) for t in taus]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -237,6 +239,43 @@ def test_select_threshold_matches_loop(w, loss, grid, alpha, n, seed):
     assert (out.tau_hat is ALWAYS_DEFER) == (out.tau_hat == ALWAYS_DEFER)
 
 
+@pytest.mark.parametrize("grid, world_tau", [((0.5, 0.95), 0.95), (None, 1.1)],
+                         ids=["fixed", "auto"])
+def test_select_threshold_counts_the_set_labels(w1, loss01, grid, world_tau):
+    # two points in the demo's relabeled ball carry its bad label; w1 calls
+    # their cell good, so the walk on w1's own labels counts no bad point
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=grid)
+    spec, _ = pr.perturb(w1, loss01, 0.4, 0.01, 100)
+    xs = np.append(np.linspace(0.05, 0.3, 98), [0.4, 0.4 + spec.radius / 2])
+    ys = np.append(np.zeros(98, dtype=np.int64), [spec.adversarial_label] * 2)
+    d = pr.CalibrationSet(xs=xs, ys=ys)
+    walk = calibrate._walk(w1, loss01, pac, 100, "calibrated")
+    assert walk[0] == 1  # b*: two bad points are one too many
+    out = select_threshold(d, w1, loss01, pac)
+    assert out == select_threshold_loop(d, w1, loss01, pac)
+    assert out.tau_hat is ALWAYS_DEFER and out.tested[0].exceedances == 2
+    counts = np.bincount(cell_indices_at(w1, xs), minlength=w1.n_cells)
+    assert calibrate._select(pac, walk, counts[None]).tolist() == [world_tau]
+
+
+def test_auto_grid_threshold_stays_below_the_next_score(loss01):
+    # the scores are one ulp apart, so their midpoint rounds up onto the bad
+    # cell's score; the walk counts that cell from its own position on
+    a = float(np.nextafter(0.5, 1.0))
+    b = float(np.nextafter(a, 1.0))
+    assert (a + b) / 2.0 == b
+    w = pr.CellWorld(cells=(pr.Cell(0.0, 0.8, 0.8, 0, 0, a), pr.Cell(0.8, 1.0, 0.2, 1, 0, b)),
+                     alphabet_size=2)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=None)
+    d = pr.CalibrationSet(xs=np.repeat([0.5, 0.9], [90, 10]), ys=np.repeat([0, 1], [90, 10]))
+    out = select_threshold(d, w, loss01, pac)
+    assert out == select_threshold_loop(d, w, loss01, pac)
+    assert out.tau_hat == a
+    assert [t.exceedances for t in out.tested] == [
+        empirical_exceedances(d, w, loss01, t.tau) for t in out.tested]
+    assert pr.enumerate_distribution(w, loss01, pac, 100, pr.JOINT).value <= pac.alpha
+
+
 def test_select_threshold_is_not_grid_times_n():
     # 2000 distinct scores, auto grid, n = 20000: about 1500 thresholds tested
     w = make_distinct_scores(2000)
@@ -253,7 +292,7 @@ def test_select_threshold_rejects_empty_set(w1, loss01, pac_w1):
     with pytest.raises(ValueError):
         select_threshold(empty, w1, loss01, pac_w1)
     with pytest.raises(ValueError, match="empty"):
-        pr.empirical_exceedances(empty, w1, loss01, 0.5)
+        empirical_exceedances(empty, w1, loss01, 0.5)
 
 
 def test_select_threshold_epsilon_mismatch(w1, pac_w1):

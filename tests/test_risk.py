@@ -8,7 +8,7 @@ from pacroute.adversary import choose_adversarial_label
 from pacroute.risk import ALWAYS_DEFER, EXPERT, FAST, cell_exceedance_flags
 
 from conftest import corpus, make_masses_short_of_one, world_strategy
-from oracles import exceeds_scalar
+from oracles import empirical_exceedances, exceeds_scalar
 
 
 def test_route_strict_inequality():
@@ -210,7 +210,7 @@ def test_bad_cell_rules_match_scalar_reference(w, data):
     tau = data.draw(st.floats(-6.0, 6.0))
     cells = [pr.cell_at(w, x) for x in xs]
     d = pr.CalibrationSet(xs=np.array(xs), ys=np.array(ys, dtype=np.int64))
-    assert pr.empirical_exceedances(d, w, loss, tau) == sum(
+    assert empirical_exceedances(d, w, loss, tau) == sum(
         c.score <= tau and exceeds_scalar(loss, c.fast_label, y) for c, y in zip(cells, ys)
     )
     fast = cells[0].fast_label

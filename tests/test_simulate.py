@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute import _kernels, simulate
-from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
+from pacroute import _kernels, calibrate, simulate
+from pacroute.calibrate import ALGORITHMS, binomial_pvalue_table, max_rejectable_count
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json, encode_threshold
 from pacroute.simulate import (
-    ALGORITHMS,
     CHUNK,
     CHUNK_CELLS,
     JOINT,
@@ -45,6 +44,7 @@ from oracles import (
     brute_force_enumerate,
     csv_trace_text,
     occupancy_enumerate,
+    select_threshold_loop,
     taus_drawing_every_column,
     threshold_law_scalar,
 )
@@ -228,7 +228,7 @@ def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
             np.searchsorted(w.mass_cdf, u[r], side="right"), len(w.cells) - 1
         )
         d = pr.CalibrationSet(xs=mids[cells], ys=w.expert_labels[cells])
-        ref = select_threshold(d, w, loss, pac).tau_hat
+        ref = select_threshold_loop(d, w, loss, pac).tau_hat
         if ref is ALWAYS_DEFER:
             assert taus[r] == -np.inf
         else:
@@ -268,7 +268,7 @@ def test_engine_matches_select_threshold_auto_grid(w1, loss01):
 
 
 def _reference_walk(w, loss, pac, n, reps, seed, stream):
-    """Row by row: numpy's Generator, then select_threshold on the cells hit."""
+    """Row by row: numpy's Generator, then select_threshold_loop on the cells hit."""
     mids = (w.lefts + w.rights) / 2
     taus, test_cells = np.empty(reps), np.empty(reps, dtype=np.int64)
     for r in range(reps):
@@ -278,7 +278,7 @@ def _reference_walk(w, loss, pac, n, reps, seed, stream):
             np.searchsorted(w.mass_cdf, u, side="right"), len(w.cells) - 1
         )
         d = pr.CalibrationSet(xs=mids[cells[:n]], ys=w.expert_labels[cells[:n]])
-        tau = select_threshold(d, w, loss, pac).tau_hat
+        tau = select_threshold_loop(d, w, loss, pac).tau_hat
         taus[r] = -np.inf if tau is ALWAYS_DEFER else tau
         test_cells[r] = cells[n]
     return taus, test_cells
@@ -339,7 +339,7 @@ def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, need_
 
 
 def _settled(w, loss, pac, n, counts):
-    walk = simulate._walk(w, loss, pac, n, "calibrated")
+    walk = calibrate._walk(w, loss, pac, n, "calibrated")
     return simulate._settle_rule(w, walk, pac.threshold_grid is None)(counts.T)
 
 
@@ -639,8 +639,8 @@ def test_walk_and_law_memory_flat_in_score_levels(loss01):
     w = make_distinct_scores(3000)
     pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
     counts = np.random.default_rng(3).multinomial(100, w.masses / w.masses.sum(), size=16)
-    assert peak(lambda: simulate._select(
-        pac, simulate._walk(w, loss01, pac, 100, "calibrated"), counts)) < 5 * 2**20
+    assert peak(lambda: calibrate._select(
+        pac, calibrate._walk(w, loss01, pac, 100, "calibrated"), counts)) < 5 * 2**20
     # nor a (levels + 1)**2 law: the exact oracle over 1000 levels
     pac = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=None)
     w = make_distinct_scores(1000)
