@@ -2,8 +2,9 @@
 
 Every run is described by a single JSON config file; ``--seed`` and ``--out``
 override the config, and ``--workers`` is accepted for compatibility but has
-no effect on outputs or on work. ``audit`` and ``demo`` also take ``--trace``,
-which streams per-replication CSV rows; the other commands refuse it.
+no effect on outputs or on work. A command that ``_COMMANDS`` gives a trace
+header (``audit``, ``demo``) also takes ``--trace``, and writes each chunk's
+per-replication CSV rows as it walks the chunk; the others refuse the flag.
 
 The config and every output path are checked before any work runs. A key
 that no command reads is refused, and numbers follow ``worlds.json_number``.
@@ -13,7 +14,8 @@ writes every report in one envelope.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
 written, an ``n`` above MAX_N, or a run too large for memory, included), 3
-world validation error, 4 demo precondition error.
+world validation error, 4 demo precondition error. A failed run leaves no
+report, and no trace file it wrote rows to.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -36,7 +39,6 @@ from .simulate import (
     audit_profile,
     demo_with_replications,
     enumerate_distribution,
-    trace_blocks,
 )
 from .worlds import WorldValidationError, json_field, json_number, load_world, sample_calibration
 
@@ -153,7 +155,7 @@ def _resolve(command: str, cfg: dict, args):
             raise ConfigError(f"algorithm must be {' or '.join(map(repr, ALGORITHMS))}, "
                               f"got {algorithm!r}")
         values["algorithm"] = config["algorithm"] = algorithm
-    _, name, keys = _COMMANDS[command]
+    _, name, keys, _ = _COMMANDS[command]
     section = config[name] = _read(cfg, name, keys, args.seed)
     for key, low in (("n", 1), ("seed", 0)):
         if section.get(key, low) < low:
@@ -167,11 +169,10 @@ def _resolve(command: str, cfg: dict, args):
     return world, SimpleNamespace(**values), config
 
 
-def _write_text(path: str, text: str, blocks=(), mode: str = "w") -> None:
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
         with open(path, mode, encoding="utf-8", newline="") as f:
             f.write(text)
-            f.writelines(blocks)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 
@@ -186,12 +187,34 @@ def _emit(command: str, config: dict, report, out) -> None:
         sys.stdout.write(text)
 
 
-def _write_trace(path: str, header, blocks) -> None:
-    """The CSV header row, then the row text of ``simulate.trace_blocks``."""
-    _write_text(path, ",".join(header) + "\r\n", blocks)
+def _write_trace(path: str, header, command):
+    """``command(trace)``, where ``trace(blocks)`` writes CSV rows to ``path``,
+    opened with its header on the first rows; a run that raises after them
+    removes the file, so a failed run leaves ``path`` as it was or absent."""
+    file = None
+
+    def trace(blocks) -> None:
+        nonlocal file
+        if file is None:
+            file = open(path, "w", encoding="utf-8", newline="")
+            file.write(",".join(header) + "\r\n")
+        file.writelines(blocks)
+
+    try:
+        report = command(trace)
+        file.close()  # every traced run writes rows: replications and points are >= 1
+    except BaseException as e:
+        if file is not None:
+            os.remove(path)  # first: on a full disk the close fails too
+            with suppress(OSError):
+                file.close()
+        if isinstance(e, OSError):  # a command reads and writes no other file
+            raise ConfigError(f"cannot write {path}: {e}") from e
+        raise
+    return report
 
 
-def _calibrate(world, run, args) -> dict:
+def _calibrate(world, run, trace) -> dict:
     data = sample_calibration(world, run.n, run.seed)
     outcome = select_threshold(data, world, run.loss, run.pac)
     return {
@@ -203,52 +226,32 @@ def _calibrate(world, run, args) -> dict:
     }
 
 
-def _audit(world, run, args):
-    audit, taus = audit_profile(
-        world, run.loss, run.pac, run.mc, run.n, algorithm=run.algorithm
-    )
-    if args.trace:
-        _write_trace(
-            args.trace,
-            ("replication", "point", "tau_hat", "g", "risk_exceeded"),
-            trace_blocks(world, run.loss, [p.x for p in audit.points], taus),
-        )
-    return audit
+def _audit(world, run, trace):
+    return audit_profile(world, run.loss, run.pac, run.mc, run.n, algorithm=run.algorithm,
+                         trace=trace)[0]
 
 
-def _demo(world, run, args):
-    report, perturbed, base_taus, pert_taus = demo_with_replications(
-        world, run.loss, run.pac, run.x_star, run.eta, run.n, run.mc,
-        algorithm=run.algorithm,
-    )
-    if args.trace:
-        points = [p.x for p in report.base_audit.points]
-        lanes = (("base", world, base_taus), ("perturbed", perturbed, pert_taus))
-        _write_trace(
-            args.trace,
-            ("world", "replication", "point", "tau_hat", "g", "risk_exceeded"),
-            (
-                block
-                for name, w, taus in lanes
-                for block in trace_blocks(w, run.loss, points, taus, prefix=f"{name},")
-            ),
-        )
-    return report
+def _demo(world, run, trace):
+    return demo_with_replications(world, run.loss, run.pac, run.x_star, run.eta, run.n,
+                                  run.mc, algorithm=run.algorithm, trace=trace)
 
 
-def _oracle(world, run, args):
+def _oracle(world, run, trace):
     return enumerate_distribution(
         world, run.loss, run.pac, run.n, run.x, algorithm=run.algorithm
     )
 
 
+_TRACE_COLUMNS = ("replication", "point", "tau_hat", "g", "risk_exceeded")
+
 # command -> (what it computes, the section it reads besides world, loss, pac
-# and mc, and that section's keys it reads: None for all)
+# and mc, that section's keys it reads (None: all), and the header of its
+# --trace CSV (None: the command takes no --trace))
 _COMMANDS = {
-    "calibrate": (_calibrate, "calibration", None),
-    "audit": (_audit, "calibration", ("n",)),
-    "demo": (_demo, "demo", None),
-    "oracle": (_oracle, "oracle", None),
+    "calibrate": (_calibrate, "calibration", None, None),
+    "audit": (_audit, "calibration", ("n",), _TRACE_COLUMNS),
+    "demo": (_demo, "demo", None, ("world", *_TRACE_COLUMNS)),
+    "oracle": (_oracle, "oracle", None, None),
 }
 
 
@@ -274,7 +277,10 @@ def _run(command: str, cfg: dict, args) -> int:
         _write_text(path, "", mode="a")  # an existing file keeps its bytes
         if not existed:
             os.remove(path)
-    _emit(command, config, _COMMANDS[command][0](world, run, args), out)
+    compute, *_, header = _COMMANDS[command]
+    report = (_write_trace(trace, header, lambda rows: compute(world, run, rows)) if trace
+              else compute(world, run, None))
+    _emit(command, config, report, out)
     return EXIT_OK
 
 
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=_positive_int, default=1,
             help="accepted for compatibility; has no effect on outputs or work",
         )
-        if name in ("audit", "demo"):
+        if name in _COMMANDS and _COMMANDS[name][3]:
             p.add_argument(
                 "--trace", default=None, help="write the per-replication CSV trace here",
             )

@@ -20,8 +20,9 @@ its walk is settled (``_settle_rule``): more than b* points at the first bad
 position fix its stop, and on the auto grid an occupied highest reachable
 position below that fixes ``prev``; its test draw, if any, is reached by a
 jump with the same bits. A chunk holds CHUNK sets, fewer on worlds of more
-than CHUNK_CELLS // CHUNK cells. Memory is one chunk's working set, whatever
-the calibration size, plus the 8-byte threshold each replication keeps.
+than CHUNK_CELLS // CHUNK cells, and is folded (tallied, counted, traced)
+before the next is drawn: memory is one chunk's working set, whatever the
+calibration size and replication count, plus one tally entry per threshold.
 Monte-Carlo chunks and the exact oracle read the count walk of
 :mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,12 +41,7 @@ import numpy as np
 from ._kernels import occupancy_counts as _replication_uniforms
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, _select, _walk
-from .risk import (
-    ALWAYS_DEFER,
-    LossSpec,
-    cell_exceedance_flags,
-    exact_deferral_mass,
-)
+from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass
 from .serialize import encode_threshold
 from .worlds import CellWorld, cell_at, cell_indices_at
 
@@ -98,11 +95,14 @@ class McConfig:
     audit_points: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("replications", "master_seed"):  # stored as Python ints
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.replications <= 2**32:
             # a replication index is one uint32 spawn-key word
-            raise ValueError(
-                f"replications must be in [1, 2**32], got {self.replications}"
-            )
+            raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.audit_points is not None:
@@ -231,50 +231,32 @@ def _tau_values_for_replications(
     *,
     need_test_draws: bool = False,
     algorithm: str = "calibrated",
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-replication selected thresholds.
+):
+    """Yield ``(start, thresholds, test_cells)`` per chunk, in order: the
+    thresholds of replications ``start, start + 1, ...``, each chunk seeded,
+    counted and walked only when asked for, so a caller that folds each chunk
+    holds one chunk's working set, flat in ``n`` and bounded in cells.
 
     With ``need_test_draws``, each replication consumes one extra uniform for
-    an independent test input and its cell index is returned alongside.
-    Replications are seeded, counted and walked a chunk at a time: memory is
-    one chunk's working set, flat in ``n`` and bounded in cells, plus 8 bytes
-    per replication (16 with test draws, which also keep each test cell).
+    an independent test input, and ``test_cells`` holds its cell (else None).
     When b* < 0 (the trivial router, or a calibration too small to reject
     anything) every replication selects ALWAYS_DEFER; nothing is drawn and
     the test cells are all 0.
     """
     walk = _walk(w, loss, cfg_pac, n, algorithm)
-    test_cells = np.zeros(replications, dtype=np.int64) if need_test_draws else None
-    if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
-        return np.full(replications, ALWAYS_DEFER), test_cells
     cols = n + 1 if need_test_draws else n
     settled = _settle_rule(w, walk, cfg_pac.threshold_grid is None)
     chunk = max(1, min(CHUNK, CHUNK_CELLS // w.n_cells))
-    taus = np.empty(replications)
     for start in range(0, replications, chunk):
-        stop = min(start + chunk, replications)
-        counts, tests = _replication_uniforms(master_seed, stream, stop - start, cols,
-                                              w.mass_cdf, start=start,
-                                              test_draw=need_test_draws, settled=settled)
-        if need_test_draws:
-            test_cells[start:stop] = tests
-        taus[start:stop] = _select(cfg_pac, walk, counts)
-    return taus, test_cells
-
-
-def _point_records(
-    w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray
-) -> tuple[PointAudit, ...]:
-    m = len(tau_values)
-    idx = cell_indices_at(w, np.asarray(points, dtype=float))
-    bad = cell_exceedance_flags(w, loss)[idx].tolist()
-    recs = []
-    for x, score, is_bad in zip(points, w.scores[idx].tolist(), bad):
-        est = float(np.sum(score <= tau_values)) / m
-        std_err = math.sqrt(est * (1.0 - est) / m)
-        recs.append(PointAudit(x=float(x), est_fast_prob=est,
-                               est_violation_prob=est if is_bad else 0.0, std_err=std_err))
-    return tuple(recs)
+        sets = min(chunk, replications - start)
+        if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
+            yield (start, np.full(sets, ALWAYS_DEFER),
+                   np.zeros(sets, dtype=np.int64) if need_test_draws else None)
+            continue
+        counts, tests = _replication_uniforms(master_seed, stream, sets, cols, w.mass_cdf,
+                                              start=start, test_draw=need_test_draws,
+                                              settled=settled)
+        yield start, _select(cfg_pac, walk, counts), tests
 
 
 def audit_profile(
@@ -286,33 +268,47 @@ def audit_profile(
     *,
     algorithm: str = "calibrated",
     stream: int = STREAM_AUDIT,
-) -> tuple[AuditReport, np.ndarray]:
+    trace=None,
+    trace_prefix: str = "",
+) -> tuple[AuditReport, dict[float, int]]:
     """Estimate fast-usage and violation probabilities at each audit point.
 
     The report's ``trivial_verdict`` says whether the router ever uses the fast
-    model more often than alpha. Returns (report, per-replication thresholds).
+    model more often than alpha. Returns (report, tally): the tally maps each
+    selected threshold, ascending, to the number of replications that
+    selected it. ``trace``, if given, is called with each chunk's
+    ``trace_blocks`` (rows opened by ``trace_prefix``) as the chunk is walked.
     """
     points = cfg_mc.audit_points or default_audit_points(w)
-    taus, _ = _tau_values_for_replications(
+    tally = Counter()
+    for start, taus, _ in _tau_values_for_replications(
         w, loss, cfg_pac, n, cfg_mc.replications, cfg_mc.master_seed, stream,
         algorithm=algorithm,
-    )
-    recs = _point_records(w, loss, points, taus)
-    max_fast = max(r.est_fast_prob for r in recs)
-    verdict = all(
-        r.est_fast_prob <= cfg_pac.alpha + 3.0 * r.std_err for r in recs
-    )
-    above = tuple(r.x for r in recs if r.est_fast_prob > cfg_pac.alpha)
+    ):
+        values, counts = np.unique(taus, return_counts=True)
+        tally.update(dict(zip(values.tolist(), counts.tolist())))
+        if trace is not None:
+            trace(trace_blocks(w, loss, points, taus, trace_prefix, start=start))
+    tally, m = dict(sorted(tally.items())), cfg_mc.replications
+    idx = cell_indices_at(w, np.asarray(points, dtype=float))
+    # a point is routed fast by every threshold at or above its score
+    at_or_above = np.append(np.cumsum(list(tally.values())[::-1])[::-1], 0)
+    fast = at_or_above[np.searchsorted(list(tally), w.scores[idx], side="left")] / m
+    recs = tuple(
+        PointAudit(x=float(x), est_fast_prob=est, est_violation_prob=est if is_bad else 0.0,
+                   std_err=math.sqrt(est * (1.0 - est) / m))
+        for x, est, is_bad in zip(points, fast.tolist(),
+                                  cell_exceedance_flags(w, loss)[idx].tolist()))
     report = AuditReport(
         points=recs,
-        max_fast_prob=max_fast,
+        max_fast_prob=max(r.est_fast_prob for r in recs),
         alpha=cfg_pac.alpha,
-        trivial_verdict=verdict,
-        points_above_alpha=above,
-        replications=cfg_mc.replications,
+        trivial_verdict=all(r.est_fast_prob <= cfg_pac.alpha + 3.0 * r.std_err for r in recs),
+        points_above_alpha=tuple(r.x for r in recs if r.est_fast_prob > cfg_pac.alpha),
+        replications=m,
         algorithm=algorithm,
     )
-    return report, taus
+    return report, tally
 
 
 def mc_joint_risk(
@@ -329,16 +325,19 @@ def mc_joint_risk(
     """Estimate the joint probability that a fresh input suffers risk > epsilon.
 
     Each replication calibrates on a fresh set of size n, then draws one test
-    input. Returns (estimate, binomial standard error).
+    input. ``replications`` and ``master_seed`` follow McConfig's rule.
+    Returns (estimate, binomial standard error).
     """
-    taus, test_cells = _tau_values_for_replications(
-        w, loss, cfg_pac, n, replications, master_seed, stream,
-        need_test_draws=True, algorithm=algorithm,
-    )
+    mc = McConfig(replications, master_seed)
     bad = cell_exceedance_flags(w, loss)
-    risky = bad[test_cells] & (w.scores[test_cells] <= taus)
-    est = float(np.sum(risky)) / replications
-    return est, math.sqrt(est * (1.0 - est) / replications)
+    risky = 0
+    for _, taus, cells in _tau_values_for_replications(
+        w, loss, cfg_pac, n, mc.replications, mc.master_seed, stream,
+        need_test_draws=True, algorithm=algorithm,
+    ):
+        risky += int(np.count_nonzero(bad[cells] & (w.scores[cells] <= taus)))
+    est = risky / mc.replications
+    return est, math.sqrt(est * (1.0 - est) / mc.replications)
 
 
 def _lower_tails(b_star: int, n: int, t: np.ndarray) -> np.ndarray:
@@ -432,14 +431,6 @@ def enumerate_distribution(
     )
 
 
-def _mean_deferral_mass(w: CellWorld, tau_values: np.ndarray) -> float:
-    uniq, counts = np.unique(tau_values, return_counts=True)
-    total = 0.0
-    for tau, k in zip(uniq, counts):
-        total += int(k) * exact_deferral_mass(w, float(tau))
-    return total / len(tau_values)
-
-
 def demo_with_replications(
     base: CellWorld,
     loss: LossSpec,
@@ -450,7 +441,8 @@ def demo_with_replications(
     cfg_mc: McConfig,
     *,
     algorithm: str = "calibrated",
-):
+    trace=None,
+) -> DemoReport:
     """Audit a router at x_star, then again under a near-indistinguishable rival world.
 
     Pipeline: (1) solve and apply the local label swap around x_star, which
@@ -473,25 +465,24 @@ def demo_with_replications(
     DemoPreconditionError. A router already trivial at x_star yields
     ``demo_vacuous``. An audit point within 1e-12 of x_star is dropped.
 
-    Returns (report, perturbed_world, base_taus, perturbed_taus); with the
-    points in ``report.base_audit.points``, these are what trace writers need.
+    ``trace``, if given, receives the rows of each audit lane as it is walked
+    (``audit_profile``): the base rows, then the perturbed rows.
     """
     spec, perturbed = perturb(base, loss, x_star, eta, n)
     points = (x_star, *(cfg_mc.audit_points or default_audit_points(base)))
     cfg_points = replace(cfg_mc, audit_points=points)  # drops x_star's twins
-    base_report, base_taus = audit_profile(
-        base, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, stream=STREAM_AUDIT,
-    )
-    pert_report, pert_taus = audit_profile(
-        perturbed, loss, cfg_pac, cfg_points, n,
-        algorithm=algorithm, stream=STREAM_PERTURBED_AUDIT,
-    )
+    (base_report, base_tally), (pert_report, _) = (
+        audit_profile(w, loss, cfg_pac, cfg_points, n, algorithm=algorithm, stream=stream,
+                      trace=trace, trace_prefix=f"{lane},")
+        for lane, w, stream in (("base", base, STREAM_AUDIT),
+                                ("perturbed", perturbed, STREAM_PERTURBED_AUDIT)))
     risk_est, risk_se = mc_joint_risk(
         base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
         algorithm=algorithm, stream=STREAM_JOINT,
     )
-    deferral_mean = _mean_deferral_mass(base, base_taus)
+    # summed over the distinct thresholds in ascending order
+    deferral_mean = sum(k * exact_deferral_mass(base, tau)
+                        for tau, k in base_tally.items()) / cfg_mc.replications
     base_star = base_report.points[0]
     pert_star = pert_report.points[0]
     gap = abs(base_star.est_fast_prob - pert_star.est_fast_prob)
@@ -517,15 +508,17 @@ def demo_with_replications(
         deferral_mass_mean=deferral_mean,
         verdicts=verdicts,
     )
-    return report, perturbed, base_taus, pert_taus
+    return report
 
 
 def trace_blocks(
-    w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray, prefix: str = ""
+    w: CellWorld, loss: LossSpec, points, tau_values: np.ndarray, prefix: str = "",
+    start: int = 0,
 ):
     """Yield the CSV text of the (replication, point, tau_hat, g,
-    risk_exceeded) rows, replication-major, TRACE_BLOCK_ROWS rows or fewer
-    at a time; ``prefix`` (e.g. ``"base,"``) opens every row.
+    risk_exceeded) rows of replications ``start, start + 1, ...``,
+    replication-major, TRACE_BLOCK_ROWS rows or fewer at a time; ``prefix``
+    (e.g. ``"base,"``) opens every row.
 
     A row depends on its replication only through the index and the
     threshold, so each distinct threshold's rows are formatted once, as the
@@ -547,10 +540,10 @@ def trace_blocks(
         return [prefix, *(tail + prefix for tail in tails[:-1]), tails[-1]]
 
     per_block = max(1, TRACE_BLOCK_ROWS // len(rows))
-    for start in range(0, len(tau_values), per_block):
-        block = tau_values[start:start + per_block].tolist()
+    for first in range(0, len(tau_values), per_block):
+        block = tau_values[first:first + per_block].tolist()
         parts = []
-        for r, tau in enumerate(block, start):
+        for r, tau in enumerate(block, start + first):
             pieces = templates.get(tau)
             if pieces is None:
                 pieces = templates[tau] = template(tau)

@@ -135,7 +135,7 @@ def test_criterion_6_impossibility_demo():
     w1 = make_w1()
     mc = McConfig(replications=1000, master_seed=20250810)
     t0 = time.perf_counter()
-    rep = pr.demo_with_replications(w1, LOSS01, PAC_W1, 0.4, 0.01, 100, mc)[0]
+    rep = pr.demo_with_replications(w1, LOSS01, PAC_W1, 0.4, 0.01, 100, mc)
     elapsed = time.perf_counter() - t0
     base_fast = rep.base_audit.points[0].est_fast_prob
     pert_viol = rep.perturbed_audit.points[0].est_violation_prob

@@ -7,11 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pacroute import cli, simulate
+from pacroute._kernels import occupancy_counts
+from pacroute.adversary import perturb
+from pacroute.calibrate import PacConfig
 from pacroute.cli import main
-from pacroute.worlds import world_to_dict
+from pacroute.risk import LossSpec
+from pacroute.simulate import CHUNK, McConfig
+from pacroute.worlds import cell_indices_at, world_to_dict
 
 from conftest import child_env, make_w1
 
@@ -469,6 +475,89 @@ def test_demo_precondition_exits_4(tmp_path, w1_path):
         },
     )
     assert run_cli(["demo", "--config", cfg]) == 4
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_demo_precondition_leaves_the_trace_path_as_it_was(tmp_path, w1_path, existed):
+    # perturb refuses x_star before any replication, so no row is ever written
+    cfg = write_config(tmp_path, "c.json", {**_audit_payload(w1_path),
+                                            "demo": {"x_star": 0.9, "eta": 0.01, "n": 20}})
+    trace = tmp_path / "t.csv"
+    if existed:
+        trace.write_text("kept")
+    assert run_cli(["demo", "--config", cfg, "--trace", trace]) == 4
+    if existed:
+        assert trace.read_text() == "kept"
+    else:
+        assert not trace.exists()
+
+
+def test_run_failing_after_trace_rows_removes_the_trace(tmp_path, w1_path, capsys,
+                                                        monkeypatch):
+    # the first chunk's rows are written before the second chunk is drawn
+    calls, written = [], []
+
+    def second_chunk_fails(*args, **kwargs):
+        calls.append(kwargs["start"])
+        if len(calls) == 2:
+            written.append(trace.exists())  # the first chunk's rows went to it
+            raise MemoryError("second chunk")
+        return occupancy_counts(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", second_chunk_fails)
+    payload = {**_audit_payload(w1_path), "mc": {"replications": CHUNK + 1, "master_seed": 3},
+               "calibration": {"n": 100}}
+    trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = ["audit", "--config", write_config(tmp_path, "c.json", payload), "--out", out,
+            "--trace", trace]
+    assert run_cli(argv) == 2
+    assert calls == [0, CHUNK]
+    assert written == [True]
+    assert "config error: the run does not fit in memory: second chunk" in capsys.readouterr().err
+    assert not trace.exists() and not out.exists()
+
+
+def _chunked_trace(world, loss, pac, n, mc, stream, points, prefix=""):
+    """The trace rows of one lane from a single ``trace_blocks`` call over
+    every chunk's thresholds, and each point's fast-route count."""
+    chunks = list(simulate._tau_values_for_replications(
+        world, loss, pac, n, mc.replications, mc.master_seed, stream))
+    assert len(chunks) == 3
+    taus = np.concatenate([t for _, t, _ in chunks])
+    idx = cell_indices_at(world, np.array(points))
+    fast = [int(np.sum(score <= taus)) for score in world.scores[idx]]
+    return "".join(simulate.trace_blocks(world, loss, points, taus, prefix)), fast
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.95], "auto"], ids=["fixed", "auto"])
+@pytest.mark.parametrize("command", ["audit", "demo"])
+def test_chunk_boundaries_never_show(tmp_path, w1_path, command, grid):
+    reps = 2 * CHUNK + 3
+    payload = {**_audit_payload(w1_path), "mc": {"replications": reps, "master_seed": 5},
+               "calibration": {"n": 100}, "demo": {"x_star": 0.4, "eta": 0.01, "n": 100}}
+    payload["pac"] = {**payload["pac"], "threshold_grid": grid}
+    trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli([command, "--config", cfg, "--out", out, "--trace", trace]) == 0
+    report = read_json(out)["report"]
+    world, loss = make_w1(), LossSpec(kind="zero_one", epsilon=0.0)
+    pac = PacConfig(**{**payload["pac"], "threshold_grid": None if grid == "auto" else grid})
+    mc = McConfig(reps, 5)
+    if command == "audit":
+        lanes = [(world, simulate.STREAM_AUDIT, report, "")]
+    else:
+        perturbed = perturb(world, loss, 0.4, 0.01, 100)[1]
+        lanes = [(world, simulate.STREAM_AUDIT, report["base_audit"], "base,"),
+                 (perturbed, simulate.STREAM_PERTURBED_AUDIT, report["perturbed_audit"],
+                  "perturbed,")]
+    header = "replication,point,tau_hat,g,risk_exceeded\r\n"
+    text = header if command == "audit" else "world," + header
+    for w, stream, audit, prefix in lanes:
+        points = [p["x"] for p in audit["points"]]
+        rows, fast = _chunked_trace(w, loss, pac, 100, mc, stream, points, prefix)
+        text += rows
+        assert [p["est_fast_prob"] for p in audit["points"]] == [k / reps for k in fast]
+    assert trace.read_bytes() == text.encode("utf-8")
 
 
 def test_demo_without_bad_label_exits_4(tmp_path, capsys):

@@ -50,6 +50,19 @@ from oracles import (
 )
 from test_worlds import world_strategy
 
+
+def walk_all(*args, **kwargs):
+    """``_tau_values_for_replications``'s chunks joined, in order: (thresholds,
+    test cells or None)."""
+    chunks = list(_tau_values_for_replications(*args, **kwargs))
+    assert [start for start, *_ in chunks] == np.cumsum(
+        [0] + [len(taus) for _, taus, _ in chunks[:-1]]).tolist()
+    taus = np.concatenate([taus for _, taus, _ in chunks])
+    if chunks[0][2] is None:
+        return taus, None
+    return taus, np.concatenate([cells for *_, cells in chunks])
+
+
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
 # grid (0.15, 0.5), n=6: the top threshold survives iff cell 2 is empty
 P_TOP = 0.11764899999999996  # 0.7**6
@@ -73,6 +86,41 @@ def test_mc_config_validation():
     McConfig(replications=2**32, master_seed=1)
     with pytest.raises(ValueError):
         McConfig(replications=2**32 + 1, master_seed=1)
+
+
+@pytest.mark.parametrize("replications, master_seed", [
+    (True, 1), (2.5, 1), (10.0, 1), (10, False), (10, 1.5), (10, "1"),
+])
+def test_mc_config_refuses_a_bool_or_non_integer(replications, master_seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        McConfig(replications, master_seed)
+
+
+def test_mc_config_stores_python_ints(w1, loss01, pac_w1):
+    mc = McConfig(np.int64(10), np.uint32(3), (0.4,))
+    assert type(mc.replications) is int and type(mc.master_seed) is int
+    rep = audit_profile(w1, loss01, pac_w1, mc, 100)[0]
+    assert type(rep.replications) is int
+    assert dump_json(rep) == dump_json(audit_profile(w1, loss01, pac_w1, McConfig(10, 3, (0.4,)),
+                                                     100)[0])
+
+
+@pytest.mark.parametrize("replications, master_seed, message", [
+    (0, 1, r"replications must be in \[1, 2\*\*32\], got 0"),
+    (2**32 + 1, 1, "replications must be in"),
+    (True, 1, "replications must be an integer"),
+    (2.5, 1, "replications must be an integer"),
+    (10, -1, "master_seed must be >= 0"),
+    (10, 1.0, "master_seed must be an integer"),
+])
+def test_joint_risk_refuses_bad_counts_before_any_draw(w1, loss01, pac_w1, monkeypatch,
+                                                       replications, master_seed, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniforms drawn")
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
+    with pytest.raises(ValueError, match=message):
+        mc_joint_risk(w1, loss01, pac_w1, replications, master_seed, 100)
 
 
 def test_default_audit_points(w1):
@@ -137,9 +185,11 @@ def test_twin_rule_matches_pairwise_reference(points):
 
 def test_audit_profile_audits_twin_points_once(w1, loss01, pac_w1):
     mc = McConfig(replications=4, master_seed=1, audit_points=(0.3, 0.3, 0.30000000000000004))
-    rep, taus = audit_profile(w1, loss01, pac_w1, mc, 100)
+    blocks = []
+    rep, tally = audit_profile(w1, loss01, pac_w1, mc, 100, trace=blocks.extend)
     assert [p.x for p in rep.points] == [0.3]
-    assert "".join(trace_blocks(w1, loss01, [0.3], taus)).count("\r\n") == 4
+    assert sum(tally.values()) == 4
+    assert "".join(blocks).count("\r\n") == 4
 
 
 # (engine, n, algorithm, message): each engine refuses them before any draw
@@ -219,7 +269,7 @@ def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
     """Rebuild each replication's calibration set from the same uniforms and
     check the count-based walk agrees with the reference implementation.
     Returns the walk's thresholds and the cells each replication occupied."""
-    taus, _ = _tau_values_for_replications(w, loss, pac, n, reps, seed, stream)
+    taus, _ = walk_all(w, loss, pac, n, reps, seed, stream)
     u = joined_uniforms(seed, stream, reps, n)
     mids = (w.lefts + w.rights) / 2
     occupied = []
@@ -299,12 +349,10 @@ def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_t
     n, reps, seed, stream = 100, 2 * CHUNK + 3, 2024, 5
     ref_taus, ref_cells = _reference_walk(w, loss01, pac, n, reps, seed, stream)
     assert len(np.unique(ref_taus)) == n_taus
-    taus, cells = _tau_values_for_replications(w, loss01, pac, n, reps, seed, stream)
+    taus, cells = walk_all(w, loss01, pac, n, reps, seed, stream)
     assert cells is None
     assert np.array_equal(taus, ref_taus)
-    taus, cells = _tau_values_for_replications(
-        w, loss01, pac, n, reps, seed, stream, need_test_draws=True
-    )
+    taus, cells = walk_all(w, loss01, pac, n, reps, seed, stream, need_test_draws=True)
     assert np.array_equal(taus, ref_taus)
     assert np.array_equal(cells, ref_cells)
 
@@ -329,8 +377,7 @@ def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, need_
                        threshold_grid=grid)
     args = (w, loss, pac, n, 96, 5, 3)
     with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
-        taus, cells = _tau_values_for_replications(
-            *args, need_test_draws=need_test_draws, algorithm=algorithm)
+        taus, cells = walk_all(*args, need_test_draws=need_test_draws, algorithm=algorithm)
     want_taus, want_cells = taus_drawing_every_column(
         *args, need_test_draws=need_test_draws, algorithm=algorithm)
     assert np.array_equal(taus, want_taus)
@@ -367,7 +414,7 @@ def test_chunk_sets_shrink_as_cells_grow(loss01, monkeypatch):
         sizes.clear()
         tracemalloc.start()
         try:
-            _tau_values_for_replications(w, loss01, pac, 100, CHUNK, 3, 1, need_test_draws=True)
+            walk_all(w, loss01, pac, 100, CHUNK, 3, 1, need_test_draws=True)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,8 +438,9 @@ def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
         finally:
             tracemalloc.stop()
 
-    # only the per-replication outputs (a few bytes each) may grow
-    assert peak(16 * CHUNK) - peak(4 * CHUNK) <= 2 * 2**20
+    # each chunk's thresholds and test cells are counted before the next is drawn
+    peak(CHUNK)  # fill the caches first, so both runs below start alike
+    assert abs(peak(64 * CHUNK) - peak(4 * CHUNK)) < 2**19
 
 
 def test_joint_risk_memory_flat_in_n(w1, loss01, pac_w1):
@@ -410,7 +458,7 @@ def test_joint_risk_memory_flat_in_n(w1, loss01, pac_w1):
     assert peak(4000) - peak(100) <= 2**20
 
 
-def test_audit_memory_grows_by_one_threshold_per_replication(w1, loss01, pac_w1):
+def test_audit_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
     def peak(reps):
         tracemalloc.start()
         try:
@@ -419,12 +467,10 @@ def test_audit_memory_grows_by_one_threshold_per_replication(w1, loss01, pac_w1)
         finally:
             tracemalloc.stop()
 
+    # each chunk is tallied before the next is drawn: the tally holds one
+    # entry per distinct threshold, whatever the replication count
     peak(CHUNK)  # fill the caches first, so both runs below start alike
-    small, large = CHUNK, 16 * CHUNK
-    slope = (peak(large) - peak(small)) / (large - small)
-    # the chunk's working set is fixed; each replication keeps its 8-byte
-    # threshold, and at most a 1-byte comparison mask beside it
-    assert 7.5 <= slope <= 9.5
+    assert abs(peak(64 * CHUNK) - peak(4 * CHUNK)) < 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +493,7 @@ def test_no_draws_when_b_star_negative(w1, loss01, monkeypatch, algorithm, grid,
 
     monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
     mc = McConfig(replications=300, master_seed=9)
-    _, taus = audit_profile(w1, loss01, pac, mc, n, algorithm=algorithm)
-    assert len(taus) == 300 and np.all(taus == ALWAYS_DEFER)
+    assert audit_profile(w1, loss01, pac, mc, n, algorithm=algorithm)[1] == {ALWAYS_DEFER: 300}
     assert mc_joint_risk(w1, loss01, pac, 300, 9, n, algorithm=algorithm) == (0.0, 0.0)
 
 
@@ -803,7 +848,7 @@ def _demo_mc(reps=600):
 
 
 def test_demo_canonical_verdicts(w1, loss01, pac_w1):
-    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc())[0]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc())
     assert rep.verdicts == {
         "demo_vacuous": False,
         "indistinguishable": True,
@@ -823,7 +868,7 @@ def test_demo_canonical_verdicts(w1, loss01, pac_w1):
 def test_demo_trivial_substitution(w1, loss01, pac_w1):
     rep = demo_with_replications(
         w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(200), algorithm="trivial"
-    )[0]
+    )
     assert rep.verdicts["demo_vacuous"]  # trivial router never fast at x*
     assert not rep.verdicts["conditional_violation"]
     assert not rep.verdicts["nontrivial"]
@@ -836,19 +881,19 @@ def test_demo_precondition_error(w1, loss01, pac_w1):
 
 
 def test_demo_large_eta_clamps(w1, loss01, pac_w1):
-    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 1.9, 100, _demo_mc(200))[0]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 1.9, 100, _demo_mc(200))
     assert rep.tv_bound <= 1.0
     assert rep.verdicts["indistinguishable"]
 
 
 def test_demo_report_determinism(w1, loss01, pac_w1):
-    a = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
-    b = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
+    a = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))
+    b = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))
     assert dump_json(a) == dump_json(b)
 
 
 def test_demo_cross_world_gap_definition(w1, loss01, pac_w1):
-    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))[0]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 100, _demo_mc(300))
     expected = abs(
         rep.base_audit.points[0].est_fast_prob
         - rep.perturbed_audit.points[0].est_fast_prob
@@ -889,7 +934,7 @@ def test_demo_with_table_loss(pac_w1):
     loss = pr.LossSpec(kind="table", epsilon=0.5, table=table)
     pac = pr.PacConfig(epsilon=0.5, alpha=0.1, delta_split=0.05,
                        threshold_grid=(0.5, 0.95))
-    rep = demo_with_replications(w, loss, pac, 0.4, 0.01, 100, _demo_mc(300))[0]
+    rep = demo_with_replications(w, loss, pac, 0.4, 0.01, 100, _demo_mc(300))
     # adversarial label must be 2: the only one with loss above 0.5 vs fast=0
     assert rep.perturbation.adversarial_label == 2
     assert rep.verdicts["conditional_violation"]
@@ -905,7 +950,7 @@ def test_demo_router_deferring_everywhere_is_not_nontrivial(loss01):
     w = make_masses_short_of_one()
     pac = pr.PacConfig(epsilon=0.0, alpha=0.3, threshold_grid=(0.05,))
     assert pr.exact_deferral_mass(w, 0.05) == 1.0
-    rep = demo_with_replications(w, loss01, pac, 0.25, 0.01, 100, _demo_mc(200))[0]
+    rep = demo_with_replications(w, loss01, pac, 0.25, 0.01, 100, _demo_mc(200))
     assert rep.base_audit.max_fast_prob == 0.0
     assert rep.deferral_mass_mean == 1.0
     assert rep.verdicts["nontrivial"] is False
@@ -1004,19 +1049,20 @@ def test_trace_memory_does_not_grow_with_replications(w1, loss01):
 
 def test_audit_points_forwarded_in_demo(w1, loss01, pac_w1):
     mc = McConfig(replications=50, master_seed=1, audit_points=(0.1, 0.4, 0.95))
-    rep, _, base_taus, _ = demo_with_replications(
-        w1, loss01, pac_w1, 0.4, 0.01, 50, mc
-    )
+    blocks = []
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 50, mc, trace=blocks.extend)
     points = [p.x for p in rep.base_audit.points]
     assert points[0] == 0.4
     assert set(points) == {0.1, 0.4, 0.95}
-    assert len(base_taus) == 50
+    rows = "".join(blocks).splitlines()
+    assert len(rows) == 2 * 50 * 3
+    assert all(row.startswith("base,") for row in rows[:150])
     assert [p.x for p in rep.perturbed_audit.points] == points
 
 
 def test_demo_drops_x_star_rounding_twin(w1, loss01, pac_w1):
     # the default grid holds np.linspace's 0.35000000000000003, not 0.35
-    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, _demo_mc(20))[0]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, _demo_mc(20))
     points = [p.x for p in rep.base_audit.points]
     assert points[0] == 0.35
     assert min(abs(p - 0.35) for p in points[1:]) > 1e-12
@@ -1027,6 +1073,6 @@ def test_demo_drops_configured_twins(w1, loss01, pac_w1):
     # a configured twin of x_star, and of another configured point, goes
     mc = McConfig(replications=20, master_seed=1,
                   audit_points=(0.9, 0.35000000000000003, 0.1, 0.1 + 1e-13))
-    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, mc)[0]
+    rep = demo_with_replications(w1, loss01, pac_w1, 0.35, 0.01, 50, mc)
     assert [p.x for p in rep.base_audit.points] == [0.35, 0.9, 0.1]
     assert [p.x for p in rep.perturbed_audit.points] == [0.35, 0.9, 0.1]
