@@ -3,8 +3,10 @@
 ``occupancy_counts`` takes a chunk of replications from seeds to occupancy
 counts (calibration points per cell): ``uniform_tiles`` draws their uniforms
 TILE_COLS columns at a time into one reused buffer, and each tile is counted
-while it is in cache, so no chunk ever holds all its uniforms. A caller's
-settle rule lets it stop drawing the sets whose result is already fixed.
+while it is in cache, so no chunk ever holds all its uniforms. A chunk of
+few sets cuts each set's columns into segments drawn side by side, so every
+numpy call spans up to CHUNK lanes whatever the set count. A caller's settle
+rule lets it stop drawing the sets whose result is already fixed.
 ``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
 running sum of the counts over the cells in position order; ``tau_indices``
 is that rule on a fixed grid. ``cell_indices`` maps single uniforms to
@@ -17,17 +19,18 @@ Replication ``r`` of stream ``s`` is specified as
 bits across replications: the ``SeedSequence`` pool mixing (O'Neill's
 seed_seq design, as numpy implements it) in uint32 words, once per chunk
 (``_pcg_states``), then the 128-bit PCG64 LCG with XSL-RR output (O'Neill
-2014) in pairs of uint64 words, one column at a time. A set dropped early
-reaches its test column by jumping ahead, k LCG steps as one multiply-add
-(Brown 1994). ``tests/test_seeding.py`` pins the joined tiles and the jump
-to numpy bit for bit.
+2014) in pairs of uint64 words, one column at a time. A segment's first
+state and each set's test column are reached by jumping ahead, k LCG steps
+as one multiply-add (Brown 1994). ``tests/test_seeding.py`` pins the tiles,
+the multiply-add and the jump to numpy or to Python ints bit for bit, and
+``tests/test_kernels.py`` pins the counts to numpy's own generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TILE_COLS", "active_backend", "cell_indices", "occupancy_counts",
+__all__ = ["CHUNK", "TILE_COLS", "active_backend", "cell_indices", "occupancy_counts",
            "stop_positions", "tau_indices", "uniform_tiles"]
 
 # SeedSequence (numpy.random.bit_generator): pool size and hash constants
@@ -44,7 +47,12 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
 _DOUBLE_UNIT = 2.0**-53
 
-# columns drawn and counted together: one (TILE_COLS, replications) buffer
+# lanes stepped together: a chunk's replications, or a few replications'
+# segments of columns; bounds the working memory
+CHUNK = 8192
+
+# columns drawn and counted together: one (TILE_COLS, lanes) buffer; at most
+# 255, so that a lane's count in a tile fits in a byte
 TILE_COLS = 16
 
 # interior cell edges from which a tile is counted by a search per uniform,
@@ -123,17 +131,31 @@ _PCG_MULT = _halves(_PCG_MULT_INT)
 
 def _mul_add(hi, lo, mult: tuple, add_hi, add_lo):
     """x*mult + add mod 2**128 on uint64 halves, ``mult`` from ``_halves``; with
-    the PCG64 multiplier and a state's increment, one LCG step."""
+    the PCG64 multiplier and a state's increment, one LCG step. The high half
+    is hi*m_lo + lo*m_hi + the high word of lo*m_lo, that word by the
+    textbook chain of 32-bit products whose partial sums cannot overflow."""
     m_hi, m_lo, m_lo0, m_lo1 = mult
     lo0 = lo & _MASK32
     lo1 = lo >> 32
-    p00 = lo0 * m_lo0
-    p01 = lo0 * m_lo1
-    p10 = lo1 * m_lo0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    mulhi = lo1 * m_lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_hi = hi * m_lo + lo * m_hi + mulhi + add_hi
-    new_lo = lo * m_lo + add_lo
+    t = lo0 * m_lo0
+    t >>= 32
+    cross = lo1 * m_lo0
+    t += cross  # at most (2**32 - 1)**2 + 2**32 - 1 < 2**64
+    w = t & _MASK32
+    np.multiply(lo0, m_lo1, out=lo0)
+    w += lo0  # likewise
+    mulhi = lo1 * m_lo1
+    t >>= 32
+    mulhi += t
+    w >>= 32
+    mulhi += w
+    new_hi = hi * m_lo
+    np.multiply(lo, m_hi, out=cross)
+    new_hi += cross
+    new_hi += mulhi
+    new_hi += add_hi
+    new_lo = lo * m_lo
+    new_lo += add_lo
     new_hi += new_lo < add_lo  # carry out of the low half
     return new_hi, new_lo
 
@@ -149,11 +171,16 @@ def _lcg_power(steps: int) -> tuple[int, int]:
 
 def _uniforms(hi, lo, out=None):
     """The doubles PCG64 outputs from states (hi, lo): XSL-RR (rotate hi^lo
-    right by the state's top 6 bits), then the top 53 bits."""
+    right by the state's top 6 bits), then the top 53 bits. A shift by 64
+    gives 0 in numpy, so rotating by 0 keeps x."""
     x = hi ^ lo
     rot = hi >> 58
-    x = (x >> rot) | (x << ((-rot) & 63))
-    return np.multiply(x >> 11, _DOUBLE_UNIT, out=out)
+    right = x >> rot
+    np.subtract(64, rot, out=rot)
+    x <<= rot
+    x |= right
+    x >>= 11
+    return np.multiply(x, _DOUBLE_UNIT, out=out)
 
 
 def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
@@ -192,34 +219,63 @@ def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
     return (*_mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def uniform_tiles(
-    master_seed: int, stream: int, replications: int, cols: int, *, start: int = 0
-):
-    """Yield the uniforms of replications ``start .. start+replications-1``
-    of stream ``stream`` in tiles of up to TILE_COLS columns.
+def _segment_starts(hi, lo, inc_hi, inc_lo, seg_cols: int, segments: int):
+    """The states ``(hi, lo, inc_hi, inc_lo)`` of ``segments`` segments of
+    ``seg_cols`` columns per set: lane ``k * sets + i`` is set ``i``'s state
+    ``k * seg_cols`` LCG steps on. Each ``_jump`` doubles the lanes, so
+    ``segments`` segments take about log2(segments) jumps."""
+    sets = len(hi)
+    while len(hi) < segments * sets:
+        k = len(hi) // sets
+        far = min(k, segments - k) * sets  # the lanes this jump adds
+        inc = np.tile(inc_hi, k)[:far], np.tile(inc_lo, k)[:far]
+        far_hi, far_lo = _jump(hi[:far], lo[:far], *inc, k * seg_cols)
+        hi, lo = np.concatenate((hi, far_hi)), np.concatenate((lo, far_lo))
+    return hi, lo, np.tile(inc_hi, segments), np.tile(inc_lo, segments)
 
-    Each tile is a (columns, sets) view of one reused buffer, valid until the
-    next tile is drawn. Joined in order, the tiles' column ``j`` of
-    replication ``start+i`` is ``Generator(PCG64(SeedSequence(master_seed,
-    spawn_key=(stream, start+i)))).random(cols)[j]`` bit for bit.
+
+def uniform_tiles(state: tuple, cols: int, segments: int = 1):
+    """Yield the uniforms that PCG64 states ``state`` (from ``_pcg_states``,
+    one set each) draw, ``cols`` per set, in tiles.
+
+    Each set's columns are cut into segments of ``seg_cols = ceil(cols /
+    segments)`` columns, the last one shorter, and all segments are drawn
+    together, each from its first state (``_segment_starts``). A tile is a
+    (rows, lanes) view of one reused buffer, valid until the next tile is
+    drawn: lane ``k * sets + i`` holds the next ``rows`` columns of set
+    ``i``'s segment ``k``. The last segment ends first, and its lanes leave
+    the end of the tiles. Put back in order, set ``i``'s column ``j`` is
+    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream,
+    start+i)))).random(cols)[j]`` bit for bit.
 
     ``send(keep)`` after a tile, a boolean mask over the tile's sets, drops
-    the sets it does not keep from the later tiles and returns their PCG64
-    states ``(hi, lo, inc_hi, inc_lo)``, as their last draw left them.
+    the sets it does not keep from the later tiles.
     """
-    state = _pcg_states(master_seed, stream, replications, start)
-    buf = np.empty((min(TILE_COLS, cols), replications))
-    for first in range(0, cols, TILE_COLS):
-        hi, lo, inc_hi, inc_lo = state
-        tile = buf[:cols - first, :len(hi)]
+    if not cols:
+        return
+    seg_cols = -(-cols // segments)
+    segments = -(-cols // seg_cols)
+    last = cols - (segments - 1) * seg_cols  # columns in the last segment
+    hi, lo, inc_hi, inc_lo = _segment_starts(*state, seg_cols, segments)
+    sets = len(state[0])
+    buf = np.empty(min(TILE_COLS, seg_cols) * len(hi))
+    first = 0  # columns drawn of each segment still drawn
+    while first < seg_cols:
+        active = segments if first < last else segments - 1
+        rows = min(TILE_COLS, (last if first < last else seg_cols) - first)
+        lanes = active * sets
+        hi, lo, inc_hi, inc_lo = hi[:lanes], lo[:lanes], inc_hi[:lanes], inc_lo[:lanes]
+        tile = buf[:rows * lanes].reshape(rows, lanes)
         for row in tile:
             hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
             _uniforms(hi, lo, out=row)
-        state = hi, lo, inc_hi, inc_lo
+        first += rows
         keep = yield tile
-        if keep is not None:  # a send: hand back the dropped states
-            yield tuple(a[~keep] for a in state)
-            state = tuple(a[keep] for a in state)
+        if keep is not None:  # a send: drop the sets it does not keep
+            lanes_kept = np.tile(keep, active)
+            hi, lo, inc_hi, inc_lo = (a[lanes_kept] for a in (hi, lo, inc_hi, inc_lo))
+            sets = np.count_nonzero(keep)
+            yield  # what the send returns
 
 
 def _jump(hi, lo, inc_hi, inc_lo, steps: int):
@@ -238,44 +294,56 @@ def occupancy_counts(
     master_seed: int, stream: int, replications: int, cols: int, cdf: np.ndarray, *,
     start: int = 0, test_draw: bool = False, settled=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Occupancy counts (replications, cells) of ``uniform_tiles``' columns,
-    and with ``test_draw`` the ``cell_indices`` of each replication's last
-    column, its test input, which the counts then leave out (else None).
+    """Occupancy counts (replications, cells) of the replications' ``cols``
+    columns, and with ``test_draw`` the ``cell_indices`` of each
+    replication's last column, its test input, which the counts then leave
+    out (else None).
 
     Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
     ``cdf[c-1]``. The last cell takes everything at or above the last interior
-    edge, so a uniform past a last CDF entry below 1 lands there too. Below
+    edge, so a uniform past a last CDF entry below 1 lands there too. The test
+    column is ``_jump``ed to. ``uniform_tiles`` draws the calibration columns
+    in ``CHUNK // replications`` segments per set (at least 1, at most one
+    per column), so a tile spans at most CHUNK lanes, and more than CHUNK / 2
+    whenever the columns allow, however few sets there are. Below
     SEARCH_EDGES interior edges a tile is counted below every edge, one pass
-    per edge; from there on a search per uniform and one histogram per tile
-    are faster. The working set is one tile and the counts, whatever ``cols``.
+    per edge, summed in bytes over each lane's rows (at most TILE_COLS) and
+    then over each set's segments; from there on a search per uniform and
+    one histogram per tile are faster. The working set is one tile and the
+    counts, whatever ``cols``.
 
-    ``settled(counts)``, if given, marks the sets, of (cells, sets) partial
-    counts, whose result no later draw can change; a set it marks must stay
-    marked as its counts grow. Once it marks at least half of the sets still
-    drawn, after a tile, those keep the counts they have and are drawn no
-    more. A dropped set's test column is ``_jump``ed to, with the same bits.
+    ``settled(counts)``, if given, marks the sets, of (cells, sets) counts
+    over the columns drawn so far, whose result no later draw can change; a
+    set it marks must stay marked as its counts grow, so that any subset of a
+    set's columns that settles it settles it for good. Once it marks at least
+    half of the sets still drawn, after a tile, those keep the counts they
+    have and are drawn no more.
     """
+    state = _pcg_states(master_seed, stream, replications, start)
+    # the test column is cols LCG steps on from the seeded states
+    test_cells = cell_indices(cdf, _uniforms(*_jump(*state, cols))) if test_draw else None
+    n = cols - test_draw
     edges = cdf[:-1].tolist()
     counts = np.zeros((len(cdf), replications), dtype=np.intp)
-    test_cells = np.zeros(replications, dtype=np.intp) if test_draw else None
     live, ids, drawn = counts, np.arange(replications), 0  # the sets still drawn
-    tiles = uniform_tiles(master_seed, stream, replications, cols, start=start)
+    tiles = uniform_tiles(state, n, min(n, CHUNK // replications) or 1)
     for tile in tiles:
-        drawn += len(tile)
-        if test_draw and drawn == cols:  # the test column ends the last tile
-            test_cells[ids] = cell_indices(cdf, tile[-1])
-            tile = tile[:-1]
+        rows, lanes = tile.shape
+        segments = lanes // len(ids)  # the segments still drawn
+        drawn += rows * segments
         if len(edges) < SEARCH_EDGES:
-            below_prev = 0  # the tile's uniforms below the previous edge
+            below = np.empty(len(ids), dtype=np.intp)  # each set's draws below an edge
             for c, edge in enumerate(edges):
-                below = np.count_nonzero(tile < edge, axis=0)
-                live[c] += below - below_prev
-                below_prev = below
-            live[-1] += len(tile) - below_prev
+                hits = np.less(tile, edge).view(np.uint8)
+                per_lane = np.add.reduce(hits, axis=0, dtype=np.uint8)
+                np.add.reduce(per_lane.reshape(segments, -1), axis=0, out=below)
+                live[c] += below  # cell c: below edge c, less below edge c - 1
+                live[c + 1] -= below
+            live[-1] += rows * segments
         else:  # a search per uniform, then one histogram of (cell, set) pairs
-            pairs = cell_indices(cdf, tile) * len(ids) + np.arange(len(ids))
+            pairs = cell_indices(cdf, tile) * len(ids) + np.arange(lanes) % len(ids)
             live += np.bincount(pairs.ravel(), minlength=live.size).reshape(live.shape)
-        if settled is None or drawn == cols:
+        if settled is None or drawn == n:
             continue
         done = settled(live)
         dropped = np.count_nonzero(done)
@@ -283,9 +351,7 @@ def occupancy_counts(
             continue
         if live is not counts:
             counts[:, ids[done]] = live[:, done]
-        state = tiles.send(~done)
-        if test_draw:  # the test column is cols - drawn steps on
-            test_cells[ids[done]] = cell_indices(cdf, _uniforms(*_jump(*state, cols - drawn)))
+        tiles.send(~done)
         live, ids = live[:, ~done], ids[~done]
         if not len(ids):
             break

@@ -16,10 +16,11 @@ many of its calibration points land in each cell (its occupancy counts); one
 ``_kernels.occupancy_counts`` call per chunk draws the uniforms a tile of
 columns at a time and counts each tile, and nothing holds a chunk's
 uniforms, positions or per-point cell indices. A set is drawn no further once
-its walk is settled (``_settle_rule``): more than b* points at the first bad
-position fix its stop, and on the auto grid an occupied highest reachable
-position below that fixes ``prev``; its test draw, if any, is reached by a
-jump with the same bits. A chunk holds CHUNK sets, fewer on worlds of more
+its walk is settled (``_settle_rule``), on counts over whichever of its
+columns were drawn: more than b* points at the first bad position fix its
+stop, and on the auto grid an occupied highest reachable position below that
+fixes ``prev``; its test draw, if any, is reached by a jump with the same
+bits. A chunk holds CHUNK sets, fewer on worlds of more
 than CHUNK_CELLS // CHUNK cells, and is folded (tallied, counted, traced)
 before the next is drawn: memory is one chunk's working set, whatever the
 calibration size and replication count, plus one tally entry per threshold.
@@ -39,6 +40,7 @@ import numpy as np
 
 # the seeding seam, looked up at call time: perfbench/spans.py times it by this name
 from ._kernels import occupancy_counts as _replication_uniforms
+from ._kernels import CHUNK  # replications seeded, counted and walked together
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, _select, _walk
 from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass
@@ -62,9 +64,6 @@ __all__ = [
 ]
 
 JOINT = "joint"
-
-# replications seeded, counted and walked together; bounds the working memory
-CHUNK = 8192
 
 # sets x cells per chunk: worlds of more than CHUNK_CELLS // CHUNK cells take
 # fewer sets per chunk, so that a chunk's (sets, cells) arrays stay bounded

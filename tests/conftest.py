@@ -7,7 +7,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute._kernels import uniform_tiles
+from pacroute._kernels import _pcg_states, uniform_tiles
 
 
 def child_env() -> dict[str, str]:
@@ -20,11 +20,20 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def joined_uniforms(master_seed, stream, replications, cols, start=0) -> np.ndarray:
-    """The (replications, cols) uniforms of ``_kernels.uniform_tiles``: each
-    tile copied out of the reused buffer, then joined."""
-    tiles = uniform_tiles(master_seed, stream, replications, cols, start=start)
-    return np.concatenate([tile.copy() for tile in tiles]).T
+def joined_uniforms(master_seed, stream, replications, cols, start=0, segments=1) -> np.ndarray:
+    """The (replications, cols) uniforms of ``_kernels.uniform_tiles`` with
+    ``segments`` segments per set: each tile's segments copied out of the
+    reused buffer into their columns."""
+    out = np.empty((cols, replications))
+    state = _pcg_states(master_seed, stream, replications, start)
+    seg_cols, first = -(-cols // segments), 0  # first: columns drawn per segment
+    for tile in uniform_tiles(state, cols, segments):
+        rows, lanes = tile.shape
+        for k in range(lanes // replications):
+            lane = k * replications
+            out[k * seg_cols + first:][:rows] = tile[:, lane:lane + replications]
+        first += rows
+    return out.T
 
 
 def make_w1() -> pr.CellWorld:

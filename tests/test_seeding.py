@@ -2,9 +2,10 @@
 
 The determinism contract names ``Generator(PCG64(SeedSequence(master_seed,
 spawn_key=(stream, r)))).random(cols)`` as replication r's draws; numpy's own
-generator is the reference here for ``_kernels.uniform_tiles``, its tiles
-joined in order, and for the jump that takes a set dropped early to its
-test column.
+generator is the reference here for ``_kernels.uniform_tiles``, its tiles'
+segments put back in their columns, and for the jump that takes each set to
+its test column and each segment to its first state. Python ints are the
+reference for the 128-bit multiply-add under both.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from pacroute._kernels import (
     _PCG_MULT,
     TILE_COLS,
+    _halves,
     _jump,
     _lcg_power,
     _mul_add,
@@ -43,17 +45,24 @@ def numpy_rows(master_seed, stream, replications, cols, start=0):
     cols=st.integers(1, 130),
     near_top=st.booleans(),
     back=st.integers(0, 64),
+    segments=st.one_of(st.just(1), st.integers(2, 140)),
 )
 @settings(max_examples=150, deadline=None)
-def test_matches_numpy_generator(master_seed, stream, replications, cols, near_top, back):
+def test_matches_numpy_generator(master_seed, stream, replications, cols, near_top, back,
+                                 segments):
     # near_top puts the last replication index within 64 of 2**32 - 1
     start = 2**32 - replications - back if near_top else back
-    got = joined_uniforms(master_seed, stream, replications, cols, start=start)
+    got = joined_uniforms(master_seed, stream, replications, cols, start=start,
+                          segments=segments)
     assert got.shape == (replications, cols)
-    # full tiles, then the rest
-    widths = [len(t) for t in uniform_tiles(master_seed, stream, replications, cols,
-                                            start=start)]
-    assert widths == [min(TILE_COLS, cols - first) for first in range(0, cols, TILE_COLS)]
+    # every column drawn once, at most TILE_COLS a tile
+    state = _pcg_states(master_seed, stream, replications, start)
+    shapes = [t.shape for t in uniform_tiles(state, cols, segments)]
+    assert max(rows for rows, _ in shapes) <= TILE_COLS
+    assert sum(rows * lanes for rows, lanes in shapes) == replications * cols
+    if segments == 1:  # full tiles, then the rest
+        widths = [rows for rows, _ in shapes]
+        assert widths == [min(TILE_COLS, cols - first) for first in range(0, cols, TILE_COLS)]
     assert np.array_equal(got, numpy_rows(master_seed, stream, replications, cols, start))
 
 
@@ -108,8 +117,9 @@ def test_negative_seed_stream_or_start_refused(master_seed, stream, start):
 )
 @settings(max_examples=60, deadline=None)
 def test_jump_reaches_the_test_column(master_seed, stream, cols, near_top, back):
-    # a set dropped after k draws, for every k up to cols - 1 and so on both
-    # sides of each tile edge, jumps cols - k steps to its test column
+    # a state k draws in, for every k up to cols - 1 and so on both sides of
+    # each tile edge, jumps cols - k steps to column cols - 1: k = 0 is the
+    # test column's jump from the seeded state
     replications = 3
     start = 2**32 - replications - back if near_top else back
     want = numpy_rows(master_seed, stream, replications, cols, start)[:, cols - 1]
@@ -128,3 +138,26 @@ def test_lcg_power_matches_numpy_advance(seed, steps):
     a, c = _lcg_power(steps)
     bit_gen.advance(steps)
     assert bit_gen.state["state"]["state"] == (before["state"] * a + before["inc"] * c) % 2**128
+
+
+# 128-bit words whose low or high 64-bit word is all ones or zero, where a
+# carry runs through every partial sum
+CARRY_EDGES = [0, 1, 2**32 - 1, 2**64 - 1, 2**64, 2**96 - 1, 2**128 - 2**64, 2**128 - 1]
+U128 = st.one_of(st.integers(0, 2**128 - 1), st.sampled_from(CARRY_EDGES))
+
+
+def _words(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+
+@given(xs=st.lists(st.tuples(U128, U128), min_size=1, max_size=8), mult=U128)
+@settings(max_examples=300, deadline=None)
+def test_mul_add_is_multiply_add_mod_2_128(xs, mult):
+    # _jump passes multipliers other than PCG64's, so every 128-bit one
+    # must give (x * mult + add) mod 2**128
+    hi, lo = _words([x for x, _ in xs])
+    add_hi, add_lo = _words([a for _, a in xs])
+    got_hi, got_lo = _mul_add(hi, lo, _halves(mult), add_hi, add_lo)
+    got = [int(h) << 64 | int(v) for h, v in zip(got_hi, got_lo)]
+    assert got == [(x * mult + a) % 2**128 for x, a in xs]
