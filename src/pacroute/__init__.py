@@ -10,6 +10,7 @@ guarantees force near-total deferral.
 __version__ = "0.1.0"
 
 from .adversary import (
+    DemoPreconditionError,
     PerturbationSpec,
     find_radius,
     perturb,
@@ -19,19 +20,13 @@ from .adversary import (
 from .calibrate import CalibrationOutcome, PacConfig, select_threshold
 from .risk import (
     ALWAYS_DEFER,
-    EXPERT,
-    FAST,
     LossSpec,
-    disagreement_region,
     exact_deferral_mass,
     exact_miscoverage,
-    pointwise_risk,
-    route,
 )
 from .simulate import (
     JOINT,
     AuditReport,
-    DemoPreconditionError,
     DemoReport,
     McConfig,
     audit_profile,
@@ -56,8 +51,6 @@ from .worlds import (
 __all__ = [
     "__version__",
     "ALWAYS_DEFER",
-    "EXPERT",
-    "FAST",
     "JOINT",
     "AuditReport",
     "CalibrationOutcome",
@@ -74,7 +67,6 @@ __all__ = [
     "audit_profile",
     "cell_at",
     "demo_with_replications",
-    "disagreement_region",
     "enumerate_distribution",
     "exact_deferral_mass",
     "exact_miscoverage",
@@ -84,8 +76,6 @@ __all__ = [
     "mc_joint_risk",
     "normalized_masses",
     "perturb",
-    "pointwise_risk",
-    "route",
     "sample_calibration",
     "select_threshold",
     "split_at",

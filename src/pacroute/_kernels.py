@@ -9,8 +9,8 @@ numpy call spans up to CHUNK lanes whatever the set count. A caller's settle
 rule lets it stop drawing the sets whose result is already fixed.
 ``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
 running sum of the counts over the cells in position order; ``tau_indices``
-is that rule on a fixed grid. ``cell_indices`` maps single uniforms to
-cells, for test inputs and samplers. Each works on a block of replications
+is that rule on a fixed grid. ``cell_indices`` maps uniforms (test inputs,
+the sampler) and points of [0, 1] to cells. Each works on a block of values
 at once and depends on nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
@@ -284,10 +284,11 @@ def _jump(hi, lo, inc_hi, inc_lo, steps: int):
     return _mul_add(hi, lo, _halves(a), *_mul_add(inc_hi, inc_lo, _halves(c), 0, 0))
 
 
-def cell_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cell index of each uniform: the number of cell-mass CDF entries <= u,
-    capped at the last cell (the CDF's last entry may round below 1)."""
-    return np.searchsorted(cdf[:-1], u, side="right")
+def cell_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Cell index of each value: the number of ``edges`` but the last <= u.
+    Uniforms go through the cell-mass CDF (the last cell takes any past a last
+    entry that rounds below 1), points through the cells' right edges."""
+    return np.searchsorted(edges[:-1], u, side="right")
 
 
 def occupancy_counts(

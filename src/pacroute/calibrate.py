@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags
-from .worlds import CalibrationSet, CellWorld, cell_indices_at
+from .worlds import CalibrationSet, CellWorld
 
 __all__ = [
     "PacConfig",
@@ -218,7 +218,7 @@ def select_threshold(
     if n == 0:
         raise ValueError("calibration set is empty")
     b_star, position, _, n_pos, threshold = _walk(w, loss, cfg, n, "calibrated")
-    idx = cell_indices_at(w, d.xs)
+    idx = _kernels.cell_indices(w.rights, d.xs)
     at = position[idx]
     bad = np.cumsum(np.bincount(at[loss.exceeds(w.fast_labels[idx], d.ys)],
                                 minlength=n_pos + 1))  # bad points at positions <= p

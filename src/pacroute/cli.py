@@ -29,12 +29,12 @@ from dataclasses import asdict
 from types import SimpleNamespace
 
 from . import __version__
+from .adversary import DemoPreconditionError
 from .calibrate import ALGORITHMS, PacConfig, check_epsilon_match, select_threshold
 from .risk import exact_deferral_mass, exact_miscoverage, loss_from_dict, loss_to_dict
 from .serialize import dump_json, encode_threshold
 from .simulate import (
     JOINT,
-    DemoPreconditionError,
     McConfig,
     audit_profile,
     demo_with_replications,

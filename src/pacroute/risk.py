@@ -1,7 +1,8 @@
-"""Threshold router, loss specs, and exact population risk quantities.
+"""Loss specs, per-cell bad flags, and exact population risk quantities.
 
-The router sends an input to the expert when its score strictly exceeds the
-threshold; ties go to the fast model. A threshold is a float, and
+A threshold router sends an input to the expert when its cell's score
+strictly exceeds the threshold; ties go to the fast model. Callers apply the
+rule to arrays of cell scores. A threshold is a float, and
 ``ALWAYS_DEFER`` is -inf: every score exceeds it, so it routes everything to
 the expert. Compare thresholds with ``==``; reports write -inf as the string
 "ALWAYS_DEFER" (:func:`pacroute.serialize.encode_threshold`).
@@ -10,20 +11,14 @@ the expert. Compare thresholds with ``==``; reports write -inf as the string
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .worlds import CellWorld, cell_at, json_field, json_number
+from .worlds import CellWorld, json_field, json_number
 
 __all__ = [
     "LossSpec",
     "ALWAYS_DEFER",
-    "EXPERT",
-    "FAST",
-    "route",
-    "pointwise_risk",
-    "disagreement_region",
     "exact_miscoverage",
     "exact_deferral_mass",
     "cell_exceedance_flags",
@@ -31,9 +26,6 @@ __all__ = [
     "loss_from_dict",
     "loss_to_dict",
 ]
-
-EXPERT = "expert"
-FAST = "fast"
 
 ALWAYS_DEFER = float("-inf")
 
@@ -93,22 +85,6 @@ class LossSpec:
         return np.asarray(self.table)[prediction, truth] > self.epsilon
 
 
-def route(r: float, score: float) -> str:
-    """EXPERT when score > threshold; FAST otherwise."""
-    if score > r:
-        return EXPERT
-    return FAST
-
-
-def pointwise_risk(w: CellWorld, loss: LossSpec, r: float, x: float) -> float:
-    """Loss incurred at x: zero when the expert handles it, else fast-vs-expert loss."""
-    check_loss_compatible(w, loss)
-    c = cell_at(w, x)
-    if route(r, c.score) == EXPERT:
-        return 0.0
-    return loss.value(c.fast_label, c.expert_label)
-
-
 def check_loss_compatible(w: CellWorld, loss: LossSpec) -> None:
     """A table loss must cover every label the world can produce."""
     if loss.kind == "table" and len(loss.table) < w.alphabet_size:
@@ -122,19 +98,6 @@ def cell_exceedance_flags(w: CellWorld, loss: LossSpec) -> np.ndarray:
     """Per-cell flag: does the fast model's loss against the expert exceed epsilon?"""
     check_loss_compatible(w, loss)
     return loss.exceeds(w.fast_labels, w.expert_labels)
-
-
-class DisagreementRegion(NamedTuple):
-    cell_indices: tuple[int, ...]
-    mass: float
-
-
-def disagreement_region(w: CellWorld, loss: LossSpec) -> DisagreementRegion:
-    """Cells where the fast model is bad (loss > epsilon), with their total mass."""
-    flags = cell_exceedance_flags(w, loss)
-    idx = tuple(int(i) for i in np.flatnonzero(flags))
-    mass = float(np.sum(w.masses[flags])) if idx else 0.0
-    return DisagreementRegion(cell_indices=idx, mass=mass)
 
 
 def exact_miscoverage(w: CellWorld, loss: LossSpec, r: float) -> float:

@@ -41,11 +41,12 @@ import numpy as np
 # the seeding seam, looked up at call time: perfbench/spans.py times it by this name
 from ._kernels import occupancy_counts as _replication_uniforms
 from ._kernels import CHUNK  # replications seeded, counted and walked together
+from ._kernels import cell_indices
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, _select, _walk
 from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass
 from .serialize import encode_threshold
-from .worlds import CellWorld, cell_at, cell_indices_at
+from .worlds import CellWorld, cell_at
 
 __all__ = [
     "JOINT",
@@ -54,7 +55,6 @@ __all__ = [
     "AuditReport",
     "DemoReport",
     "OracleResult",
-    "DemoPreconditionError",
     "default_audit_points",
     "audit_profile",
     "mc_joint_risk",
@@ -289,7 +289,7 @@ def audit_profile(
         if trace is not None:
             trace(trace_blocks(w, loss, points, taus, trace_prefix, start=start))
     tally, m = dict(sorted(tally.items())), cfg_mc.replications
-    idx = cell_indices_at(w, np.asarray(points, dtype=float))
+    idx = cell_indices(w.rights, np.asarray(points, dtype=float))
     # a point is routed fast by every threshold at or above its score
     at_or_above = np.append(np.cumsum(list(tally.values())[::-1])[::-1], 0)
     fast = at_or_above[np.searchsorted(list(tally), w.scores[idx], side="left")] / m
@@ -526,7 +526,7 @@ def trace_blocks(
     replication. The text is what ``csv.writer`` writes for those rows:
     ``repr`` floats, ALWAYS_DEFER as the string, ``\\r\\n`` line ends and
     nothing quoted."""
-    idx = cell_indices_at(w, np.asarray(points, dtype=float))
+    idx = cell_indices(w.rights, np.asarray(points, dtype=float))
     rows = list(zip([repr(float(x)) for x in points], w.scores[idx].tolist(),
                     cell_exceedance_flags(w, loss)[idx].tolist()))
     templates: dict[float, list[str]] = {}

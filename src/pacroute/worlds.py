@@ -10,7 +10,7 @@ is what the exact oracles rely on.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,13 +25,11 @@ __all__ = [
     "validate_world",
     "cell_at",
     "cell_index_at",
-    "cell_indices_at",
     "interval_mass",
     "split_at",
     "sample_calibration",
     "normalized_masses",
     "world_from_dict",
-    "world_to_dict",
     "load_world",
 ]
 
@@ -167,16 +165,11 @@ def _midpoint_inside(left: float, right: float) -> bool:
     return (left + right) / 2.0 < right
 
 
-def cell_indices_at(w: CellWorld, xs) -> np.ndarray:
-    """``cell_index_at`` for an array of xs, without its domain check."""
-    return np.minimum(np.searchsorted(w.lefts, xs, side="right") - 1, len(w.cells) - 1)
-
-
 def cell_index_at(w: CellWorld, x: float) -> int:
     """Index of the cell owning x. Cells are [left, right); x=1 belongs to the last."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0,1], got {x!r}")
-    return int(cell_indices_at(w, x))
+    return int(cell_indices(w.rights, x))
 
 
 def cell_at(w: CellWorld, x: float) -> Cell:
@@ -331,12 +324,6 @@ def world_from_dict(d: dict) -> CellWorld:
     if violations:
         raise WorldValidationError(violations)
     return w
-
-
-def world_to_dict(w: CellWorld) -> dict:
-    keys = [key for key, _ in _CELL_KEYS]
-    return {"alphabet_size": w.alphabet_size,
-            "cells": [dict(zip(keys, astuple(c))) for c in w.cells]}
 
 
 def load_world(path) -> CellWorld:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute._kernels import _pcg_states, uniform_tiles
+from pacroute.worlds import _CELL_KEYS
 
 
 def child_env() -> dict[str, str]:
@@ -152,6 +154,13 @@ def corpus() -> list[pr.CellWorld]:
         make_five_cell(),
         make_ten_cell(),
     ]
+
+
+def world_to_dict(w: pr.CellWorld) -> dict:
+    """The JSON form of a world, as ``worlds.world_from_dict`` reads it."""
+    keys = [key for key, _ in _CELL_KEYS]
+    return {"alphabet_size": w.alphabet_size,
+            "cells": [dict(zip(keys, astuple(c))) for c in w.cells]}
 
 
 @pytest.fixture

@@ -22,13 +22,14 @@ formatted by ``csv.writer``.
 ``taus_drawing_every_column`` is the Monte-Carlo selection with no set
 dropped early: every column drawn from numpy's own Generator.
 
-``exceeds_scalar``, ``max_rejectable_count_scan``, ``stop_position_scan`` and
-``select_threshold_loop`` are the one-value-at-a-time rules that the array
-forms in :mod:`pacroute.risk`, :mod:`pacroute.calibrate` and
-:mod:`pacroute._kernels` replaced. ``select_threshold_loop`` walks the grid of
-``auto_threshold_grid``, counting ``empirical_exceedances`` afresh and reading
-a scalar ``binomial_pvalue`` at each threshold; it shares no code with the
-count walk that ``select_threshold`` runs.
+``exceeds_scalar``, ``pointwise_risk_scalar``, ``max_rejectable_count_scan``,
+``stop_position_scan`` and ``select_threshold_loop`` are the
+one-value-at-a-time rules that the array forms in :mod:`pacroute.risk`,
+:mod:`pacroute.calibrate` and :mod:`pacroute._kernels` replaced.
+``select_threshold_loop`` walks the grid of ``auto_threshold_grid``,
+counting ``empirical_exceedances`` afresh and reading a scalar
+``binomial_pvalue`` at each threshold; it shares no code with the count walk
+that ``select_threshold`` runs.
 """
 
 import csv
@@ -50,12 +51,18 @@ from pacroute.calibrate import (
 )
 from pacroute.risk import ALWAYS_DEFER, check_loss_compatible
 from pacroute.serialize import encode_threshold
-from pacroute.worlds import cell_indices_at
 
 
 def exceeds_scalar(loss, prediction, truth):
     """Is one label pair bad: its loss strictly above epsilon?"""
     return loss.value(prediction, truth) > loss.epsilon
+
+
+def pointwise_risk_scalar(w, loss, tau, x):
+    """Loss incurred at one x: zero when its cell's score is above ``tau`` (the
+    expert answers; ties go fast), else the fast label's loss against the expert's."""
+    c = pr.cell_at(w, x)
+    return 0.0 if c.score > tau else loss.value(c.fast_label, c.expert_label)
 
 
 def max_rejectable_count_scan(n, t, delta):
@@ -216,7 +223,7 @@ def empirical_exceedances(d, w, loss, tau):
     if len(d) == 0:
         raise ValueError("calibration set is empty")
     check_loss_compatible(w, loss)
-    idx = cell_indices_at(w, d.xs)
+    idx = cell_indices(w.rights, d.xs)
     return int(np.sum((w.scores[idx] <= tau) & loss.exceeds(w.fast_labels[idx], d.ys)))
 
 
@@ -235,7 +242,7 @@ def select_threshold_loop(d, w, loss, cfg):
     """``select_threshold`` counting each grid threshold's exceedances afresh."""
     n = len(d)
     check_epsilon_match(cfg, loss)
-    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[cell_indices_at(w, d.xs)])
+    grid = cfg.threshold_grid or auto_threshold_grid(w.scores[cell_indices(w.rights, d.xs)])
     tested = []
     tau_hat = ALWAYS_DEFER
     for tau in grid:

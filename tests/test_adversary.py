@@ -3,6 +3,8 @@ import pytest
 
 import pacroute as pr
 from pacroute.adversary import choose_adversarial_label, find_radius
+from pacroute.risk import cell_exceedance_flags
+from pacroute.worlds import cell_index_at
 
 from conftest import corpus, make_w1
 
@@ -86,9 +88,13 @@ def test_perturb_keeps_marginal(w1, loss01):
 def test_perturb_swaps_label_at_center(w1, loss01):
     spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
     assert pr.cell_at(p, 0.4).expert_label == spec.adversarial_label
-    # pointwise loss at the center flips from 0 to 1 once routed fast
-    assert pr.pointwise_risk(w1, loss01, 0.5, 0.4) == 0.0
-    assert pr.pointwise_risk(p, loss01, 0.5, 0.4) == 1.0
+    # the center, routed fast at 0.5 in both worlds, turns from good to bad,
+    # and the exact miscoverage at 0.5 grows from 0 by the ball's mass
+    assert pr.cell_at(w1, 0.4).score <= 0.5 and pr.cell_at(p, 0.4).score <= 0.5
+    assert not cell_exceedance_flags(w1, loss01)[cell_index_at(w1, 0.4)]
+    assert cell_exceedance_flags(p, loss01)[cell_index_at(p, 0.4)]
+    assert pr.exact_miscoverage(w1, loss01, 0.5) == 0.0
+    assert pr.exact_miscoverage(p, loss01, 0.5) == pytest.approx(spec.ball_mass, abs=1e-15)
 
 
 def test_perturb_noop_outside_ball(w1, loss01):
@@ -109,11 +115,11 @@ def test_perturb_noop_outside_ball(w1, loss01):
 
 def test_perturb_preserves_validity_and_scores(loss01):
     for w in corpus():
-        region = pr.disagreement_region(w, loss01).cell_indices
+        bad = cell_exceedance_flags(w, loss01)
         # pick a point in an agreeing cell if one exists
         x_star = None
-        for i, c in enumerate(w.cells):
-            if i not in region and c.mass > 0:
+        for c, is_bad in zip(w.cells, bad):
+            if not is_bad and c.mass > 0:
                 x_star = (c.left + c.right) / 2
                 break
         if x_star is None:
@@ -233,17 +239,18 @@ def test_constructed_spec_meets_bound_chain(w1, loss01):
 
 def test_perturbed_disagreement_gains_ball_cells(w1, loss01):
     spec, p = pr.perturb(w1, loss01, 0.4, 0.01, 100)
-    base_region = pr.disagreement_region(
-        pr.split_at(w1, [0.4 - spec.radius, 0.4 + spec.radius]), loss01
-    )
-    pert_region = pr.disagreement_region(p, loss01)
-    gained = set(pert_region.cell_indices) - set(base_region.cell_indices)
-    assert gained
+    split = pr.split_at(w1, [0.4 - spec.radius, 0.4 + spec.radius])
+    base_bad = cell_exceedance_flags(split, loss01)
+    pert_bad = cell_exceedance_flags(p, loss01)
+    gained = np.flatnonzero(pert_bad & ~base_bad)
+    assert gained.size
     for i in gained:
         c = p.cells[i]
         assert c.left >= 0.4 - spec.radius and c.right <= 0.4 + spec.radius
-    assert pert_region.mass == pytest.approx(
-        base_region.mass + spec.ball_mass, abs=1e-15
+    # above every score, the exact miscoverage is the mass of the bad cells
+    top = float(np.max(p.scores))
+    assert pr.exact_miscoverage(p, loss01, top) == pytest.approx(
+        pr.exact_miscoverage(split, loss01, top) + spec.ball_mass, abs=1e-15
     )
 
 

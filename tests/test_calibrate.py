@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute import calibrate
+from pacroute._kernels import cell_indices
 from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
-from pacroute.worlds import cell_indices_at
 
 from conftest import make_distinct_scores, make_three_cell, make_w1, world_strategy
 from oracles import (
@@ -254,7 +254,7 @@ def test_select_threshold_counts_the_set_labels(w1, loss01, grid, world_tau):
     out = select_threshold(d, w1, loss01, pac)
     assert out == select_threshold_loop(d, w1, loss01, pac)
     assert out.tau_hat is ALWAYS_DEFER and out.tested[0].exceedances == 2
-    counts = np.bincount(cell_indices_at(w1, xs), minlength=w1.n_cells)
+    counts = np.bincount(cell_indices(w1.rights, xs), minlength=w1.n_cells)
     assert calibrate._select(pac, walk, counts[None]).tolist() == [world_tau]
 
 
@@ -322,8 +322,10 @@ def test_auto_grid_used_when_config_grid_absent(w1, loss01):
 def test_trivial_algorithm(w1, loss01):
     tau = pr.ALWAYS_DEFER
     assert tau is ALWAYS_DEFER and tau == float("-inf")
-    for x in (0.0, 0.3, 0.9):
-        assert pr.pointwise_risk(w1, loss01, tau, x) == 0.0
+    # every score exceeds it, so every input goes to the expert and none is hurt
+    for x in (0.0, 0.3, 0.9, 1.0):
+        assert pr.cell_at(w1, x).score > tau
+    assert pr.exact_miscoverage(w1, loss01, tau) == 0.0
     assert pr.exact_deferral_mass(w1, tau) == 1.0
 
 

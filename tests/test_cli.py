@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from pacroute import cli, simulate
-from pacroute._kernels import occupancy_counts
+from pacroute._kernels import cell_indices, occupancy_counts
 from pacroute.adversary import perturb
 from pacroute.calibrate import PacConfig
 from pacroute.cli import main
 from pacroute.risk import LossSpec
 from pacroute.simulate import CHUNK, McConfig
-from pacroute.worlds import cell_indices_at, world_to_dict
 
-from conftest import child_env, make_w1
+from conftest import child_env, make_w1, world_to_dict
 
 W1_DICT = world_to_dict(make_w1())
 
@@ -524,7 +523,7 @@ def _chunked_trace(world, loss, pac, n, mc, stream, points, prefix=""):
         world, loss, pac, n, mc.replications, mc.master_seed, stream))
     assert len(chunks) == 3
     taus = np.concatenate([t for _, t, _ in chunks])
-    idx = cell_indices_at(world, np.array(points))
+    idx = cell_indices(world.rights, np.array(points))
     fast = [int(np.sum(score <= taus)) for score in world.scores[idx]]
     return "".join(simulate.trace_blocks(world, loss, points, taus, prefix)), fast
 

@@ -5,60 +5,17 @@ from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute.adversary import choose_adversarial_label
-from pacroute.risk import ALWAYS_DEFER, EXPERT, FAST, cell_exceedance_flags
+from pacroute.risk import ALWAYS_DEFER, cell_exceedance_flags
 
 from conftest import corpus, make_masses_short_of_one, world_strategy
-from oracles import empirical_exceedances, exceeds_scalar
-
-
-def test_route_strict_inequality():
-    assert pr.route(0.5, 0.9) == EXPERT
-    # ties route fast: the deferral rule is strictly "score above threshold"
-    assert pr.route(0.5, 0.5) == FAST
-    assert pr.route(ALWAYS_DEFER, -100.0) == EXPERT
-    assert pr.route(ALWAYS_DEFER, 100.0) == EXPERT
-
-
-def test_pointwise_risk_always_defer_is_zero(w1, loss01):
-    for x in (0.0, 0.4, 0.9, 1.0):
-        assert pr.pointwise_risk(w1, loss01, ALWAYS_DEFER, x) == 0.0
-
-
-def test_pointwise_risk_fast_on_disagreement(w1, loss01):
-    assert pr.pointwise_risk(w1, loss01, 1.0, 0.9) == 1.0
-    assert pr.pointwise_risk(w1, loss01, 1.0, 0.4) == 0.0
-
-
-def test_pointwise_risk_domain_error(w1, loss01):
-    with pytest.raises(ValueError):
-        pr.pointwise_risk(w1, loss01, 1.0, 1.5)
-
-
-def test_disagreement_region_w1(w1, loss01):
-    region = pr.disagreement_region(w1, loss01)
-    assert region.cell_indices == (1,)
-    assert region.mass == pytest.approx(0.2, abs=1e-15)
-
-
-def test_disagreement_region_empty_when_agreeing(loss01):
-    w = pr.CellWorld(cells=(pr.Cell(0.0, 1.0, 1.0, 0, 0, 0.5),), alphabet_size=2)
-    region = pr.disagreement_region(w, loss01)
-    assert region.cell_indices == ()
-    assert region.mass == 0.0
-
-
-def test_disagreement_region_table_loss_below_epsilon(w1):
-    loss = pr.LossSpec(
-        kind="table", epsilon=0.5, table=((0.0, 0.3), (0.3, 0.0))
-    )
-    region = pr.disagreement_region(w1, loss)
-    assert region.cell_indices == ()
-    assert region.mass == 0.0
+from oracles import empirical_exceedances, exceeds_scalar, pointwise_risk_scalar
 
 
 def test_exact_miscoverage_w1(w1, loss01):
     assert pr.exact_miscoverage(w1, loss01, 0.5) == 0.0
     assert pr.exact_miscoverage(w1, loss01, 1.0) == pytest.approx(0.2, abs=1e-15)
+    # a threshold equal to the bad cell's score routes it fast: ties go fast
+    assert pr.exact_miscoverage(w1, loss01, 0.9) == pytest.approx(0.2, abs=1e-15)
     assert pr.exact_miscoverage(w1, loss01, ALWAYS_DEFER) == 0.0
 
 
@@ -109,8 +66,8 @@ def test_loss_spec_validation():
 def test_table_loss_must_cover_alphabet():
     w = pr.CellWorld(cells=(pr.Cell(0.0, 1.0, 1.0, 2, 0, 0.5),), alphabet_size=3)
     small = pr.LossSpec(kind="table", epsilon=0.0, table=((0.0, 1.0), (1.0, 0.0)))
-    with pytest.raises(ValueError):
-        pr.disagreement_region(w, small)
+    with pytest.raises(ValueError, match="loss table is 2x2"):
+        cell_exceedance_flags(w, small)
     # the adversary looks labels up in the table too
     with pytest.raises(ValueError, match="loss table is 2x2"):
         choose_adversarial_label(w, small, 0.5)
@@ -138,20 +95,10 @@ def test_monotonicity_over_corpus(loss01):
         assert all(a >= b - 1e-15 for a, b in zip(defer, defer[1:]))
 
 
-def test_risk_positive_implies_fast_routing(loss01):
-    rng = np.random.default_rng(23)
-    for w in corpus():
-        for _ in range(50):
-            tau = float(rng.uniform(-2, 2))
-            x = float(rng.random())
-            if pr.pointwise_risk(w, loss01, tau, x) > 0:
-                assert pr.route(tau, pr.cell_at(w, x).score) == FAST
-
-
 def test_miscoverage_bounded_by_disagreement_mass(loss01):
     rng = np.random.default_rng(5)
     for w in corpus():
-        cap = pr.disagreement_region(w, loss01).mass
+        cap = float(np.sum(w.masses[cell_exceedance_flags(w, loss01)]))
         for _ in range(25):
             tau = float(rng.uniform(-2, 2))
             assert pr.exact_miscoverage(w, loss01, tau) <= cap + 1e-15
@@ -171,7 +118,7 @@ def test_miscoverage_matches_monte_carlo(loss01):
     for tau in (0.15, 0.5, 1.0):
         d = pr.sample_calibration(w, 100_000, 99)
         risks = np.fromiter(
-            (pr.pointwise_risk(w, loss01, tau, float(x)) for x in d.xs),
+            (pointwise_risk_scalar(w, loss01, tau, float(x)) for x in d.xs),
             dtype=float,
             count=len(d),
         )

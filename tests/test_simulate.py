@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pacroute as pr
 from pacroute import _kernels, calibrate, simulate
+from pacroute.adversary import DemoPreconditionError
 from pacroute.calibrate import ALGORITHMS, binomial_pvalue_table, max_rejectable_count
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json, encode_threshold
@@ -18,7 +19,6 @@ from pacroute.simulate import (
     CHUNK_CELLS,
     JOINT,
     TRACE_BLOCK_ROWS,
-    DemoPreconditionError,
     McConfig,
     _tau_values_for_replications,
     audit_profile,

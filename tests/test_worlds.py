@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute.worlds import cell_index_at, json_number, world_from_dict, world_to_dict
+from pacroute._kernels import cell_indices
+from pacroute.worlds import cell_index_at, json_number, world_from_dict
 
-from conftest import corpus, make_w1, world_strategy
+from conftest import corpus, make_w1, world_strategy, world_to_dict
 
 
 def test_validate_accepts_w1():
@@ -361,7 +362,11 @@ def test_sampled_labels_match_world(w, n, seed):
 @given(world_strategy())
 @settings(max_examples=40, deadline=None)
 def test_cell_index_lookup_consistent(w):
+    # each cell owns its left edge, its midpoint and the float just below its
+    # right edge; the last cell owns x = 1.0
+    points, owners = [1.0], [w.n_cells - 1]
     for i, c in enumerate(w.cells):
-        assert cell_index_at(w, c.left) == i
-        mid = (c.left + c.right) / 2
-        assert cell_index_at(w, mid) == i
+        points += [c.left, (c.left + c.right) / 2, float(np.nextafter(c.right, c.left))]
+        owners += [i] * 3
+    assert [cell_index_at(w, x) for x in points] == owners
+    assert cell_indices(w.rights, np.array(points)).tolist() == owners
