@@ -22,6 +22,7 @@ Monte-Carlo engine and the exact law in :mod:`pacroute.simulate` read it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +38,7 @@ __all__ = [
     "PacConfig",
     "TestedThreshold",
     "CalibrationOutcome",
-    "binomial_pvalue_table",
+    "binomial_tail",
     "select_threshold",
 ]
 
@@ -111,50 +112,54 @@ class CalibrationOutcome:
     n: int
 
 
+#: The tail sums at most REACH·(sigma + 1) terms (see ``binomial_tail``).
+REACH = 10
+
+
+def binomial_tail(k, n: int, t) -> np.ndarray:
+    """P(Binomial(n, t) <= k), broadcast over ``k`` and ``t``. Exactly 0 at
+    k < 0 and 1 at k >= n; below n, exactly 1 at t <= 0 and 0 at t >= 1.
+    Elsewhere log-space terms are summed from the smaller side, far end
+    first: the lower tail when k < n·t, else one minus the upper tail. With
+    sigma² = n·t·(1 - t) and g from n·t to the first term, the j-th ratio of
+    terms away from ``k`` is at most 1/(1 + (g + j)/sigma²), so summing L terms
+    drops at most (1 + sigma²/(g + L))·prod_(j<L) 1/(1 + (g + j)/sigma²) of
+    the sum. L = ceil(REACH·(sigma + 1)) keeps that below 1e-18 at every sigma
+    up to 10^4, or L is the count at which the factors 1 + g/sigma² do."""
+    k, t = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(t, dtype=float))
+    tails = np.where(k < n, (k >= 0) & (t <= 0.0), 1.0)
+    inner = (k >= 0) & (k < n) & (t > 0.0) & (t < 1.0)
+    if not inner.any():
+        return tails
+    k, t = k[inner], t[inner]
+    upper = k >= n * t
+    var = n * t * (1.0 - t)
+    rise = np.log(np.where(upper, k + 1 - n * t, n * t - k)) - np.log(var)  # log(g/sigma²)
+    reach = np.minimum(np.ceil(REACH * (np.sqrt(var) + 1.0)), np.ceil(
+        (np.logaddexp(0.0, -rise) + math.log(1e18)) / np.logaddexp(0.0, rise))).astype(int)
+    # each window [lo, hi] from its far end; past it, a row repeats its last count
+    lo = np.where(upper, k + 1, np.maximum(k - reach + 1, 0))
+    hi = np.where(upper, np.minimum(k + reach, n), k)
+    step = np.arange((hi - lo).max() + 1)[:, None]
+    i = np.where(upper, np.maximum(hi - step, lo), np.minimum(lo + step, hi))
+    lg = math.lgamma(n + 1)  # log C(n, c) once for each c the windows span
+    log_choose = np.fromiter((lg - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                              for c in range(lo.min(), hi.max() + 1)), float)
+    terms = np.exp(log_choose[i - lo.min()] + i * np.log(t) + (n - i) * np.log1p(-t))
+    # a cumulative sum adds in order, where a reduce may pair terms up
+    sums = np.cumsum(np.where(step <= hi - lo, terms, 0.0), axis=0)[-1]
+    tails[inner] = np.where(upper, 1.0 - sums, sums)
+    return tails
+
+
 @lru_cache(maxsize=256)
-def binomial_pvalue_table(n: int, t: float) -> np.ndarray:
-    """Lower-tail CDF of Binomial(n, t) at every count 0..n, as a read-only
-    float64 array (the cache shares it between callers).
-
-    Terms are computed in log space and summed directly from whichever end is
-    smaller: the prefix when the tail is below one half, else one minus the
-    suffix. That keeps values near 1 accurate to a few ulp and pins the full
-    tail to exactly 1 (empty suffix). The table is nondecreasing by
-    construction, which the kernels and ``max_rejectable_count`` rely on.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must be in (0,1), got {t!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    log_t = math.log(t)
-    log_1mt = math.log1p(-t)
-    lg_n1 = math.lgamma(n + 1)
-    terms = np.empty(n + 1)
-    for b in range(n + 1):
-        terms[b] = math.exp(
-            lg_n1
-            - math.lgamma(b + 1)
-            - math.lgamma(n - b + 1)
-            + b * log_t
-            + (n - b) * log_1mt
-        )
-    prefix = np.cumsum(terms)
-    suffix_above = np.zeros(n + 1)  # suffix_above[b] = sum of terms for i > b
-    suffix_above[:n] = np.cumsum(terms[::-1])[-2::-1]
-    cdf = np.where(prefix <= 0.5, prefix, 1.0 - suffix_above)
-    cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
-    cdf.flags.writeable = False
-    return cdf
-
-
 def max_rejectable_count(n: int, t: float, delta: float) -> int:
     """Largest count whose p-value is <= delta, or -1 if even zero is too many.
 
-    Because the lower-tail CDF is nondecreasing in the count, rejection at a
-    candidate threshold is exactly "count <= this value"; the Monte-Carlo
-    kernels rely on that equivalence.
-    """
-    return int(np.searchsorted(binomial_pvalue_table(n, t), delta, side="right")) - 1
+    Because the tail is nondecreasing in the count, rejection at a candidate
+    threshold is exactly "count <= this value"; the Monte-Carlo kernels rely
+    on that equivalence. Found by bisection, and cached for a run's walks."""
+    return bisect.bisect_right(range(n), delta, key=lambda k: binomial_tail(k, n, t)) - 1
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):
@@ -230,7 +235,7 @@ def select_threshold(
     rejected = int(np.searchsorted(bad[cand], b_star, side="right"))  # counts never fall
     counts = bad[cand[:rejected + 1]]
     tested = tuple(map(TestedThreshold, taus[:len(counts)].tolist(), counts.tolist(),
-                       binomial_pvalue_table(n, cfg.test_level)[counts].tolist(),
+                       binomial_tail(counts, n, cfg.test_level).tolist(),
                        (counts <= b_star).tolist()))
     return CalibrationOutcome(tau_hat=tested[rejected - 1].tau if rejected else ALWAYS_DEFER,
                               tested=tested, n=n)

@@ -43,7 +43,7 @@ from ._kernels import occupancy_counts as _replication_uniforms
 from ._kernels import CHUNK  # replications seeded, counted and walked together
 from ._kernels import cell_indices
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
-from .calibrate import PacConfig, _select, _walk
+from .calibrate import PacConfig, _select, _walk, binomial_tail
 from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass
 from .serialize import encode_threshold
 from .worlds import CellWorld, cell_at
@@ -71,6 +71,9 @@ CHUNK_CELLS = CHUNK * 32
 
 # trace rows formatted and written together; bounds the trace writer's memory
 TRACE_BLOCK_ROWS = 8192
+
+# bad shares whose tails one call reads: small stops share a call's overhead
+LAW_BLOCK = 256
 
 # independent substreams used by the demo pipeline
 STREAM_AUDIT = 0
@@ -339,25 +342,6 @@ def mc_joint_risk(
     return est, math.sqrt(est * (1.0 - est) / mc.replications)
 
 
-def _lower_tails(b_star: int, n: int, t: np.ndarray) -> np.ndarray:
-    """P(Binomial(n, t) <= b_star) at each ``t``, exactly 0 or 1 at b_star = -1,
-    b_star >= n and t in {0, 1}. Elsewhere the b_star + 1 terms are summed in
-    log space, each row shifted by its largest term."""
-    if b_star < 0 or b_star >= n:
-        return np.full(t.shape, float(b_star >= 0))
-    tails = (t <= 0.0).astype(float)  # t >= 1: every point counts, more than b*
-    inner = (t > 0.0) & (t < 1.0)
-    b = np.arange(b_star + 1)
-    logs = np.multiply.outer(np.log(t[inner]), b)
-    logs += np.multiply.outer(np.log1p(-t[inner]), n - b)
-    logs += math.lgamma(n + 1) - np.array(
-        [math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(b_star + 1)])
-    top = logs.max(axis=1, keepdims=True)
-    logs -= top
-    tails[inner] = np.minimum(np.exp(top[:, 0]) * np.exp(logs, out=logs).sum(axis=1), 1.0)
-    return tails
-
-
 def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
                    algorithm: str):
     """The exact law of the selected threshold: for each stop j, yields
@@ -368,7 +352,8 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
     p with probability P(Binomial(n, q_p) <= b*). Given positions a..j-1
     empty, the points fall on the others, so G(a, j) = P(positions a..j-1
     empty, stop at j) is (mass off them)^n times a difference of two such
-    tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j)."""
+    tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j). One tail call
+    serves up to LAW_BLOCK bad shares, of one stop or several."""
     b_star, position, bad_position, n_pos, threshold = _walk(w, loss, cfg_pac, n, algorithm)
     # masses by position; position n_pos holds the cells past a fixed grid
     mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
@@ -377,16 +362,22 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
     below = np.concatenate(([0.0], np.cumsum(mass)))  # mass on positions < a
     bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
     above = np.cumsum(mass[::-1])[::-1]  # mass on positions >= j
+    block = []  # (stop, scale, live, bad shares q_(j-1) and q_j) of stops not yet read
     for j in range(n_pos + 1):
         rest = below[:j + 1] + above[j]  # mass off positions a..j-1, a = 0..j
         scale = np.append(rest[:j]**n, 1.0)
         live = np.flatnonzero(scale > 0.0)  # G is 0 where the points cannot fall
-        t = (bad_below[live] + [[0.0], [bad_mass[j]]]) / rest[live]  # bad shares q_(j-1), q_j
-        passed, stopped = _lower_tails(b_star, n, t)
-        g = np.zeros(j + 1)
-        # every walk reaches position 0, and none stops past the last
-        g[live] = scale[live] * ((1.0 if j == 0 else passed) - (0.0 if j == n_pos else stopped))
-        yield np.diff(g, prepend=0.0), threshold(j, np.arange(-1, j))
+        block.append((j, scale, live, (bad_below[live] + [[0.0], [bad_mass[j]]]) / rest[live]))
+        if j < n_pos and sum(q.size for *_, q in block) < LAW_BLOCK:
+            continue
+        tails = binomial_tail(b_star, n, np.concatenate([q for *_, q in block], axis=1))
+        ends = np.cumsum([q.shape[1] for *_, q in block])[:-1]
+        for (j, scale, live, _), (passed, stopped) in zip(block, np.split(tails, ends, axis=1)):
+            g = np.zeros(j + 1)  # every walk reaches position 0, and none stops past the last
+            g[live] = scale[live] * ((1.0 if j == 0 else passed)
+                                     - (0.0 if j == n_pos else stopped))
+            yield np.diff(g, prepend=0.0), threshold(j, np.arange(-1, j))
+        block = []
 
 
 def enumerate_distribution(
@@ -529,7 +520,7 @@ def trace_blocks(
     idx = cell_indices(w.rights, np.asarray(points, dtype=float))
     rows = list(zip([repr(float(x)) for x in points], w.scores[idx].tolist(),
                     cell_exceedance_flags(w, loss)[idx].tolist()))
-    templates: dict[float, list[str]] = {}
+    templates: dict[float | str, list[str]] = {}
 
     def template(tau: float) -> list[str]:
         # g = 1: defer (score above tau); ties go fast
@@ -543,8 +534,9 @@ def trace_blocks(
         block = tau_values[first:first + per_block].tolist()
         parts = []
         for r, tau in enumerate(block, start + first):
-            pieces = templates.get(tau)
+            key = tau or repr(tau)  # 0.0 == -0.0, but their text differs
+            pieces = templates.get(key)
             if pieces is None:
-                pieces = templates[tau] = template(tau)
+                pieces = templates[key] = template(tau)
             parts.append(str(r).join(pieces))
         yield "".join(parts)

@@ -12,6 +12,7 @@ import pytest
 
 import pacroute as pr
 from pacroute.adversary import find_radius
+from pacroute.calibrate import binomial_tail
 from pacroute.cli import main as cli_main
 from pacroute.simulate import (
     JOINT,
@@ -22,7 +23,6 @@ from pacroute.simulate import (
 )
 
 from conftest import corpus, make_w1
-from oracles import binomial_pvalue
 
 LOSS01 = pr.LossSpec(kind="zero_one", epsilon=0.0)
 PAC_W1 = pr.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=(0.5, 0.95))
@@ -178,7 +178,7 @@ def test_criterion_7_determinism_across_workers(tmp_path):
 
 def test_criterion_8_statistical_unit_checks():
     ref = 0.95**100
-    pv = binomial_pvalue(0, 100, 0.05)
+    pv = float(binomial_tail(0, 100, 0.05))
     ok = abs(pv - ref) / ref <= 1e-12
 
     rng = np.random.default_rng(2024)
@@ -201,7 +201,7 @@ def test_criterion_8_statistical_unit_checks():
         t = float(rng.uniform(0.01, 0.99))
         b1 = int(rng.integers(0, n))
         b2 = int(rng.integers(b1 + 1, n + 1))
-        pv_b_ok = pv_b_ok and binomial_pvalue(b1, n, t) <= binomial_pvalue(
+        pv_b_ok = pv_b_ok and binomial_tail(b1, n, t) <= binomial_tail(
             b2, n, t
         )
     pv_n_ok = True
@@ -210,14 +210,14 @@ def test_criterion_8_statistical_unit_checks():
         n1 = int(rng.integers(b + 1, b + 80))
         n2 = n1 + int(rng.integers(1, 40))
         t = float(rng.uniform(0.01, 0.99))
-        pv_n_ok = pv_n_ok and binomial_pvalue(b, n2, t) <= binomial_pvalue(
+        pv_n_ok = pv_n_ok and binomial_tail(b, n2, t) <= binomial_tail(
             b, n1, t
         ) + 1e-15
     ok = ok and risk_ok and pv_b_ok and pv_n_ok
     _verdict(
         8,
         ok,
-        f"binomial_pvalue(0,100,0.05) rel err {abs(pv - ref) / ref:.2e} <= 1e-12; "
+        f"binomial_tail(0,100,0.05) rel err {abs(pv - ref) / ref:.2e} <= 1e-12; "
         f"risk monotone in tau (1000 cases): {risk_ok}; p-value monotone in b "
         f"(1000 cases): {pv_b_ok}; p-value monotone in n (1000 cases): {pv_n_ok}",
     )

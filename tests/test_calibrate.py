@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 import pacroute as pr
 from pacroute import calibrate
 from pacroute._kernels import cell_indices
-from pacroute.calibrate import binomial_pvalue_table, max_rejectable_count, select_threshold
+from pacroute.calibrate import binomial_tail, max_rejectable_count, select_threshold
 from pacroute.risk import ALWAYS_DEFER
 
 from conftest import make_distinct_scores, make_three_cell, make_w1, world_strategy
 from oracles import (
     auto_threshold_grid,
-    binomial_pvalue,
+    binomial_pvalue_table,
     empirical_exceedances,
+    exact_tail_row,
     max_rejectable_count_scan,
     select_threshold_loop,
 )
@@ -27,26 +29,23 @@ PV_0_100_005 = 0.0059205292203339975  # 0.95**100
 
 
 def test_pvalue_full_tail_is_exactly_one():
-    assert binomial_pvalue(10, 10, 0.05) == 1.0
-    assert binomial_pvalue(100, 100, 0.7) == 1.0
+    assert binomial_tail(10, 10, 0.05) == 1.0
+    assert binomial_tail(100, 100, 0.7) == 1.0
+    # 1 - 0.05**100: the upper tail is below half an ulp of 1
+    assert binomial_tail(99, 100, 0.05) == 1.0
 
 
 def test_pvalue_zero_count_closed_form():
-    assert binomial_pvalue(0, 10, 0.05) == pytest.approx(PV_0_10_005, rel=1e-12)
-    assert binomial_pvalue(0, 100, 0.05) == pytest.approx(PV_0_100_005, rel=1e-12)
+    assert binomial_tail(0, 10, 0.05) == pytest.approx(PV_0_10_005, rel=1e-12)
+    assert binomial_tail(0, 100, 0.05) == pytest.approx(PV_0_100_005, rel=1e-12)
 
 
-def test_pvalue_validates_inputs():
-    with pytest.raises(ValueError):
-        binomial_pvalue(0, 10, 0.0)
-    with pytest.raises(ValueError):
-        binomial_pvalue(0, 10, 1.0)
-    with pytest.raises(ValueError):
-        binomial_pvalue(11, 10, 0.5)
-    with pytest.raises(ValueError):
-        binomial_pvalue(-1, 10, 0.5)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        binomial_pvalue_table(0, 0.5)
+def test_pvalue_exact_at_the_edges():
+    assert binomial_tail(0, 10, 0.0) == 1.0  # no point is bad
+    assert binomial_tail(9, 10, 1.0) == 0.0  # every point is bad
+    assert binomial_tail(11, 10, 0.5) == 1.0
+    assert binomial_tail(-1, 10, 0.5) == 0.0
+    assert binomial_tail(0, 0, 0.5) == 1.0  # no points at all
 
 
 def test_pvalue_nondecreasing_in_count():
@@ -54,7 +53,7 @@ def test_pvalue_nondecreasing_in_count():
     for _ in range(200):
         n = int(rng.integers(1, 200))
         t = float(rng.uniform(0.01, 0.99))
-        table = [binomial_pvalue(b, n, t) for b in range(n + 1)]
+        table = binomial_tail(np.arange(n + 1), n, t).tolist()
         assert all(a <= b for a, b in zip(table, table[1:]))
         assert all(0.0 < p <= 1.0 for p in table)
 
@@ -65,14 +64,65 @@ def test_pvalue_nonincreasing_in_n():
         b = int(rng.integers(0, 20))
         n = int(rng.integers(b + 1, b + 100))
         t = float(rng.uniform(0.01, 0.99))
-        assert binomial_pvalue(b, n + 1, t) <= binomial_pvalue(b, n, t) + 1e-15
+        assert binomial_tail(b, n + 1, t) <= binomial_tail(b, n, t) + 1e-15
+
+
+# every count at each (n, t), against exact rationals; the edges exactly
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 300])
+def test_tail_matches_exact_reference(n):
+    k = np.arange(-1, n + 1)
+    for t in (1e-12, 1e-3, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-12):
+        got = binomial_tail(k, n, t)
+        assert (got[0], got[-1]) == (0.0, 1.0)
+        want = np.array(exact_tail_row(n, t))
+        big = want >= 1e-300
+        assert np.all(np.abs(got[1:][big] - want[big]) <= 1e-12 * want[big]), t
+
+
+def test_tail_window_drops_below_its_bound():
+    # the docstring's bound on the dropped terms, at every sigma up to 10^4
+    sigma = np.concatenate((np.geomspace(1e-4, 1.0, 200), np.linspace(1.0, 60.0, 600),
+                            np.geomspace(60.0, 1e4, 200)))
+    for s in sigma.tolist():
+        size = math.ceil(calibrate.REACH * (s + 1.0))
+        bound = math.log1p(s * s / size) - np.log1p(np.arange(size) / (s * s)).sum()
+        assert bound < math.log(1e-18), s
 
 
 def test_max_rejectable_count_matches_pvalue_rule():
     for n, t, delta in [(100, 0.05, 0.05), (6, 0.45, 0.05), (50, 0.2, 0.01)]:
         b_star = max_rejectable_count(n, t, delta)
         for b in range(n + 1):
-            assert (b <= b_star) == (binomial_pvalue(b, n, t) <= delta)
+            assert (b <= b_star) == (binomial_tail(b, n, t) <= delta)
+
+
+def test_max_rejectable_count_at_test_level_one():
+    # alpha - delta_split can round to 1: every point is then bad, and no
+    # count below n has a p-value above 0
+    assert max_rejectable_count(7, 1.0, 1e-17) == 6
+
+
+def test_max_rejectable_count_matches_reference_table():
+    # the old full-table scan, at the test levels and budgets configs use
+    for n in [*range(1, 2001, 37), 10**4, 10**5]:
+        for t in (0.01, 0.05, 0.1, 0.45):
+            table = binomial_pvalue_table(n, t)
+            for delta in (0.01, 0.05, 0.1):
+                want = int(np.searchsorted(table, delta, side="right")) - 1
+                assert max_rejectable_count(n, t, delta) == want, (n, t, delta)
+
+
+def test_max_rejectable_count_memory_at_max_n():
+    # a few windows of terms, not the n + 1 the table held (45.8 MiB); the
+    # search itself, past the cache
+    tracemalloc.start()
+    try:
+        b_star = max_rejectable_count.__wrapped__(10**6, 0.05, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b_star == 49641
+    assert peak < 4 * 2**20
 
 
 _open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -81,21 +131,11 @@ _open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(st.integers(1, 2000), _open_unit, _open_unit, st.data())
 @settings(max_examples=100, deadline=None)
 def test_max_rejectable_count_matches_scan(n, t, delta, data):
-    table = binomial_pvalue_table(n, t)
-    # a delta equal to a table entry is where "<=" and "<" part
-    at_entry = float(table[data.draw(st.integers(0, n))])
+    # a delta equal to a tail value is where "<=" and "<" part
+    at_entry = float(binomial_tail(data.draw(st.integers(0, n)), n, t))
     for d in (delta, at_entry):
         if 0.0 < d < 1.0:
             assert max_rejectable_count(n, t, d) == max_rejectable_count_scan(n, t, d)
-
-
-def test_pvalue_table_is_read_only():
-    # the cache hands the same array to every caller
-    table = binomial_pvalue_table(20, 0.3)
-    assert table.dtype == np.float64 and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 0.5
-    assert binomial_pvalue_table(20, 0.3) is table
 
 
 def test_empirical_exceedances_none_below_tau(w1, loss01):

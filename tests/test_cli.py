@@ -1053,6 +1053,22 @@ def test_delta_split_defaults_to_half_alpha(tmp_path, w1_path):
     assert rep["report"]["tau_hat"] == 0.5
 
 
+@pytest.mark.parametrize("command", ["calibrate", "audit"])
+def test_test_level_rounding_to_one_runs(tmp_path, command, capsys):
+    # alpha - delta_split rounds to 1.0: every point then counts as bad, each
+    # count below n has p-value 0, and b* = n - 1
+    root = Path(__file__).resolve().parents[1]
+    payload = json.loads((root / "configs" / f"{command}_w1.json").read_text())
+    payload["world"] = str(root / "configs" / "w1.json")
+    payload["pac"].update(alpha=1.0, delta_split=1e-17)
+    assert payload["pac"]["alpha"] - payload["pac"]["delta_split"] == 1.0
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", out]) == 0, capsys.readouterr().err
+    if command == "calibrate":
+        assert [t["p_value"] for t in read_json(out)["report"]["tested"]] == [0.0, 0.0]
+
+
 def _console_script() -> list[str]:
     """The ``pacroute`` command: the installed script if one is on PATH, else
     the ``[project.scripts]`` target run as a setuptools script would run it."""

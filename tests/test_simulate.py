@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pacroute as pr
 from pacroute import _kernels, calibrate, simulate
 from pacroute.adversary import DemoPreconditionError
-from pacroute.calibrate import ALGORITHMS, binomial_pvalue_table, max_rejectable_count
+from pacroute.calibrate import ALGORITHMS, binomial_tail, max_rejectable_count
 from pacroute.risk import ALWAYS_DEFER
 from pacroute.serialize import dump_json, encode_threshold
 from pacroute.simulate import (
@@ -41,6 +41,7 @@ from conftest import (
     make_w1,
 )
 from oracles import (
+    binomial_pvalue_table,
     brute_force_enumerate,
     csv_trace_text,
     occupancy_enumerate,
@@ -638,6 +639,18 @@ def test_enumerate_matches_scalar_law(w, grid, alpha, algorithm, n, x):
         assert res.total_probability == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 40])
+def test_law_does_not_depend_on_its_tail_blocks(loss01, monkeypatch, block):
+    # every stop's row is the same, bit for bit, whichever stops share a call
+    w = make_distinct_scores(60)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
+    want = list(simulate._threshold_law(w, loss01, pac, 500, "calibrated"))
+    monkeypatch.setattr(simulate, "LAW_BLOCK", block)
+    got = list(simulate._threshold_law(w, loss01, pac, 500, "calibrated"))
+    assert all(np.array_equal(a, c) and np.array_equal(b, d) for (a, b), (c, d) in zip(want, got))
+    assert len(got) == len(want)
+
+
 def test_enumerate_warns_nothing_on_a_denormal_cell(loss01):
     # the only mass past the grid is 1e-310: the law never divides a good
     # cell's mass by it
@@ -657,7 +670,7 @@ EXACT_TAILS = [(-1, 10, (0.0, 0.3, 1.0), 0.0), (10, 10, (0.0, 0.3, 1.0), 1.0),
 
 @pytest.mark.parametrize("b_star, n, ts, tail", EXACT_TAILS)
 def test_lower_tails_exact_at_the_edges(b_star, n, ts, tail):
-    assert simulate._lower_tails(b_star, n, np.array(ts)).tolist() == [tail] * len(ts)
+    assert binomial_tail(b_star, n, np.array(ts)).tolist() == [tail] * len(ts)
 
 
 # both sum lgamma terms near n log n, so ulp(n log n) bounds either's error
@@ -665,9 +678,10 @@ def test_lower_tails_exact_at_the_edges(b_star, n, ts, tail):
                                     (10_000, 1e-9), (100_000, 1e-9)])
 def test_lower_tails_match_pvalue_table(n, tol):
     ts = np.array([1e-9, 0.001, 0.02, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+    tables = [binomial_pvalue_table(n, float(t)) for t in ts]
     for b_star in sorted({0, n // 100, n // 20, n // 2, n - 1}):
-        want = [binomial_pvalue_table(n, float(t))[b_star] for t in ts]
-        got = simulate._lower_tails(b_star, n, ts)
+        want = [table[b_star] for table in tables]
+        got = binomial_tail(b_star, n, ts)
         assert np.max(np.abs(got - want)) <= tol, b_star
 
 
@@ -1004,6 +1018,13 @@ def test_trace_blocks_match_csv_writer(inputs):
     assert all(r <= max(TRACE_BLOCK_ROWS, len(points)) for r in rows)
     per_block = max(1, TRACE_BLOCK_ROWS // len(points))
     assert len(blocks) == -(-len(taus) // per_block)
+
+
+def test_trace_tells_zero_from_negative_zero(w1, loss01):
+    # the two zeros are equal as thresholds but are written differently
+    taus = np.array([-0.0, 0.0, -0.0, 0.5, 0.0])
+    text = "".join(trace_blocks(w1, loss01, [0.25], taus))
+    assert text == csv_trace_text(w1, loss01, [0.25], taus)
 
 
 def test_trace_blocks_across_index_width_and_block_edges(w1, loss01):
