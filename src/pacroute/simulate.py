@@ -26,14 +26,22 @@ before the next is drawn: memory is one chunk's working set, whatever the
 calibration size and replication count, plus one tally entry per threshold.
 Monte-Carlo chunks and the exact oracle read the count walk of
 :mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
+
+The demo's three lanes read three streams, so a lane's bytes do not depend
+on which process draws it: a large untraced demo on Linux with a second CPU
+audits the perturbed world in one forked worker (``_forked``) while this
+process runs the other two lanes, and any other run draws all three here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
+import pickle
 import sys
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +90,13 @@ STREAM_PERTURBED_AUDIT = 2
 
 # audit points closer than this differ only by rounding and audit the same input
 _TWIN_GAP = 1e-12
+
+# the fewest uniforms (replications x n) the demo's perturbed audit lane must
+# draw to run in a forked worker: a fork, pipe and reap round trip of an
+# empty lane took 2.0-2.4 ms in a numpy-loaded process (quartiles of 50 after
+# a full-size demo; Python 3.11, 2 vCPUs), the time of 120k-140k draws at
+# ~17 ns each, and 2^18 draws take about twice that
+FORK_MIN_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -421,6 +436,80 @@ def enumerate_distribution(
     )
 
 
+def _forks_lane(replications: int, n: int, algorithm: str, trace) -> bool:
+    """Whether the demo runs its perturbed audit lane in a forked worker: on
+    Linux with a second CPU, untraced (trace rows follow lane order), for the
+    calibrated router (the trivial one draws nothing) and a lane of at least
+    FORK_MIN_DRAWS uniforms. Settled by the run alone; no option asks for it."""
+    return (sys.platform == "linux" and trace is None and algorithm == "calibrated"
+            and replications * n >= FORK_MIN_DRAWS and len(os.sched_getaffinity(0)) > 1)
+
+
+def _pickled_outcome(lane) -> bytes:
+    """``(lane(), None)`` pickled, or ``(None, exception)`` if it raised; an
+    exception that does not come back from pickling goes as a RuntimeError
+    of its repr."""
+    try:
+        return pickle.dumps((lane(), None))
+    except BaseException as e:  # every exception goes back, KeyboardInterrupt too
+        error = e
+    try:
+        data = pickle.dumps((None, error))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((None, RuntimeError(repr(error))))
+
+
+@contextmanager
+def _forked(lane):
+    """Start ``lane()`` in a forked worker and yield ``result()``, which waits
+    for it and returns its value. The worker pipes back its value, or the
+    exception it raised, which ``result()`` raises here. A worker that ends
+    with no result (killed by a signal) is replaced by ``lane()`` run here:
+    a lane reads only its own seed stream, so either process draws the same
+    bytes. On leaving, a worker still running is killed; it is always reaped.
+
+    numpy's BLAS thread pool is not copied into the worker, whose lane calls
+    ufuncs only, never BLAS."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: leaves only by _exit, never back to the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_pickled_outcome(lane))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reader = open(read_fd, "rb")
+    running = True
+
+    def result():
+        nonlocal running
+        data = reader.read()  # to the end first: a full pipe would block the worker
+        status = os.waitpid(pid, 0)[1]
+        running = False
+        if os.waitstatus_to_exitcode(status) != 0:
+            return lane()
+        value, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        return value
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        if running:
+            import signal  # here, not at the top: its enums cost every command ~1 ms
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def demo_with_replications(
     base: CellWorld,
     loss: LossSpec,
@@ -437,9 +526,12 @@ def demo_with_replications(
 
     Pipeline: (1) solve and apply the local label swap around x_star, which
     draws nothing, so bad input is refused before any replication; (2) audit
-    the base world (x_star is always the first audit point); (3) audit the
-    perturbed world with fresh replications; (4) estimate the base joint
-    risk and mean deferral mass. Verdicts:
+    the base world (x_star is always the first audit point); (3) estimate the
+    base joint risk and mean deferral mass; (4) audit the perturbed world
+    with fresh replications. When ``_forks_lane`` says so, (4) runs in a
+    forked worker started before (2), and its report is read after (3); it
+    draws the same bytes, and an exception it raises is raised here.
+    Verdicts:
 
       demo_vacuous          base fast-usage at x_star is within alpha, so the
                             router is already effectively trivial there
@@ -461,15 +553,22 @@ def demo_with_replications(
     spec, perturbed = perturb(base, loss, x_star, eta, n)
     points = (x_star, *(cfg_mc.audit_points or default_audit_points(base)))
     cfg_points = replace(cfg_mc, audit_points=points)  # drops x_star's twins
-    (base_report, base_tally), (pert_report, _) = (
-        audit_profile(w, loss, cfg_pac, cfg_points, n, algorithm=algorithm, stream=stream,
-                      trace=trace, trace_prefix=f"{lane},")
-        for lane, w, stream in (("base", base, STREAM_AUDIT),
-                                ("perturbed", perturbed, STREAM_PERTURBED_AUDIT)))
-    risk_est, risk_se = mc_joint_risk(
-        base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
-        algorithm=algorithm, stream=STREAM_JOINT,
-    )
+
+    def audit(lane, w, stream):
+        return audit_profile(w, loss, cfg_pac, cfg_points, n, algorithm=algorithm,
+                             stream=stream, trace=trace, trace_prefix=f"{lane},")
+
+    def perturbed_lane():
+        return audit("perturbed", perturbed, STREAM_PERTURBED_AUDIT)
+
+    forks = _forks_lane(cfg_mc.replications, n, algorithm, trace)
+    with _forked(perturbed_lane) if forks else nullcontext(perturbed_lane) as perturbed_result:
+        base_report, base_tally = audit("base", base, STREAM_AUDIT)
+        risk_est, risk_se = mc_joint_risk(
+            base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
+            algorithm=algorithm, stream=STREAM_JOINT,
+        )
+        pert_report, _ = perturbed_result()
     # summed over the distinct thresholds in ascending order
     deferral_mean = sum(k * exact_deferral_mass(base, tau)
                         for tau, k in base_tally.items()) / cfg_mc.replications

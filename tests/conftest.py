@@ -185,6 +185,21 @@ def pac_w1():
     )
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each ``os.fork`` call made from here on. The demo's lane
+    rule sees two CPUs, so a large untraced demo forks on any Linux host."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
 # a cell must hold its own float midpoint (validate_world); cuts this far
 # apart always leave one
 MIN_CUT_GAP = 1e-9
