@@ -9,9 +9,9 @@ numpy call spans up to CHUNK lanes whatever the set count. A caller's settle
 rule lets it stop drawing the sets whose result is already fixed.
 ``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
 running sum of the counts over the cells in position order; ``tau_indices``
-is that rule on a fixed grid. ``cell_indices`` maps uniforms (test inputs,
-the sampler) and points of [0, 1] to cells. Each works on a block of values
-at once and depends on nothing but its inputs.
+is that rule on a fixed grid. ``cell_indices`` maps uniforms (a tile, the
+sampler) and points of [0, 1] to cells. Each works on a block of values at
+once and depends on nothing but its inputs.
 
 Replication ``r`` of stream ``s`` is specified as
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
@@ -20,10 +20,10 @@ bits across replications: the ``SeedSequence`` pool mixing (O'Neill's
 seed_seq design, as numpy implements it) in uint32 words, once per chunk
 (``_pcg_states``), then the 128-bit PCG64 LCG with XSL-RR output (O'Neill
 2014) in pairs of uint64 words, one column at a time. A segment's first
-state and each set's test column are reached by jumping ahead, k LCG steps
-as one multiply-add (Brown 1994). ``tests/test_seeding.py`` pins the tiles,
-the multiply-add and the jump to numpy or to Python ints bit for bit, and
-``tests/test_kernels.py`` pins the counts to numpy's own generator.
+state is reached by jumping ahead, k LCG steps as one multiply-add (Brown
+1994). ``tests/test_seeding.py`` pins the tiles, the multiply-add and the
+jump to numpy or to Python ints bit for bit, and ``tests/test_kernels.py``
+pins the counts to numpy's own generator.
 """
 
 from __future__ import annotations
@@ -293,25 +293,21 @@ def cell_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def occupancy_counts(
     master_seed: int, stream: int, replications: int, cols: int, cdf: np.ndarray, *,
-    start: int = 0, test_draw: bool = False, settled=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Occupancy counts (replications, cells) of the replications' ``cols``
-    columns, and with ``test_draw`` the ``cell_indices`` of each
-    replication's last column, its test input, which the counts then leave
-    out (else None).
+    start: int = 0, settled=None,
+) -> np.ndarray:
+    """Occupancy counts (replications, cells) of the replications' ``cols`` columns.
 
     Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
     ``cdf[c-1]``. The last cell takes everything at or above the last interior
-    edge, so a uniform past a last CDF entry below 1 lands there too. The test
-    column is ``_jump``ed to. ``uniform_tiles`` draws the calibration columns
-    in ``CHUNK // replications`` segments per set (at least 1, at most one
-    per column), so a tile spans at most CHUNK lanes, and more than CHUNK / 2
-    whenever the columns allow, however few sets there are. Below
-    SEARCH_EDGES interior edges a tile is counted below every edge, one pass
-    per edge, summed in bytes over each lane's rows (at most TILE_COLS) and
-    then over each set's segments; from there on a search per uniform and
-    one histogram per tile are faster. The working set is one tile and the
-    counts, whatever ``cols``.
+    edge, so a uniform past a last CDF entry below 1 lands there too.
+    ``uniform_tiles`` draws the columns in ``CHUNK // replications`` segments
+    per set (at least 1, at most one per column), so a tile spans at most
+    CHUNK lanes, and more than CHUNK / 2 whenever the columns allow, however
+    few sets there are. Below SEARCH_EDGES interior edges a tile is counted
+    below every edge, one pass per edge, summed in bytes over each lane's rows
+    (at most TILE_COLS) and then over each set's segments; from there on a
+    search per uniform and one histogram per tile are faster. The working set
+    is one tile and the counts, whatever ``cols``.
 
     ``settled(counts)``, if given, marks the sets, of (cells, sets) counts
     over the columns drawn so far, whose result no later draw can change; a
@@ -321,13 +317,10 @@ def occupancy_counts(
     have and are drawn no more.
     """
     state = _pcg_states(master_seed, stream, replications, start)
-    # the test column is cols LCG steps on from the seeded states
-    test_cells = cell_indices(cdf, _uniforms(*_jump(*state, cols))) if test_draw else None
-    n = cols - test_draw
     edges = cdf[:-1].tolist()
     counts = np.zeros((len(cdf), replications), dtype=np.intp)
     live, ids, drawn = counts, np.arange(replications), 0  # the sets still drawn
-    tiles = uniform_tiles(state, n, min(n, CHUNK // replications) or 1)
+    tiles = uniform_tiles(state, cols, min(cols, CHUNK // replications) or 1)
     for tile in tiles:
         rows, lanes = tile.shape
         segments = lanes // len(ids)  # the segments still drawn
@@ -344,7 +337,7 @@ def occupancy_counts(
         else:  # a search per uniform, then one histogram of (cell, set) pairs
             pairs = cell_indices(cdf, tile) * len(ids) + np.arange(lanes) % len(ids)
             live += np.bincount(pairs.ravel(), minlength=live.size).reshape(live.shape)
-        if settled is None or drawn == n:
+        if settled is None or drawn == cols:
             continue
         done = settled(live)
         dropped = np.count_nonzero(done)
@@ -358,7 +351,7 @@ def occupancy_counts(
             break
     if live is not counts:
         counts[:, ids] = live
-    return counts.T, test_cells
+    return counts.T
 
 
 def stop_positions(

@@ -19,11 +19,10 @@ uniforms, positions or per-point cell indices. A set is drawn no further once
 its walk is settled (``_settle_rule``), on counts over whichever of its
 columns were drawn: more than b* points at the first bad position fix its
 stop, and on the auto grid an occupied highest reachable position below that
-fixes ``prev``; its test draw, if any, is reached by a jump with the same
-bits. A chunk holds CHUNK sets, fewer on worlds of more
-than CHUNK_CELLS // CHUNK cells, and is folded (tallied, counted, traced)
-before the next is drawn: memory is one chunk's working set, whatever the
-calibration size and replication count, plus one tally entry per threshold.
+fixes ``prev``. A chunk holds CHUNK sets, fewer on worlds of more than
+CHUNK_CELLS // CHUNK cells, and is tallied (and traced) before the next is
+drawn: memory is one chunk's working set, whatever the calibration size and
+replication count, plus one tally entry per threshold.
 Monte-Carlo chunks and the exact oracle read the count walk of
 :mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
 
@@ -52,7 +51,8 @@ from ._kernels import CHUNK  # replications seeded, counted and walked together
 from ._kernels import cell_indices
 from .adversary import DemoPreconditionError, PerturbationSpec, perturb, tv_product_bound
 from .calibrate import PacConfig, _select, _walk, binomial_tail
-from .risk import ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass
+from .risk import (ALWAYS_DEFER, LossSpec, cell_exceedance_flags, exact_deferral_mass,
+                   exact_miscoverage)
 from .serialize import encode_threshold
 from .worlds import CellWorld, cell_at
 
@@ -246,34 +246,45 @@ def _tau_values_for_replications(
     master_seed: int,
     stream: int,
     *,
-    need_test_draws: bool = False,
     algorithm: str = "calibrated",
 ):
-    """Yield ``(start, thresholds, test_cells)`` per chunk, in order: the
-    thresholds of replications ``start, start + 1, ...``, each chunk seeded,
-    counted and walked only when asked for, so a caller that folds each chunk
-    holds one chunk's working set, flat in ``n`` and bounded in cells.
+    """Yield ``(start, thresholds)`` per chunk, in order: the thresholds of
+    replications ``start, start + 1, ...``, each chunk seeded, counted and
+    walked only when asked for, so a caller that folds each chunk holds one
+    chunk's working set, flat in ``n`` and bounded in cells.
 
-    With ``need_test_draws``, each replication consumes one extra uniform for
-    an independent test input, and ``test_cells`` holds its cell (else None).
     When b* < 0 (the trivial router, or a calibration too small to reject
-    anything) every replication selects ALWAYS_DEFER; nothing is drawn and
-    the test cells are all 0.
+    anything) every replication selects ALWAYS_DEFER, and nothing is drawn.
     """
     walk = _walk(w, loss, cfg_pac, n, algorithm)
-    cols = n + 1 if need_test_draws else n
     settled = _settle_rule(w, walk, cfg_pac.threshold_grid is None)
     chunk = max(1, min(CHUNK, CHUNK_CELLS // w.n_cells))
     for start in range(0, replications, chunk):
         sets = min(chunk, replications - start)
         if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
-            yield (start, np.full(sets, ALWAYS_DEFER),
-                   np.zeros(sets, dtype=np.int64) if need_test_draws else None)
+            yield start, np.full(sets, ALWAYS_DEFER)
             continue
-        counts, tests = _replication_uniforms(master_seed, stream, sets, cols, w.mass_cdf,
-                                              start=start, test_draw=need_test_draws,
-                                              settled=settled)
-        yield start, _select(cfg_pac, walk, counts), tests
+        counts = _replication_uniforms(master_seed, stream, sets, n, w.mass_cdf,
+                                       start=start, settled=settled)
+        yield start, _select(cfg_pac, walk, counts)
+
+
+def _threshold_tally(chunks, visit=None) -> dict[float, int]:
+    """The tally of ``(start, thresholds)`` chunks: each threshold, ascending, to
+    its replication count. ``visit(start, thresholds)`` sees each chunk folded."""
+    tally = Counter()
+    for start, taus in chunks:
+        values, counts = np.unique(taus, return_counts=True)
+        tally.update(dict(zip(values.tolist(), counts.tolist())))
+        if visit is not None:
+            visit(start, taus)
+    return dict(sorted(tally.items()))
+
+
+def _tally_mean(tally: dict[float, int], value) -> float:
+    """The mean of ``value(tau)`` over a tally's replications, summed over its
+    distinct thresholds in ascending order."""
+    return sum(k * value(tau) for tau, k in tally.items()) / sum(tally.values())
 
 
 def audit_profile(
@@ -297,16 +308,14 @@ def audit_profile(
     ``trace_blocks`` (rows opened by ``trace_prefix``) as the chunk is walked.
     """
     points = cfg_mc.audit_points or default_audit_points(w)
-    tally = Counter()
-    for start, taus, _ in _tau_values_for_replications(
-        w, loss, cfg_pac, n, cfg_mc.replications, cfg_mc.master_seed, stream,
-        algorithm=algorithm,
-    ):
-        values, counts = np.unique(taus, return_counts=True)
-        tally.update(dict(zip(values.tolist(), counts.tolist())))
-        if trace is not None:
-            trace(trace_blocks(w, loss, points, taus, trace_prefix, start=start))
-    tally, m = dict(sorted(tally.items())), cfg_mc.replications
+
+    def traced(start, taus):
+        trace(trace_blocks(w, loss, points, taus, trace_prefix, start=start))
+
+    m = cfg_mc.replications
+    tally = _threshold_tally(_tau_values_for_replications(
+        w, loss, cfg_pac, n, m, cfg_mc.master_seed, stream, algorithm=algorithm),
+        None if trace is None else traced)
     idx = cell_indices(w.rights, np.asarray(points, dtype=float))
     # a point is routed fast by every threshold at or above its score
     at_or_above = np.append(np.cumsum(list(tally.values())[::-1])[::-1], 0)
@@ -341,20 +350,19 @@ def mc_joint_risk(
 ) -> tuple[float, float]:
     """Estimate the joint probability that a fresh input suffers risk > epsilon.
 
-    Each replication calibrates on a fresh set of size n, then draws one test
-    input. ``replications`` and ``master_seed`` follow McConfig's rule.
-    Returns (estimate, binomial standard error).
+    Each replication calibrates on a fresh set of size n; a fresh input is
+    then hurt with probability ``exact_miscoverage`` of the selected
+    threshold, so the estimate is that value's mean over the replications.
+    ``replications`` and ``master_seed`` follow McConfig's rule. Returns
+    (estimate, standard error of the mean).
     """
     mc = McConfig(replications, master_seed)
-    bad = cell_exceedance_flags(w, loss)
-    risky = 0
-    for _, taus, cells in _tau_values_for_replications(
-        w, loss, cfg_pac, n, mc.replications, mc.master_seed, stream,
-        need_test_draws=True, algorithm=algorithm,
-    ):
-        risky += int(np.count_nonzero(bad[cells] & (w.scores[cells] <= taus)))
-    est = risky / mc.replications
-    return est, math.sqrt(est * (1.0 - est) / mc.replications)
+    tally = _threshold_tally(_tau_values_for_replications(
+        w, loss, cfg_pac, n, mc.replications, mc.master_seed, stream, algorithm=algorithm))
+    risk = {tau: exact_miscoverage(w, loss, tau) for tau in tally}
+    est = _tally_mean(tally, risk.get)
+    spread = _tally_mean(tally, lambda tau: (risk[tau] - est)**2)
+    return est, math.sqrt(spread) / math.sqrt(mc.replications)
 
 
 def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
@@ -436,13 +444,15 @@ def enumerate_distribution(
     )
 
 
-def _forks_lane(replications: int, n: int, algorithm: str, trace) -> bool:
-    """Whether the demo runs its perturbed audit lane in a forked worker: on
-    Linux with a second CPU, untraced (trace rows follow lane order), for the
-    calibrated router (the trivial one draws nothing) and a lane of at least
-    FORK_MIN_DRAWS uniforms. Settled by the run alone; no option asks for it."""
-    return (sys.platform == "linux" and trace is None and algorithm == "calibrated"
-            and replications * n >= FORK_MIN_DRAWS and len(os.sched_getaffinity(0)) > 1)
+def _forks_lane(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
+                replications: int, algorithm: str, trace) -> bool:
+    """Whether the demo runs its perturbed audit lane, on ``w``, in a forked
+    worker: on Linux with a second CPU, untraced (trace rows follow lane
+    order), for a lane of FORK_MIN_DRAWS uniforms or more whose walk draws
+    (b* >= 0). Settled by the run alone; no option asks for it."""
+    return (sys.platform == "linux" and trace is None
+            and replications * n >= FORK_MIN_DRAWS and len(os.sched_getaffinity(0)) > 1
+            and _walk(w, loss, cfg_pac, n, algorithm)[0] >= 0)
 
 
 def _pickled_outcome(lane) -> bytes:
@@ -561,17 +571,13 @@ def demo_with_replications(
     def perturbed_lane():
         return audit("perturbed", perturbed, STREAM_PERTURBED_AUDIT)
 
-    forks = _forks_lane(cfg_mc.replications, n, algorithm, trace)
+    forks = _forks_lane(perturbed, loss, cfg_pac, n, cfg_mc.replications, algorithm, trace)
     with _forked(perturbed_lane) if forks else nullcontext(perturbed_lane) as perturbed_result:
         base_report, base_tally = audit("base", base, STREAM_AUDIT)
-        risk_est, risk_se = mc_joint_risk(
-            base, loss, cfg_pac, cfg_mc.replications, cfg_mc.master_seed, n,
-            algorithm=algorithm, stream=STREAM_JOINT,
-        )
+        risk_est, risk_se = mc_joint_risk(base, loss, cfg_pac, cfg_mc.replications,
+                                          cfg_mc.master_seed, n, algorithm=algorithm)
         pert_report, _ = perturbed_result()
-    # summed over the distinct thresholds in ascending order
-    deferral_mean = sum(k * exact_deferral_mass(base, tau)
-                        for tau, k in base_tally.items()) / cfg_mc.replications
+    deferral_mean = _tally_mean(base_tally, lambda tau: exact_deferral_mass(base, tau))
     base_star = base_report.points[0]
     pert_star = pert_report.points[0]
     gap = abs(base_star.est_fast_prob - pert_star.est_fast_prob)

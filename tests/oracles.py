@@ -28,6 +28,9 @@ formatted by ``csv.writer``.
 
 ``taus_drawing_every_column`` is the Monte-Carlo selection with no set
 dropped early: every column drawn from numpy's own Generator.
+``joint_risk_by_test_draws`` estimates the joint risk the direct way: each
+replication draws one more uniform from that Generator, a fresh test input,
+and counts as risky when the input's cell is bad and routed fast.
 
 ``exceeds_scalar``, ``pointwise_risk_scalar``, ``max_rejectable_count_scan``,
 ``stop_position_scan`` and ``select_threshold_loop`` are the
@@ -59,7 +62,7 @@ from pacroute.calibrate import (
     binomial_tail,
     check_epsilon_match,
 )
-from pacroute.risk import ALWAYS_DEFER, check_loss_compatible
+from pacroute.risk import ALWAYS_DEFER, cell_exceedance_flags, check_loss_compatible
 from pacroute.serialize import encode_threshold
 
 
@@ -124,22 +127,42 @@ def brute_force_enumerate(w, loss, pac, n, x, algorithm="calibrated"):
     return value, total
 
 
+def _generator_cells(w, cols, replications, master_seed, stream):
+    """(replications, cols) cells of the uniforms replication r draws from
+    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream, r))))``."""
+    return cell_indices(w.mass_cdf, np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            master_seed, spawn_key=(stream, r)))).random(cols)
+        for r in range(replications)]))
+
+
 def taus_drawing_every_column(w, loss, pac, n, replications, master_seed, stream,
-                              need_test_draws=False, algorithm="calibrated"):
+                              algorithm="calibrated", cells=None):
     """``_tau_values_for_replications`` with every column drawn: replication
-    r draws n (+1) uniforms from ``Generator(PCG64(SeedSequence(master_seed,
-    spawn_key=(stream, r))))`` and ``_select`` reads its full occupancy
-    counts. As there, b* < 0 draws nothing: ALWAYS_DEFER, test cells 0."""
+    r draws n uniforms from numpy's Generator (``cells``, if given, holds
+    their cells in its first n columns) and ``_select`` reads its full
+    occupancy counts. As there, b* < 0 draws nothing: ALWAYS_DEFER."""
     walk = _walk(w, loss, pac, n, algorithm)
     if walk[0] < 0:
-        return (np.full(replications, ALWAYS_DEFER),
-                np.zeros(replications, dtype=np.int64) if need_test_draws else None)
-    cells = cell_indices(w.mass_cdf, np.array([
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            master_seed, spawn_key=(stream, r)))).random(n + need_test_draws)
-        for r in range(replications)]))
+        return np.full(replications, ALWAYS_DEFER)
+    if cells is None:
+        cells = _generator_cells(w, n, replications, master_seed, stream)
     counts = np.array([np.bincount(row[:n], minlength=w.n_cells) for row in cells])
-    return _select(pac, walk, counts), cells[:, n] if need_test_draws else None
+    return _select(pac, walk, counts)
+
+
+def joint_risk_by_test_draws(w, loss, pac, n, replications, master_seed, stream=1,
+                             algorithm="calibrated"):
+    """(estimate, binomial standard error) of the joint risk: replication r
+    draws n + 1 uniforms, selects its threshold from the first n, and is
+    risky when column n's cell is bad and its score is at or below the
+    threshold."""
+    cells = _generator_cells(w, n + 1, replications, master_seed, stream)
+    taus = taus_drawing_every_column(w, loss, pac, n, replications, master_seed, stream,
+                                     algorithm, cells)
+    test = cells[:, n]
+    est = float(np.mean(cell_exceedance_flags(w, loss)[test] & (w.scores[test] <= taus)))
+    return est, math.sqrt(est * (1.0 - est) / replications)
 
 
 def _compositions(total, bins):

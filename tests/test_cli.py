@@ -540,7 +540,7 @@ def _chunked_trace(world, loss, pac, n, mc, stream, points, prefix=""):
     chunks = list(simulate._tau_values_for_replications(
         world, loss, pac, n, mc.replications, mc.master_seed, stream))
     assert len(chunks) == 3
-    taus = np.concatenate([t for _, t, _ in chunks])
+    taus = np.concatenate([t for _, t in chunks])
     idx = cell_indices(world.rights, np.array(points))
     fast = [int(np.sum(score <= taus)) for score in world.scores[idx]]
     return "".join(simulate.trace_blocks(world, loss, points, taus, prefix)), fast

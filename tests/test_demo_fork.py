@@ -55,14 +55,32 @@ def _lanes_failing(monkeypatch, fail):
     monkeypatch.setattr(simulate, "_replication_uniforms", draw)
 
 
-def test_forks_only_large_untraced_calibrated_runs(monkeypatch):
+def test_forks_only_large_untraced_calibrated_runs(w1, loss01, pac_w1, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert _forks_lane(REPLICATIONS, N, "calibrated", None)
-    assert not _forks_lane(REPLICATIONS - 1, N, "calibrated", None)
-    assert not _forks_lane(REPLICATIONS, N, "calibrated", print)  # traced
-    assert not _forks_lane(REPLICATIONS, N, "trivial", None)
+    lane = (w1, loss01, pac_w1, N)
+    assert _forks_lane(*lane, REPLICATIONS, "calibrated", None)
+    assert not _forks_lane(*lane, REPLICATIONS - 1, "calibrated", None)
+    assert not _forks_lane(*lane, REPLICATIONS, "calibrated", print)  # traced
+    assert not _forks_lane(*lane, REPLICATIONS, "trivial", None)
+    # b* = -1 at n = 5: the calibrated walk draws nothing however many replications
+    assert not _forks_lane(w1, loss01, pac_w1, 5, 60000, "calibrated", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not _forks_lane(REPLICATIONS, N, "calibrated", None)
+    assert not _forks_lane(*lane, REPLICATIONS, "calibrated", None)
+
+
+def test_calibrated_lane_that_draws_nothing_does_not_fork(w1, loss01, pac_w1, forks,
+                                                          monkeypatch):
+    # 60000 x 5 >= FORK_MIN_DRAWS, but b* = -1 at n = 5: every walk selects
+    # ALWAYS_DEFER without a draw, so a worker would only cost its fork
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniforms drawn")
+
+    monkeypatch.setattr(simulate, "_replication_uniforms", refuse)
+    report = demo_with_replications(w1, loss01, pac_w1, 0.4, 0.01, 5,
+                                    McConfig(replications=60000, master_seed=5))
+    assert report.deferral_mass_mean == 1.0
+    assert forks == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])

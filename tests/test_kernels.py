@@ -59,32 +59,27 @@ def test_stop_positions_match_per_set_scan(case):
     assert stop_positions(counts, position, b_star, n_positions).tolist() == expected
 
 
-# n at, one below and one past a tile edge: with a test draw, column n then
-# ends a tile, starts a new one, or sits second in one
+# n at, one below and one past a tile edge
 TILE_EDGE_NS = [k * TILE_COLS + d for k in (1, 6) for d in (-1, 0, 1)]
 
 
-def _per_column_histogram(cdf, master_seed, stream, replications, n, test_draw, start):
-    u = joined_uniforms(master_seed, stream, replications, n + test_draw, start=start)
-    counts = [np.bincount(cell_indices(cdf, row[:n]), minlength=len(cdf)) for row in u]
-    return np.array(counts), cell_indices(cdf, u[:, n]) if test_draw else None
+def _per_column_histogram(cdf, master_seed, stream, replications, n, start, cols=None):
+    """Counts of the first ``n`` of ``cols`` (default ``n``) columns, drawn in one segment."""
+    u = joined_uniforms(master_seed, stream, replications, cols or n, start=start)
+    return np.array([np.bincount(cell_indices(cdf, row[:n]), minlength=len(cdf)) for row in u])
 
 
-@pytest.mark.parametrize("test_draw", [False, True], ids=["calibration", "test_draw"])
+# test_draw: the reference draws a column past the n counted, so the counts
+# of a set's first n columns are checked not to depend on what follows them
+@pytest.mark.parametrize("extra", [0, 1], ids=["calibration", "test_draw"])
 @pytest.mark.parametrize("n", TILE_EDGE_NS)
 @pytest.mark.parametrize("make_world", [make_w1, lambda: make_distinct_scores(16)],
                          ids=["2_cells", "16_cells"])
-def test_occupancy_counts_match_per_column_histogram(make_world, n, test_draw):
+def test_occupancy_counts_match_per_column_histogram(make_world, n, extra):
     cdf = make_world().mass_cdf
-    counts, test_cells = occupancy_counts(5, 1, 37, n + test_draw, cdf, start=9,
-                                          test_draw=test_draw)
-    want_counts, want_cells = _per_column_histogram(cdf, 5, 1, 37, n, test_draw, 9)
+    counts = occupancy_counts(5, 1, 37, n, cdf, start=9)
     assert counts.shape == (37, len(cdf))
-    assert np.array_equal(counts, want_counts)
-    if test_draw:
-        assert np.array_equal(test_cells, want_cells)
-    else:
-        assert test_cells is None
+    assert np.array_equal(counts, _per_column_histogram(cdf, 5, 1, 37, n, 9, n + extra))
 
 
 def _histograms(cells, n_cells):
@@ -94,13 +89,11 @@ def _histograms(cells, n_cells):
                        minlength=len(cells) * n_cells).reshape(len(cells), n_cells)
 
 
-def _numpy_counts(cdf, master_seed, stream, sets, cols, start, test_draw):
-    """Counts and test cells of numpy's own generator, one replication at a
-    time: the determinism contract, counted by ``cell_indices``."""
+def _numpy_counts(cdf, master_seed, stream, sets, cols, start):
+    """Counts of numpy's own generator, one replication at a time: the
+    determinism contract, counted by ``cell_indices``."""
     u = numpy_rows(master_seed, stream, sets, cols, start)
-    n = cols - test_draw
-    return (_histograms(cell_indices(cdf, u[:, :n]), len(cdf)),
-            cell_indices(cdf, u[:, n]) if test_draw else None)
+    return _histograms(cell_indices(cdf, u), len(cdf))
 
 
 SETS = [1, 8, 64, 300, _kernels.CHUNK - 1, _kernels.CHUNK]
@@ -120,22 +113,16 @@ def count_cases(draw):
     return sets, n, start
 
 
-@given(case=count_cases(), test_draw=st.booleans(), search=st.booleans(),
+@given(case=count_cases(), search=st.booleans(),
        master_seed=st.integers(0, 2**64), stream=st.sampled_from([0, 1, 2]),
        make_world=st.sampled_from([make_w1, lambda: make_distinct_scores(16)]))
 @settings(max_examples=40, deadline=None)
-def test_occupancy_counts_match_numpy_generator(case, test_draw, search, master_seed, stream,
-                                                make_world):
+def test_occupancy_counts_match_numpy_generator(case, search, master_seed, stream, make_world):
     sets, n, start = case
     cdf = make_world().mass_cdf
     with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
-        counts, test_cells = occupancy_counts(master_seed, stream, sets, n + test_draw, cdf,
-                                              start=start, test_draw=test_draw)
-    want_counts, want_cells = _numpy_counts(cdf, master_seed, stream, sets, n + test_draw,
-                                            start, test_draw)
-    assert np.array_equal(counts, want_counts)
-    assert (test_cells is None) == (want_cells is None)
-    assert test_cells is None or np.array_equal(test_cells, want_cells)
+        counts = occupancy_counts(master_seed, stream, sets, n, cdf, start=start)
+    assert np.array_equal(counts, _numpy_counts(cdf, master_seed, stream, sets, n, start))
 
 
 @pytest.mark.parametrize("sets", [1, 8])
@@ -145,8 +132,8 @@ def test_byte_counts_hold_a_full_tile_of_every_segment(sets):
     # tile fits in a byte. Totals alone would not show a count that wrapped
     cdf = make_w1().mass_cdf
     n = TILE_COLS * (_kernels.CHUNK // sets)
-    counts, _ = occupancy_counts(6, 0, sets, n, cdf)
-    want, _ = _numpy_counts(cdf, 6, 0, sets, n, 0, False)
+    counts = occupancy_counts(6, 0, sets, n, cdf)
+    want = _numpy_counts(cdf, 6, 0, sets, n, 0)
     assert counts.min() > 255
     assert np.array_equal(counts, want)
 
@@ -155,8 +142,7 @@ def test_few_sets_at_max_n_take_a_chunk_of_lanes():
     # 8 sets at n = 10**6 draw in 1024 segments each, CHUNK lanes a tile
     tracemalloc.start()
     try:
-        occupancy_counts(3, 0, 8, 10**6 + 1, make_distinct_scores(16).mass_cdf,
-                         test_draw=True)
+        occupancy_counts(3, 0, 8, 10**6, make_distinct_scores(16).mass_cdf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -178,11 +164,9 @@ def _edges_on_draws(u):
 ], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one"])
 def test_occupancy_counts_at_exact_edges(cdf_of):
     n = 2 * TILE_COLS + 3
-    cdf = cdf_of(joined_uniforms(8, 0, 64, n + 1))
-    counts, test_cells = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
-    want_counts, want_cells = _per_column_histogram(cdf, 8, 0, 64, n, True, 0)
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(test_cells, want_cells)
+    cdf = cdf_of(joined_uniforms(8, 0, 64, n))
+    counts = occupancy_counts(8, 0, 64, n, cdf)
+    assert np.array_equal(counts, _per_column_histogram(cdf, 8, 0, 64, n, 0))
 
 
 @pytest.mark.parametrize("cdf_of", [
@@ -194,17 +178,15 @@ def test_search_counting_matches_edge_passes(monkeypatch, cdf_of):
     # worlds of SEARCH_EDGES interior edges or more are counted by a search
     # per uniform; forced here on few cells, it must count alike
     n = 2 * TILE_COLS + 3
-    cdf = cdf_of(joined_uniforms(8, 0, 64, n + 1))
-    want = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
+    cdf = cdf_of(joined_uniforms(8, 0, 64, n))
+    want = occupancy_counts(8, 0, 64, n, cdf)
     monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
-    got = occupancy_counts(8, 0, 64, n + 1, cdf, test_draw=True)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(occupancy_counts(8, 0, 64, n, cdf), want)
 
 
 def _tile_ends(n, sets):
     """(seg_cols, ends): ``occupancy_counts`` draws each set's ``n``
-    calibration columns in segments of ``seg_cols`` columns, and after each
+    columns in segments of ``seg_cols`` columns, and after each
     tile every segment still drawn has drawn its first ``ends[i]``; the last
     segment is the shortest and ends first, on a tile edge of its own."""
     segments = max(1, min(n, _kernels.CHUNK // sets))
@@ -218,11 +200,11 @@ def _tile_ends(n, sets):
 
 
 def _dropping_reference(cdf, u, n, at_least):
-    """Counts and test cells of sets drawn tile by tile in segments of columns,
+    """Counts of sets drawn tile by tile in segments of columns,
     where after each tile but the last the sets with ``at_least`` points in
     the last cell are dropped, keeping their counts over the columns drawn so
     far, once they are at least half of those left."""
-    cells = cell_indices(cdf, u[:, :n])
+    cells = cell_indices(cdf, u)
     seg_cols, ends = _tile_ends(n, len(u))
     live = np.ones(len(u), dtype=bool)
     counts = _histograms(cells, len(cdf))
@@ -232,7 +214,7 @@ def _dropping_reference(cdf, u, n, at_least):
         if done.any() and 2 * done.sum() >= live.sum():
             counts[done] = partial[done]
             live &= ~done
-    return counts, cell_indices(cdf, u[:, -1])
+    return counts
 
 
 @pytest.mark.parametrize("search", [False, True], ids=["edge_passes", "search"])
@@ -245,15 +227,12 @@ def test_dropped_sets_keep_partial_counts_and_test_cells(monkeypatch, n, at_leas
     if search:
         monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
     cdf = make_w1().mass_cdf
-    u = joined_uniforms(4, 2, 300, n + 1, start=11)
+    u = joined_uniforms(4, 2, 300, n, start=11)
     for lanes in (300, 900, _kernels.CHUNK):
         monkeypatch.setattr(_kernels, "CHUNK", lanes)
-        counts, test_cells = occupancy_counts(
-            4, 2, 300, n + 1, cdf, start=11, test_draw=True,
-            settled=lambda c: c[-1] >= at_least)
-        want_counts, want_cells = _dropping_reference(cdf, u, n, at_least)
-        assert np.array_equal(counts, want_counts), lanes
-        assert np.array_equal(test_cells, want_cells), lanes
+        counts = occupancy_counts(4, 2, 300, n, cdf, start=11,
+                                  settled=lambda c: c[-1] >= at_least)
+        assert np.array_equal(counts, _dropping_reference(cdf, u, n, at_least)), lanes
 
 
 @pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])
@@ -267,8 +246,8 @@ def test_settled_sets_select_as_if_fully_drawn(sets, n, grid):
     pac = pacroute.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=grid)
     walk = calibrate._walk(w, loss, pac, n, "calibrated")
     settled = simulate._settle_rule(w, walk, grid is None)
-    counts, _ = occupancy_counts(3, 0, sets, n, w.mass_cdf, settled=settled)
-    full, _ = occupancy_counts(3, 0, sets, n, w.mass_cdf)
+    counts = occupancy_counts(3, 0, sets, n, w.mass_cdf, settled=settled)
+    full = occupancy_counts(3, 0, sets, n, w.mass_cdf)
     assert (counts.sum(axis=1) < n).mean() >= 0.5  # most sets stopped early
     assert np.array_equal(calibrate._select(pac, walk, counts),
                           calibrate._select(pac, walk, full))

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KNOWN_DEAD = {
     ("pacroute.simulate", "make_perturbation"),
     ("pacroute.simulate", "select_threshold"),
-    ("pacroute.simulate", "exact_miscoverage"),
     ("pacroute.calibrate", "empirical_exceedances"),
 }
 

@@ -82,8 +82,8 @@ def test_fixed_cases(master_seed, stream):
 
 
 def test_columns_are_a_prefix_of_longer_rows():
-    # random(n) is the first n draws of random(n + 1): test draws do not
-    # change the calibration draws
+    # random(n) is the first n draws of random(n + 1): how many columns a
+    # lane draws does not change the ones it shares with a longer draw
     wide = joined_uniforms(7, 1, 50, 101)
     assert np.array_equal(joined_uniforms(7, 1, 50, 100), wide[:, :100])
 
@@ -118,8 +118,8 @@ def test_negative_seed_stream_or_start_refused(master_seed, stream, start):
 @settings(max_examples=60, deadline=None)
 def test_jump_reaches_the_test_column(master_seed, stream, cols, near_top, back):
     # a state k draws in, for every k up to cols - 1 and so on both sides of
-    # each tile edge, jumps cols - k steps to column cols - 1: k = 0 is the
-    # test column's jump from the seeded state
+    # each tile edge, jumps cols - k steps to column cols - 1: k = 0 is a
+    # jump from the seeded state, as to a segment's first column
     replications = 3
     start = 2**32 - replications - back if near_top else back
     want = numpy_rows(master_seed, stream, replications, cols, start)[:, cols - 1]

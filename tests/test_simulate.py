@@ -44,6 +44,7 @@ from oracles import (
     binomial_pvalue_table,
     brute_force_enumerate,
     csv_trace_text,
+    joint_risk_by_test_draws,
     occupancy_enumerate,
     select_threshold_loop,
     taus_drawing_every_column,
@@ -53,15 +54,11 @@ from test_worlds import world_strategy
 
 
 def walk_all(*args, **kwargs):
-    """``_tau_values_for_replications``'s chunks joined, in order: (thresholds,
-    test cells or None)."""
+    """``_tau_values_for_replications``'s chunks' thresholds joined, in order."""
     chunks = list(_tau_values_for_replications(*args, **kwargs))
-    assert [start for start, *_ in chunks] == np.cumsum(
-        [0] + [len(taus) for _, taus, _ in chunks[:-1]]).tolist()
-    taus = np.concatenate([taus for _, taus, _ in chunks])
-    if chunks[0][2] is None:
-        return taus, None
-    return taus, np.concatenate([cells for *_, cells in chunks])
+    assert [start for start, _ in chunks] == np.cumsum(
+        [0] + [len(taus) for _, taus in chunks[:-1]]).tolist()
+    return np.concatenate([taus for _, taus in chunks])
 
 
 # independently computed for the three-cell instance with alpha=0.5, delta=0.05,
@@ -270,7 +267,7 @@ def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
     """Rebuild each replication's calibration set from the same uniforms and
     check the count-based walk agrees with the reference implementation.
     Returns the walk's thresholds and the cells each replication occupied."""
-    taus, _ = walk_all(w, loss, pac, n, reps, seed, stream)
+    taus = walk_all(w, loss, pac, n, reps, seed, stream)
     u = joined_uniforms(seed, stream, reps, n)
     mids = (w.lefts + w.rights) / 2
     occupied = []
@@ -321,18 +318,17 @@ def test_engine_matches_select_threshold_auto_grid(w1, loss01):
 def _reference_walk(w, loss, pac, n, reps, seed, stream):
     """Row by row: numpy's Generator, then select_threshold_loop on the cells hit."""
     mids = (w.lefts + w.rights) / 2
-    taus, test_cells = np.empty(reps), np.empty(reps, dtype=np.int64)
+    taus = np.empty(reps)
     for r in range(reps):
         seq = np.random.SeedSequence(seed, spawn_key=(stream, r))
-        u = np.random.Generator(np.random.PCG64(seq)).random(n + 1)
+        u = np.random.Generator(np.random.PCG64(seq)).random(n)
         cells = np.minimum(
             np.searchsorted(w.mass_cdf, u, side="right"), len(w.cells) - 1
         )
-        d = pr.CalibrationSet(xs=mids[cells[:n]], ys=w.expert_labels[cells[:n]])
+        d = pr.CalibrationSet(xs=mids[cells], ys=w.expert_labels[cells])
         tau = select_threshold_loop(d, w, loss, pac).tau_hat
         taus[r] = -np.inf if tau is ALWAYS_DEFER else tau
-        test_cells[r] = cells[n]
-    return taus, test_cells
+    return taus
 
 
 @pytest.mark.parametrize(
@@ -348,14 +344,9 @@ def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_t
     w = make_world()
     pac = pr.PacConfig(epsilon=0.0, alpha=0.3, delta_split=0.05, threshold_grid=grid)
     n, reps, seed, stream = 100, 2 * CHUNK + 3, 2024, 5
-    ref_taus, ref_cells = _reference_walk(w, loss01, pac, n, reps, seed, stream)
+    ref_taus = _reference_walk(w, loss01, pac, n, reps, seed, stream)
     assert len(np.unique(ref_taus)) == n_taus
-    taus, cells = walk_all(w, loss01, pac, n, reps, seed, stream)
-    assert cells is None
-    assert np.array_equal(taus, ref_taus)
-    taus, cells = walk_all(w, loss01, pac, n, reps, seed, stream, need_test_draws=True)
-    assert np.array_equal(taus, ref_taus)
-    assert np.array_equal(cells, ref_cells)
+    assert np.array_equal(walk_all(w, loss01, pac, n, reps, seed, stream), ref_taus)
 
 
 @given(
@@ -364,12 +355,10 @@ def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_t
     levels=st.sampled_from([(0.3, 0.05), (0.8, 0.3)]),
     algorithm=st.sampled_from(ALGORITHMS),
     n=st.sampled_from([1, 15, 16, 17, 33, 100]),
-    need_test_draws=st.booleans(),
     search=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, need_test_draws,
-                                            search):
+def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, search):
     # tied scores and zero-mass cells; alpha 0.3 gives b* = 0 at n = 15-17,
     # so many sets settle after the first tile; search: count by a search per
     # uniform, as on worlds of many cells
@@ -378,12 +367,8 @@ def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, need_
                        threshold_grid=grid)
     args = (w, loss, pac, n, 96, 5, 3)
     with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
-        taus, cells = walk_all(*args, need_test_draws=need_test_draws, algorithm=algorithm)
-    want_taus, want_cells = taus_drawing_every_column(
-        *args, need_test_draws=need_test_draws, algorithm=algorithm)
-    assert np.array_equal(taus, want_taus)
-    assert (cells is None) == (want_cells is None)
-    assert cells is None or np.array_equal(cells, want_cells)
+        taus = walk_all(*args, algorithm=algorithm)
+    assert np.array_equal(taus, taus_drawing_every_column(*args, algorithm=algorithm))
 
 
 def _settled(w, loss, pac, n, counts):
@@ -394,13 +379,13 @@ def _settled(w, loss, pac, n, counts):
 def test_settle_rule_on_w1_and_the_demo_perturbed_world(w1, loss01, pac_w1):
     # w1: b* = 1 at n = 100, and 16 draws put two points in the 0.2-mass bad
     # cell with probability 0.86
-    counts, _ = _kernels.occupancy_counts(3, 0, CHUNK, _kernels.TILE_COLS, w1.mass_cdf)
+    counts = _kernels.occupancy_counts(3, 0, CHUNK, _kernels.TILE_COLS, w1.mass_cdf)
     assert np.mean(_settled(w1, loss01, pac_w1, 100, counts)) >= 0.85
     # the demo's perturbed world: its first bad position holds only the ball,
     # whose mass is below eta / (2n), so no set settles even with every draw
     _, perturbed = pr.perturb(w1, loss01, 0.4, 0.01, 100)
-    counts, _ = _kernels.occupancy_counts(3, simulate.STREAM_PERTURBED_AUDIT, CHUNK, 100,
-                                          perturbed.mass_cdf)
+    counts = _kernels.occupancy_counts(3, simulate.STREAM_PERTURBED_AUDIT, CHUNK, 100,
+                                       perturbed.mass_cdf)
     assert not _settled(perturbed, loss01, pac_w1, 100, counts).any()
 
 
@@ -415,7 +400,7 @@ def test_chunk_sets_shrink_as_cells_grow(loss01, monkeypatch):
         sizes.clear()
         tracemalloc.start()
         try:
-            walk_all(w, loss01, pac, 100, CHUNK, 3, 1, need_test_draws=True)
+            walk_all(w, loss01, pac, 100, CHUNK, 3, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -439,7 +424,7 @@ def test_joint_risk_memory_does_not_grow_with_replications(w1, loss01, pac_w1):
         finally:
             tracemalloc.stop()
 
-    # each chunk's thresholds and test cells are counted before the next is drawn
+    # each chunk's thresholds are tallied before the next is drawn
     peak(CHUNK)  # fill the caches first, so both runs below start alike
     assert abs(peak(64 * CHUNK) - peak(4 * CHUNK)) < 2**19
 
@@ -813,6 +798,39 @@ def test_oracle_matches_mc_at_n100(loss01, world, grid, alpha, delta):
     assert any(0.05 < p < 0.95 for p in exact_fast)  # not only 0s and 1s
     for p, exact_p in zip(rep.points, exact_fast):
         assert abs(p.est_fast_prob - exact_p) <= tol(exact_p), p.x
+
+
+@pytest.mark.parametrize(
+    "world, grid, alpha, delta",
+    [(make_w1(), (0.5, 0.95), 0.3, 0.05), (make_tied_scores(), None, 0.2, 0.1)],
+    ids=["w1-fixed", "tied-auto"],
+)
+def test_joint_risk_tally_beats_test_draws_at_n100(loss01, world, grid, alpha, delta):
+    # the mean exact miscoverage of the selected thresholds has a smaller
+    # error than counting one fresh test input per replication
+    pac = pr.PacConfig(epsilon=0.0, alpha=alpha, delta_split=delta, threshold_grid=grid)
+    n, reps = 100, 20_000
+    exact = enumerate_distribution(world, loss01, pac, n, JOINT).value
+    est, se = mc_joint_risk(world, loss01, pac, reps, 606, n)
+    ref_est, ref_se = joint_risk_by_test_draws(world, loss01, pac, n, reps, 606)
+    assert 0.0 < se < ref_se
+    assert abs(est - exact) <= 4 * se
+    assert abs(ref_est - exact) <= 4 * ref_se
+
+
+@pytest.mark.parametrize("make_world, grid", [
+    (make_w1, (0.5, 0.95)), (make_tied_scores, None), (make_ten_cell, None),
+], ids=["w1-fixed", "tied-auto", "ten_cell_auto"])
+def test_joint_risk_is_mean_exact_miscoverage_of_stream_1(loss01, make_world, grid):
+    w = make_world()
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.3, delta_split=0.05, threshold_grid=grid)
+    reps = CHUNK + 5
+    taus = walk_all(w, loss01, pac, 100, reps, 9, simulate.STREAM_JOINT)
+    risks = np.array([pr.exact_miscoverage(w, loss01, tau) for tau in taus.tolist()])
+    est, se = mc_joint_risk(w, loss01, pac, reps, 9, 100)
+    assert len(np.unique(taus)) >= 2
+    assert est == pytest.approx(risks.mean(), rel=0, abs=1e-15)
+    assert se == pytest.approx(risks.std() / math.sqrt(reps), rel=0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
