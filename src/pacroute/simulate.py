@@ -29,7 +29,8 @@ Monte-Carlo chunks and the exact oracle read the count walk of
 The demo's three lanes read three streams, so a lane's bytes do not depend
 on which process draws it: a large untraced demo on Linux with a second CPU
 audits the perturbed world in one forked worker (``_forked``) while this
-process runs the other two lanes, and any other run draws all three here.
+process runs the other two lanes, and any other run draws all three here. A
+worker that hands back no value, for any reason, has its lane run here.
 """
 
 from __future__ import annotations
@@ -455,41 +456,36 @@ def _forks_lane(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
             and _walk(w, loss, cfg_pac, n, algorithm)[0] >= 0)
 
 
-def _pickled_outcome(lane) -> bytes:
-    """``(lane(), None)`` pickled, or ``(None, exception)`` if it raised; an
-    exception that does not come back from pickling goes as a RuntimeError
-    of its repr."""
-    try:
-        return pickle.dumps((lane(), None))
-    except BaseException as e:  # every exception goes back, KeyboardInterrupt too
-        error = e
-    try:
-        data = pickle.dumps((None, error))
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps((None, RuntimeError(repr(error))))
-
-
 @contextmanager
 def _forked(lane):
     """Start ``lane()`` in a forked worker and yield ``result()``, which waits
-    for it and returns its value. The worker pipes back its value, or the
-    exception it raised, which ``result()`` raises here. A worker that ends
-    with no result (killed by a signal) is replaced by ``lane()`` run here:
-    a lane reads only its own seed stream, so either process draws the same
-    bytes. On leaving, a worker still running is killed; it is always reaped.
+    for it and returns its value. A worker that hands back no value, because
+    its lane raised, a signal killed it or it never started (no fd or process
+    to spare), is replaced by ``lane()`` run here: a lane reads only its own
+    seed stream, so this run gives the worker's bytes or raises the lane's
+    exception as it is. On leaving, a worker still running is killed; it is
+    always reaped.
 
     numpy's BLAS thread pool is not copied into the worker, whose lane calls
     ufuncs only, never BLAS."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    fds = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError:  # EMFILE, EAGAIN, ENOMEM: the worker never started
+        for fd in fds:
+            os.close(fd)
+        pid = None
+    if pid is None:
+        yield lane
+        return
+    read_fd, write_fd = fds
     if pid == 0:  # the worker: leaves only by _exit, never back to the caller
         code = 1
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(_pickled_outcome(lane))
+                pipe.write(pickle.dumps(lane()))
             code = 0
         finally:
             os._exit(code)
@@ -502,12 +498,7 @@ def _forked(lane):
         data = reader.read()  # to the end first: a full pipe would block the worker
         status = os.waitpid(pid, 0)[1]
         running = False
-        if os.waitstatus_to_exitcode(status) != 0:
-            return lane()
-        value, error = pickle.loads(data)
-        if error is not None:
-            raise error
-        return value
+        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else lane()
 
     try:
         yield result
@@ -539,8 +530,10 @@ def demo_with_replications(
     the base world (x_star is always the first audit point); (3) estimate the
     base joint risk and mean deferral mass; (4) audit the perturbed world
     with fresh replications. When ``_forks_lane`` says so, (4) runs in a
-    forked worker started before (2), and its report is read after (3); it
-    draws the same bytes, and an exception it raises is raised here.
+    forked worker started before (2), and its report is read after (3); a
+    worker that hands back no report (its lane raised, it was killed or it
+    never started) is replaced by lane (4) run here, with the same bytes or
+    the same exception.
     Verdicts:
 
       demo_vacuous          base fast-usage at x_star is within alpha, so the

@@ -1,6 +1,7 @@
 """The demo's perturbed audit lane in a forked worker: chosen from the run,
 byte-identical to the in-process lane, and never leaving a process behind."""
 
+import errno
 import json
 import os
 import signal
@@ -55,7 +56,7 @@ def _lanes_failing(monkeypatch, fail):
     monkeypatch.setattr(simulate, "_replication_uniforms", draw)
 
 
-def test_forks_only_large_untraced_calibrated_runs(w1, loss01, pac_w1, monkeypatch):
+def test_forks_only_large_untraced_runs_whose_walk_draws(w1, loss01, pac_w1, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     lane = (w1, loss01, pac_w1, N)
     assert _forks_lane(*lane, REPLICATIONS, "calibrated", None)
@@ -95,11 +96,16 @@ def test_forked_lane_gives_the_in_process_bytes(w1, loss01, forks, monkeypatch, 
 
 
 @pytest.mark.parametrize("streams", [(STREAM_PERTURBED_AUDIT,), None], ids=["worker", "all"])
-def test_no_replications_assertion_reaches_the_caller(w1, loss01, pac_w1, forks, monkeypatch,
-                                                      streams):
-    # the worker's AssertionError comes back; when the parent's first lane
+def test_no_replications_assertion_reaches_the_caller(tmp_path, w1, loss01, pac_w1, forks,
+                                                      monkeypatch, streams):
+    # a worker whose lane raises hands back nothing, so its lane runs here
+    # and raises the AssertionError again; when the parent's first lane
     # raises it, the worker is killed
+    calls = tmp_path / "calls"  # both processes append "stream in_worker"
+
     def refuse(stream, in_worker):
+        with open(calls, "a") as log:
+            log.write(f"{stream} {in_worker}\n")
         if streams is None or stream in streams:
             raise AssertionError("replications ran")
 
@@ -108,6 +114,12 @@ def test_no_replications_assertion_reaches_the_caller(w1, loss01, pac_w1, forks,
         _demo(w1, loss01, pac_w1)
     assert len(forks) == 1
     assert_no_children()
+    perturbed = sorted(c for c in calls.read_text().splitlines()
+                       if c.startswith(f"{STREAM_PERTURBED_AUDIT} "))
+    if streams is None:  # the base lane raised first: the lane is not run here
+        assert f"{STREAM_PERTURBED_AUDIT} False" not in perturbed
+    else:
+        assert perturbed == [f"{STREAM_PERTURBED_AUDIT} False", f"{STREAM_PERTURBED_AUDIT} True"]
 
 
 def test_worker_memory_error_exits_2_as_in_process(tmp_path, w1_path_large, capsys, forks,
@@ -130,30 +142,24 @@ def test_worker_memory_error_exits_2_as_in_process(tmp_path, w1_path_large, caps
     assert_no_children()
 
 
-def test_unpicklable_worker_exception_arrives_as_its_repr(w1, loss01, pac_w1, forks,
-                                                          monkeypatch):
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_unpicklable():
     class LocalError(Exception):  # a local class cannot be pickled
         pass
 
-    def refuse(stream, in_worker):
-        if in_worker:
-            raise LocalError("not picklable")
-
-    _lanes_failing(monkeypatch, refuse)
-    with pytest.raises(RuntimeError) as exc:
-        _demo(w1, loss01, pac_w1)
-    assert type(exc.value) is RuntimeError
-    assert str(exc.value) == repr(LocalError("not picklable"))
-    assert len(forks) == 1
-    assert_no_children()
+    raise LocalError("not picklable")
 
 
-def test_killed_worker_lane_runs_in_process(w1, loss01, pac_w1, forks, monkeypatch):
+@pytest.mark.parametrize("fail", [_kill, _raise_unpicklable], ids=["sigkill", "unpicklable"])
+def test_killed_worker_lane_runs_in_process(w1, loss01, pac_w1, forks, monkeypatch, fail):
     expected = dump_json(_demo(w1, loss01, pac_w1))
 
     def die(stream, in_worker):
         if in_worker:
-            os.kill(os.getpid(), signal.SIGKILL)
+            fail()
 
     _lanes_failing(monkeypatch, die)
     assert dump_json(_demo(w1, loss01, pac_w1)) == expected
@@ -189,6 +195,52 @@ def w1_path_large(tmp_path, w1):
     cfg = tmp_path / "demo.json"
     cfg.write_text(json.dumps(payload))
     return str(cfg)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files")),
+], ids=["fork_eagain", "pipe_emfile"])
+def test_worker_that_cannot_start_runs_its_lane_here(tmp_path, w1_path_large, forks,
+                                                     monkeypatch, call, error):
+    here, out = tmp_path / "here.json", tmp_path / "r.json"
+    monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", float("inf"))
+    assert cli.main(["demo", "--config", w1_path_large, "--out", str(here)]) == 0
+    monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", FORK_MIN_DRAWS)
+    tried = []
+
+    def refuse(*args):
+        tried.append(call)
+        raise error
+
+    monkeypatch.setattr(os, call, refuse)  # after the pipe on "fork": its fds must close
+    fds = _open_fds()
+    assert cli.main(["demo", "--config", w1_path_large, "--out", str(out)]) == 0
+    assert _open_fds() == fds
+    assert tried == [call]
+    assert out.read_bytes() == here.read_bytes()
+    assert forks == []
+    assert_no_children()
+
+
+def test_lane_error_after_a_failed_fork_is_not_chained(w1, loss01, pac_w1, forks, monkeypatch):
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def fail(stream, in_worker):
+        if stream == STREAM_PERTURBED_AUDIT:
+            raise MemoryError("perturbed lane")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _lanes_failing(monkeypatch, fail)
+    with pytest.raises(MemoryError, match="^perturbed lane$") as exc:
+        _demo(w1, loss01, pac_w1)
+    assert exc.value.__context__ is None and exc.value.__cause__ is None
+    assert_no_children()
 
 
 def test_demo_command_forks_and_exits_in_time(tmp_path, w1_path_large, monkeypatch):

@@ -116,7 +116,7 @@ def test_negative_seed_stream_or_start_refused(master_seed, stream, start):
     back=st.integers(0, 64),
 )
 @settings(max_examples=60, deadline=None)
-def test_jump_reaches_the_test_column(master_seed, stream, cols, near_top, back):
+def test_jump_reaches_the_last_column_from_every_state(master_seed, stream, cols, near_top, back):
     # a state k draws in, for every k up to cols - 1 and so on both sides of
     # each tile edge, jumps cols - k steps to column cols - 1: k = 0 is a
     # jump from the seeded state, as to a segment's first column
