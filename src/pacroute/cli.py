@@ -6,16 +6,28 @@ no effect on outputs or on work. A command that ``_COMMANDS`` gives a trace
 header (``audit``, ``demo``) also takes ``--trace``, and writes each chunk's
 per-replication CSV rows as it walks the chunk; the others refuse the flag.
 
-The config and every output path are checked before any work runs. A key
-that no command reads is refused, and numbers follow ``worlds.json_number``.
-``_resolve`` parses the config once, by the ``_KEYS`` table, into the values
-a command computes with and the resolved config its report embeds. ``_emit``
-writes every report in one envelope.
+The config is checked before any work. A key that no command reads is
+refused, and numbers follow ``worlds.json_number``. ``_resolve`` parses the
+config once, by the ``_KEYS`` table, into the values a command computes with
+and the resolved config its report embeds. ``_emit`` writes every report in
+one envelope.
+
+Each output (``--trace``, then the report) is opened once, before any
+replication, with ``O_WRONLY | O_CREAT`` and no ``O_TRUNC``; that open is
+also the check that it can be written. The run writes it from offset 0 and,
+when it succeeds, cuts a regular file to the bytes written. A rerun thus
+overwrites blocks already allocated: on ext4 a truncating open of a file
+that holds the last run's trace frees its blocks inside ``open`` and makes
+its close start writeback of the whole rewrite, which the next open waits
+behind. Two outputs that are one file (``os.fstat``'s device and inode, so
+hard links too) are refused before any work. A failed run removes each
+output it created or wrote to, if the path itself is still that regular
+file (``os.lstat``: a symlink or a device is never unlinked); an output it
+never wrote keeps its bytes.
 
 Exit codes: 0 success, 2 config or parse error (an output that cannot be
 written, an ``n`` above MAX_N, or a run too large for memory, included), 3
-world validation error, 4 demo precondition error. A failed run leaves no
-report, and no trace file it wrote rows to.
+world validation error, 4 demo precondition error.
 """
 
 from __future__ import annotations
@@ -23,8 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -50,6 +63,9 @@ EXIT_PRECONDITION = 4
 # the largest calibration size any command takes (calibration.n, demo.n,
 # oracle.n): at 10**6 each command peaks near 110 MiB, at 10**7 near 770
 MAX_N = 10**6
+
+# an output is opened without O_TRUNC: see the module docstring
+_WRITE = os.O_WRONLY | os.O_CREAT
 
 
 class ConfigError(ValueError):
@@ -169,49 +185,96 @@ def _resolve(command: str, cfg: dict, args):
     return world, SimpleNamespace(**values), config
 
 
-def _write_text(path: str, text: str, mode: str = "w") -> None:
+class _Output:
+    """An output path, opened once for writing in place: see the module docstring."""
+
+    def __init__(self, path: str):
+        self.path, self.written = path, False
+        try:
+            try:
+                fd, self.created = os.open(path, _WRITE | os.O_EXCL, 0o666), True
+            except FileExistsError:
+                fd, self.created = os.open(path, _WRITE, 0o666), False
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e}") from e
+        self.file = open(fd, "w", encoding="utf-8", newline="")
+        self.st = os.fstat(fd)
+
+    def write(self, text: str) -> None:
+        self.written = True
+        try:
+            self.file.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {self.path}: {e}") from e
+
+    def finish(self) -> None:
+        """Cut a regular file to the bytes written, then close it."""
+        try:
+            self.file.flush()
+            if stat.S_ISREG(self.st.st_mode):
+                fd = self.file.fileno()
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            self.file.close()
+        except OSError as e:
+            raise ConfigError(f"cannot write {self.path}: {e}") from e
+
+    def discard(self) -> None:
+        """Remove the file if this run created it or wrote to it, but only a
+        regular file at the path itself, the one opened; then close it."""
+        if self.created or self.written:
+            with suppress(OSError):
+                st = os.lstat(self.path)
+                if stat.S_ISREG(st.st_mode) and os.path.samestat(st, self.st):
+                    os.remove(self.path)  # first: on a full disk the close fails too
+        with suppress(OSError):
+            self.file.close()
+
+
+@contextmanager
+def _outputs(trace, out):
+    """Open the ``--trace`` and report paths that are set (each None or an
+    ``_Output``), before any work; cut each to its bytes when the block
+    succeeds, and discard each if it raises."""
+    outputs = []
     try:
-        with open(path, mode, encoding="utf-8", newline="") as f:
-            f.write(text)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from e
+        for path in (trace, out):
+            outputs.append(_Output(path) if path else None)
+        if None not in outputs and os.path.samestat(outputs[0].st, outputs[1].st):
+            raise ConfigError(f"--trace and the report both name {trace}")
+        yield outputs
+        for output in filter(None, outputs):
+            output.finish()
+    except BaseException:
+        for output in filter(None, outputs):
+            output.discard()
+        raise
 
 
 def _emit(command: str, config: dict, report, out) -> None:
-    """Write the report envelope to ``out``, or to stdout if that is None."""
+    """Write the report envelope to the ``_Output`` ``out``, or to stdout if
+    that is None."""
     text = dump_json({"command": command, "version": __version__, "config": config,
                       "report": report}) + "\n"
-    if out:
-        _write_text(out, text)
+    if out is not None:
+        out.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_trace(path: str, header, command):
-    """``command(trace)``, where ``trace(blocks)`` writes CSV rows to ``path``,
-    opened with its header on the first rows; a run that raises after them
-    removes the file, so a failed run leaves ``path`` as it was or absent."""
-    file = None
+def _write_trace(path: str, output, header, command):
+    """``command(trace)``, where ``trace(blocks)`` writes CSV rows to
+    ``output``, the ``_Output`` open at ``path``, with the header before the
+    first rows: a run that fails before any row leaves the file unwritten."""
 
     def trace(blocks) -> None:
-        nonlocal file
-        if file is None:
-            file = open(path, "w", encoding="utf-8", newline="")
-            file.write(",".join(header) + "\r\n")
-        file.writelines(blocks)
+        if not output.written:
+            output.write(",".join(header) + "\r\n")
+        output.file.writelines(blocks)
 
     try:
-        report = command(trace)
-        file.close()  # every traced run writes rows: replications and points are >= 1
-    except BaseException as e:
-        if file is not None:
-            os.remove(path)  # first: on a full disk the close fails too
-            with suppress(OSError):
-                file.close()
-        if isinstance(e, OSError):  # a command reads and writes no other file
-            raise ConfigError(f"cannot write {path}: {e}") from e
-        raise
-    return report
+        return command(trace)
+    except OSError as e:  # a command reads and writes no other file
+        raise ConfigError(f"cannot write {path}: {e}") from e
 
 
 def _calibrate(world, run, trace) -> dict:
@@ -267,20 +330,16 @@ def _run(command: str, cfg: dict, args) -> int:
         except WorldValidationError as e:
             violations = e.violations
         report = {"valid": not violations, "violations": violations}
-        _emit(command, {"world": cfg["world"]}, report, out)
+        with _outputs(None, out) as (_, report_file):
+            _emit(command, {"world": cfg["world"]}, report, report_file)
         return EXIT_WORLD if violations else EXIT_OK
     world, run, config = _resolve(command, cfg, args)
-    if trace and out and os.path.realpath(trace) == os.path.realpath(out):
-        raise ConfigError(f"--trace and the report both name {trace}")
-    for path in filter(None, (trace, out)):  # an unwritable output fails before any work
-        existed = os.path.lexists(path)
-        _write_text(path, "", mode="a")  # an existing file keeps its bytes
-        if not existed:
-            os.remove(path)
     compute, *_, header = _COMMANDS[command]
-    report = (_write_trace(trace, header, lambda rows: compute(world, run, rows)) if trace
-              else compute(world, run, None))
-    _emit(command, config, report, out)
+    with _outputs(trace, out) as (trace_file, report_file):
+        report = (_write_trace(trace, trace_file, header,
+                               lambda rows: compute(world, run, rows)) if trace
+                  else compute(world, run, None))
+        _emit(command, config, report, report_file)
     return EXIT_OK
 
 

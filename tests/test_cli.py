@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -865,7 +866,7 @@ def test_trace_naming_the_report_exits_2_before_any_replication(
 def test_unwritable_out_exits_2_before_any_replication(
     tmp_path, w1_path, capsys, no_replications
 ):
-    # the trace is probed first; a file that exists keeps its bytes
+    # the trace is opened first; a file that exists keeps its bytes
     trace = tmp_path / "t.csv"
     trace.write_text("kept")
     out = tmp_path / "missing" / "r.json"
@@ -875,7 +876,94 @@ def test_unwritable_out_exits_2_before_any_replication(
     assert trace.read_text() == "kept"
     trace.unlink()
     assert run_cli(["demo", "--config", cfg, "--out", out, "--trace", trace]) == 2
-    assert not trace.exists()  # the probe leaves no file behind
+    assert not trace.exists()  # a trace the run created is removed
+
+
+def test_trace_and_report_hard_links_of_one_file_exit_2_before_any_replication(
+    tmp_path, w1_path, capsys, no_replications
+):
+    # two paths, one file: written in place, the report would land over the trace
+    h1, h2 = tmp_path / "h1", tmp_path / "h2"
+    h1.write_text("kept")
+    os.link(h1, h2)
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    assert run_cli(["audit", "--config", cfg, "--trace", h1, "--out", h2]) == 2
+    assert f"config error: --trace and the report both name {h1}" in capsys.readouterr().err
+    assert h1.read_text() == "kept" and h2.read_text() == "kept"
+
+
+def test_trace_and_report_naming_one_new_file_leave_nothing(
+    tmp_path, w1_path, capsys, no_replications
+):
+    # the trace's open creates the file the report's open finds
+    trace = tmp_path / "t"
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    assert run_cli(["audit", "--config", cfg, "--trace", trace, "--out", f"{tmp_path}/./t"]) == 2
+    assert "config error: --trace and the report both name" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_output_to_dev_null_exits_0(tmp_path, w1_path, flag):
+    # a device is written, never cut to length
+    other = {"--trace": "--out", "--out": "--trace"}[flag]
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    kept = tmp_path / "kept"
+    assert run_cli(["audit", "--config", cfg, flag, "/dev/null", other, kept]) == 0
+    assert kept.stat().st_size > 0
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_output_failing_through_a_symlink_keeps_the_link(tmp_path, w1_path, capsys, flag):
+    # every write to /dev/full fails with ENOSPC; the path given is a link to
+    # it, so a run that unlinked anything but a regular file removes only that
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    link, other = tmp_path / "full", tmp_path / "other"
+    link.symlink_to("/dev/full")
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    second = {"--trace": "--out", "--out": "--trace"}[flag]
+    assert run_cli(["audit", "--config", cfg, flag, link, second, other]) == 2
+    assert f"config error: cannot write {link}" in capsys.readouterr().err
+    assert link.is_symlink() and os.readlink(link) == "/dev/full"
+    assert not other.exists()  # created by the run, and written if it was the trace
+
+
+def test_demo_precondition_keeps_existing_outputs(tmp_path, w1_path):
+    # perturb refuses x_star before any replication: neither output is written
+    cfg = write_config(tmp_path, "c.json", {**_audit_payload(w1_path),
+                                            "demo": {"x_star": 0.9, "eta": 0.01, "n": 20}})
+    trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+    trace.write_text("trace kept")
+    out.write_text("report kept")
+    assert run_cli(["demo", "--config", cfg, "--trace", trace, "--out", out]) == 4
+    assert trace.read_text() == "trace kept" and out.read_text() == "report kept"
+
+
+_FSIZE_LIMITED_AUDIT = (
+    "import resource, signal, sys\n"
+    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
+    "from pacroute.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_report_write_failing_part_way_removes_the_report(tmp_path, w1_path, existed):
+    # in a child process whose files may not grow past 1000 bytes, the
+    # report's write stops part-way (EFBIG)
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    out = tmp_path / "r.json"
+    if existed:
+        out.write_bytes(b"x" * 5000)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FSIZE_LIMITED_AUDIT, "audit", "--config", cfg, "--out", out],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: cannot write {out}" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "oracle", "validate-world"])

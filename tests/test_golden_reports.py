@@ -110,3 +110,26 @@ def test_validate_world_report_bytes(case, tmp_path, monkeypatch):
         Path(config).write_text(json.dumps({"world": "gap.json"}), encoding="utf-8")
     assert main(["validate-world", "--config", config, "--out", str(out)]) == code
     assert _sha256(out) == VALIDATE_WORLD_SHA256[case]
+
+
+# what an output path holds before a rerun: longer than any output, one byte, empty
+PREFILLS = {"longer": b"\xff" * 2**20, "one_byte": b"x", "empty": b""}
+
+
+@pytest.mark.parametrize("prefill", sorted(PREFILLS))
+@pytest.mark.parametrize("cmd", [*sorted(GOLDEN_SHA256), "audit_traced"])
+def test_rerun_into_an_existing_output_writes_the_golden_bytes(cmd, prefill, tmp_path,
+                                                               monkeypatch):
+    # an output is written in place over what the path held, then cut to length
+    monkeypatch.chdir(ROOT)
+    command = cmd.removesuffix("_traced")
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    argv = [command, "--config", f"configs/{command}_w1.json", "--out", str(out)]
+    out.write_bytes(PREFILLS[prefill])
+    if cmd != command:
+        trace.write_bytes(PREFILLS[prefill])
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 0
+    assert _sha256(out) == GOLDEN_SHA256[command]
+    if cmd != command:
+        assert _sha256(trace) == TRACE_SHA256[command]
