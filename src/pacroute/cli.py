@@ -237,7 +237,7 @@ def _outputs(trace, out):
     succeeds, and discard each if it raises."""
     outputs = []
     try:
-        for path in (trace, out):
+        for path in (trace, out):  # one by one: a failed open discards those before it
             outputs.append(_Output(path) if path else None)
         if None not in outputs and os.path.samestat(outputs[0].st, outputs[1].st):
             raise ConfigError(f"--trace and the report both name {trace}")
