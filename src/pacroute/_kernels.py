@@ -1,37 +1,46 @@
 """The hot replication kernels, vectorized in numpy.
 
 ``occupancy_counts`` takes a chunk of replications from seeds to occupancy
-counts (calibration points per cell): ``uniform_tiles`` draws their uniforms
-TILE_COLS columns at a time into one reused buffer, and each tile is counted
-while it is in cache, so no chunk ever holds all its uniforms. A chunk of
-few sets cuts each set's columns into segments drawn side by side, so every
-numpy call spans up to CHUNK lanes whatever the set count. A caller's settle
-rule lets it stop drawing the sets whose result is already fixed.
-``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
-running sum of the counts over the cells in position order; ``tau_indices``
-is that rule on a fixed grid. ``cell_indices`` maps uniforms (a tile, the
-sampler) and points of [0, 1] to cells. Each works on a block of values at
-once and depends on nothing but its inputs.
+counts (calibration points per cell). A set's counts are Multinomial(n, cell
+masses), drawn as a chain of conditional binomials (Devroye 1986): cell
+``c`` takes N_c ~ Binomial(n - N_<c, m_c / (m_c + ... + m_last)), by
+inverting uniform ``c`` through that binomial's CDF, and the last cell takes
+what is left. So a set draws one uniform per cell but the last, whatever
+``n``. The count is the number of entries of the CDF row that are <= the
+uniform. Rows come from one routine (``_cdf``); a world's rows for every
+remaining count 0..n are kept as a table per cell, with a guide table over
+the uniform (Chen & Asau 1974) to start each search, when the tables fit in
+TABLE_BYTES; a count the table cannot hold, or a world whose tables would
+not fit, is searched in its own row (``_cdf_row``). ``stop_positions``
+applies the fixed-sequence stopping rule to counts, as a running sum of the
+counts over the cells in position order; ``tau_indices`` is that rule on a
+fixed grid. ``cell_indices`` maps points of [0, 1] to cells. Each works on a
+block of values at once and depends on nothing but its inputs.
 
-Replication ``r`` of stream ``s`` is specified as
-``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``.
-``uniform_tiles`` is the one source of draws and recomputes exactly those
-bits across replications: the ``SeedSequence`` pool mixing (O'Neill's
-seed_seq design, as numpy implements it) in uint32 words, once per chunk
+Replication ``r`` of stream ``s`` draws
+``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``,
+``cols = cells - 1``. ``uniform_columns`` recomputes exactly those bits
+across replications: the ``SeedSequence`` pool mixing (O'Neill's seed_seq
+design, as numpy implements it) in uint32 words, once per chunk
 (``_pcg_states``), then the 128-bit PCG64 LCG with XSL-RR output (O'Neill
-2014) in pairs of uint64 words, one column at a time. A segment's first
-state is reached by jumping ahead, k LCG steps as one multiply-add (Brown
-1994). ``tests/test_seeding.py`` pins the tiles, the multiply-add and the
-jump to numpy or to Python ints bit for bit, and ``tests/test_kernels.py``
-pins the counts to numpy's own generator.
+2014) in pairs of uint64 words, one column at a time. A chunk of few sets
+on many cells cuts each set's columns into segments drawn side by side, each
+segment's first state reached by jumping ahead, k LCG steps as one
+multiply-add (Brown 1994), so that each numpy call spans up to CHUNK lanes.
+``tests/test_seeding.py`` pins the columns, the multiply-add and the jump to
+numpy or to Python ints bit for bit, and ``tests/test_kernels.py`` pins the
+counts to a scalar chain over numpy's own generator.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = ["CHUNK", "TILE_COLS", "active_backend", "cell_indices", "occupancy_counts",
-           "stop_positions", "tau_indices", "uniform_tiles"]
+__all__ = ["CHUNK", "active_backend", "cell_indices", "chain_counts", "occupancy_counts",
+           "stop_positions", "tau_indices", "uniform_columns"]
 
 # SeedSequence (numpy.random.bit_generator): pool size and hash constants
 _POOL_SIZE = 4
@@ -51,13 +60,21 @@ _DOUBLE_UNIT = 2.0**-53
 # segments of columns; bounds the working memory
 CHUNK = 8192
 
-# columns drawn and counted together: one (TILE_COLS, lanes) buffer; at most
-# 255, so that a lane's count in a tile fits in a byte
-TILE_COLS = 16
+# a CDF row sums the binomial terms within its window: a tail past the window
+# on either side holds at most exp(-WINDOW_LOG) (Bernstein's inequality)
+WINDOW_LOG = 40.0
 
-# interior cell edges from which a tile is counted by a search per uniform,
-# not by one pass per edge
-SEARCH_EDGES = 64
+# a cell's table keeps the columns of its rows up to the count that Binomial(n,
+# p) exceeds with probability about TABLE_TAIL; a larger count is searched in
+# its row. At 2^-20 the tables of a 1000-cell world at n = 100 take 7.0 MiB,
+# 8.9 MiB at 2^-30
+TABLE_TAIL = 2.0**-20
+
+# the most entries of CDF rows ``_row_counts`` computes in one call
+ROW_BLOCK = 2**18
+
+# the most bytes one world's cell tables may take together
+TABLE_BYTES = 8 * 2**20
 
 
 def active_backend() -> str:
@@ -234,48 +251,31 @@ def _segment_starts(hi, lo, inc_hi, inc_lo, seg_cols: int, segments: int):
     return hi, lo, np.tile(inc_hi, segments), np.tile(inc_lo, segments)
 
 
-def uniform_tiles(state: tuple, cols: int, segments: int = 1):
-    """Yield the uniforms that PCG64 states ``state`` (from ``_pcg_states``,
-    one set each) draw, ``cols`` per set, in tiles.
+def uniform_columns(state: tuple, cols: int) -> np.ndarray:
+    """The (cols, sets) uniforms that PCG64 states ``state`` (from
+    ``_pcg_states``, one set each) draw: row ``j`` holds column ``j`` of
+    every set, ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream,
+    start+i)))).random(cols)[j]`` for set ``i``, bit for bit.
 
-    Each set's columns are cut into segments of ``seg_cols = ceil(cols /
-    segments)`` columns, the last one shorter, and all segments are drawn
-    together, each from its first state (``_segment_starts``). A tile is a
-    (rows, lanes) view of one reused buffer, valid until the next tile is
-    drawn: lane ``k * sets + i`` holds the next ``rows`` columns of set
-    ``i``'s segment ``k``. The last segment ends first, and its lanes leave
-    the end of the tiles. Put back in order, set ``i``'s column ``j`` is
-    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream,
-    start+i)))).random(cols)[j]`` bit for bit.
-
-    ``send(keep)`` after a tile, a boolean mask over the tile's sets, drops
-    the sets it does not keep from the later tiles.
-    """
-    if not cols:
-        return
-    seg_cols = -(-cols // segments)
-    segments = -(-cols // seg_cols)
-    last = cols - (segments - 1) * seg_cols  # columns in the last segment
-    hi, lo, inc_hi, inc_lo = _segment_starts(*state, seg_cols, segments)
+    A chunk of fewer than CHUNK sets cuts each set's columns into
+    ``CHUNK // sets`` segments (at most one per column) of ``seg_cols`` columns,
+    the last one shorter, drawn side by side from their first states
+    (``_segment_starts``), so that every step spans up to CHUNK lanes."""
     sets = len(state[0])
-    buf = np.empty(min(TILE_COLS, seg_cols) * len(hi))
-    first = 0  # columns drawn of each segment still drawn
-    while first < seg_cols:
-        active = segments if first < last else segments - 1
-        rows = min(TILE_COLS, (last if first < last else seg_cols) - first)
-        lanes = active * sets
-        hi, lo, inc_hi, inc_lo = hi[:lanes], lo[:lanes], inc_hi[:lanes], inc_lo[:lanes]
-        tile = buf[:rows * lanes].reshape(rows, lanes)
-        for row in tile:
-            hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
-            _uniforms(hi, lo, out=row)
-        first += rows
-        keep = yield tile
-        if keep is not None:  # a send: drop the sets it does not keep
-            lanes_kept = np.tile(keep, active)
-            hi, lo, inc_hi, inc_lo = (a[lanes_kept] for a in (hi, lo, inc_hi, inc_lo))
-            sets = np.count_nonzero(keep)
-            yield  # what the send returns
+    segments = max(1, min(cols, CHUNK // sets))
+    seg_cols = -(-cols // segments)
+    segments = -(-cols // seg_cols) if cols else 1
+    last = cols - (segments - 1) * seg_cols  # columns of the last segment
+    hi, lo, inc_hi, inc_lo = _segment_starts(*state, seg_cols, segments)
+    out = np.empty((seg_cols, segments, sets))  # [j, k]: column k * seg_cols + j
+    for j in range(seg_cols):
+        if j == last:  # the last segment's lanes, at the end, are done
+            hi, lo, inc_hi, inc_lo = (a[:-sets] for a in (hi, lo, inc_hi, inc_lo))
+        hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+        _uniforms(hi, lo, out=out[j, :len(hi) // sets].reshape(-1))
+    if segments == 1:
+        return out[:, 0]
+    return out.transpose(1, 0, 2).reshape(-1, sets)[:cols]
 
 
 def _jump(hi, lo, inc_hi, inc_lo, steps: int):
@@ -284,74 +284,171 @@ def _jump(hi, lo, inc_hi, inc_lo, steps: int):
     return _mul_add(hi, lo, _halves(a), *_mul_add(inc_hi, inc_lo, _halves(c), 0, 0))
 
 
-def cell_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cell index of each value: the number of ``edges`` but the last <= u.
-    Uniforms go through the cell-mass CDF (the last cell takes any past a last
-    entry that rounds below 1), points through the cells' right edges."""
-    return np.searchsorted(edges[:-1], u, side="right")
+def cell_indices(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cell index of each point of [0, 1]: the number of cell right ``edges``
+    but the last <= x, so the last cell takes x = 1."""
+    return np.searchsorted(edges[:-1], x, side="right")
+
+
+_LOG_FACTORIALS = np.zeros(1)  # log(i!) for i = 0, 1, ...; grown on demand
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) by ``math.lgamma`` for i = 0..n at least, kept for later calls."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) <= n:
+        _LOG_FACTORIALS = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    return _LOG_FACTORIALS
+
+
+def _window(r, p):
+    """``(lo, hi)``: the counts of Binomial(r, p) whose terms a CDF row sums.
+    Each tail past them holds at most exp(-WINDOW_LOG) by Bernstein's
+    inequality, P(|X - rp| >= s) <= exp(-s²/(2(rp(1-p) + s/3))) on each side."""
+    s = WINDOW_LOG / 3.0 + np.sqrt(WINDOW_LOG**2 / 9.0 + 2.0 * WINDOW_LOG * r * p * (1.0 - p))
+    return (np.maximum(np.floor(r * p - s), 0.0).astype(np.intp),
+            np.minimum(np.ceil(r * p + s), r).astype(np.intp))
+
+
+def _cdf(r: np.ndarray, k: np.ndarray, p) -> np.ndarray:
+    """P(Binomial(r, p) <= k), 0 < p < 1, for int arrays ``r`` (rows, 1) and
+    ``k`` (1, cols) and ``p`` of shape (rows, 1), ``k`` a run of counts that
+    starts at or below each row's window: 0 below the window, the running sum
+    of its log-space terms in it, and 1 from min(hi + 1, r) on. A row's
+    entries do not depend on the columns or rows asked for with it, so a
+    table and a lone row agree bit for bit."""
+    lo, hi = _window(r, p)
+    lf = _log_factorials(int(r.max()))
+    j = np.clip(k, lo, hi)  # terms outside the window are computed at its edge, then dropped
+    terms = np.exp(lf[r] - lf[j] - lf[r - j] + (j * np.log(p) + (r - j) * np.log1p(-p)))
+    cdf = np.cumsum(np.where((k >= lo) & (k <= hi), terms, 0.0), axis=1)
+    return np.where(k < np.minimum(hi + 1, r), cdf, 1.0)
+
+
+@lru_cache(maxsize=64)
+def _cdf_row(r: int, p: float) -> tuple[int, np.ndarray]:
+    """``(lo, row)``: the entries of P(Binomial(r, p) <= k) from the start
+    ``lo`` of the window, below which they are 0, to the first that is 1. A
+    uniform ``u`` draws ``lo + searchsorted(row, u, side="right")``."""
+    rows, q = np.array([[r]]), np.array([[p]])
+    lo, hi = (int(v[0, 0]) for v in _window(rows, q))
+    return lo, _cdf(rows, np.arange(lo, min(hi + 1, r))[None], q)[0]
+
+
+def _row_counts(r: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
+    """The count each uniform ``u`` draws from its own row ``r``: the entries
+    of that row <= u. Each distinct row is computed once, over its window,
+    up to ROW_BLOCK entries a call."""
+    rows, at = np.unique(r, return_inverse=True)
+    order = np.argsort(at, kind="stable")
+    ends = np.searchsorted(at[order], np.arange(len(rows) + 1))
+    lo, hi = _window(rows, p)
+    top = np.maximum(np.minimum(hi + 1, rows), lo)  # each row's entries below 1 end here
+    per_call = max(1, ROW_BLOCK // int((top - lo).max() + 1))
+    out = np.empty(len(r), dtype=np.intp)
+    for first in range(0, len(rows), per_call):
+        block = slice(first, first + per_call)
+        k = np.arange(lo[block].min(), top[block].max())
+        cdf = _cdf(rows[block, None], k[None], np.full((len(rows[block]), 1), p))
+        for i, row in enumerate(cdf, first):
+            sets = order[ends[i]:ends[i + 1]]
+            out[sets] = lo[block].min() + np.searchsorted(row, u[sets], side="right")
+    return out
+
+
+def _cdf_table(n: int, p: float, width: int):
+    """``(table, guide, width, buckets)`` of one cell for remaining counts
+    0..n, both flattened by rows. ``table[r, k]`` is P(Binomial(r, p) <= k)
+    for k < ``width``, then 2.0, which ends each search. ``guide[r, b]``
+    counts row ``r``'s entries <= b / buckets, ``buckets`` a power of 2 at
+    least ``width``: the count a uniform of bucket ``b`` draws at least."""
+    r = np.arange(n + 1)[:, None]
+    table = np.full((n + 1, width + 1), 2.0)
+    table[:, :width] = _cdf(r, np.arange(width)[None], np.full(r.shape, p))
+    buckets = 1 << (width - 1).bit_length()
+    # each entry's first bucket; a running sum may round past 1
+    first = np.minimum(np.ceil(table[:, :width] * buckets), buckets).astype(np.intp)
+    per_bucket = np.bincount((r * (buckets + 1) + first).ravel(),
+                             minlength=(n + 1) * (buckets + 1))
+    guide = np.cumsum(per_bucket.reshape(n + 1, buckets + 1), axis=1)[:, :buckets]
+    return table.ravel(), guide.astype(np.uint8 if width < 256 else np.uint16).ravel(), width, buckets
+
+
+@lru_cache(maxsize=8)
+def _chain(n: int, masses: tuple) -> list:
+    """``(p, table)`` for each cell but the last: the probability that one of
+    the points left falls in the cell, m_c / (m_c + ... + m_last) (0 when
+    nothing is left), and the cell's ``_cdf_table``, or None where p is 0 or
+    1 or the world's tables would pass TABLE_BYTES. A table keeps the counts
+    up to the first whose entry in row ``n`` is at least 1 - TABLE_TAIL."""
+    m = np.asarray(masses, dtype=float)
+    rest = np.cumsum(m[::-1])[::-1]  # the mass of each cell and the cells after it
+    probs = np.divide(m, rest, out=np.zeros_like(m), where=rest > 0.0)[:-1].tolist()
+    budget, links = TABLE_BYTES, []
+    for p in probs:
+        table = None
+        if 0.0 < p < 1.0 and (n + 1) * 17 <= budget:  # the least a table takes
+            lo, row = _cdf_row(n, p)
+            width = lo + int(np.count_nonzero(row < 1.0 - TABLE_TAIL)) + 1
+            buckets = 1 << (width - 1).bit_length()
+            budget -= (n + 1) * ((width + 1) * 8 + buckets * (1 if width < 256 else 2))
+            if budget >= 0:
+                table = _cdf_table(n, p, width)
+        links.append((p, table))
+    return links
+
+
+def chain_counts(n: int, masses, u: np.ndarray) -> np.ndarray:
+    """The (cells, sets) occupancy counts of ``n`` points over cells of
+    ``masses`` that the (cells - 1, sets) uniforms ``u`` draw: cell ``c``
+    takes the number of entries of its CDF row for the points left that are
+    <= ``u[c]``, and the last cell takes what is left."""
+    sets = u.shape[1]
+    counts = np.empty((len(masses), sets), dtype=np.intp)
+    left = np.full(sets, n, dtype=np.intp)
+    for c, (p, table) in enumerate(_chain(n, tuple(masses))):
+        uc = u[c]
+        if p == 0.0 or p == 1.0:
+            k = left.copy() if p else np.zeros(sets, dtype=np.intp)
+        elif c == 0:  # every set reads row n
+            lo, row = _cdf_row(n, p)
+            k = lo + row.searchsorted(uc, side="right")
+        elif table is None:
+            k = _row_counts(left, uc, p)
+        else:
+            flat, guide, width, buckets = table
+            row = left * (width + 1)
+            at = row + guide.take(left * buckets + (uc * buckets).astype(np.intp))
+            at += flat.take(at) <= uc  # the next entry, often in the uniform's bucket
+            step = np.nonzero(flat.take(at) <= uc)[0]
+            while step.size:  # two or more entries of the bucket below the uniform
+                at[step] += 1
+                step = step[flat.take(at[step]) <= uc[step]]
+            k = at - row
+            if k.max() == width:  # a count the table cannot hold
+                past = np.nonzero(k == width)[0]
+                k[past] = _row_counts(left[past], uc[past], p)
+        counts[c] = k
+        left -= k
+    counts[-1] = left
+    return counts
 
 
 def occupancy_counts(
-    master_seed: int, stream: int, replications: int, cols: int, cdf: np.ndarray, *,
-    start: int = 0, settled=None,
+    master_seed: int, stream: int, replications: int, cols: int, n: int, masses, *,
+    start: int = 0,
 ) -> np.ndarray:
-    """Occupancy counts (replications, cells) of the replications' ``cols`` columns.
-
-    Cell ``c`` holds the uniforms below edge ``cdf[c]`` but not below
-    ``cdf[c-1]``. The last cell takes everything at or above the last interior
-    edge, so a uniform past a last CDF entry below 1 lands there too.
-    ``uniform_tiles`` draws the columns in ``CHUNK // replications`` segments
-    per set (at least 1, at most one per column), so a tile spans at most
-    CHUNK lanes, and more than CHUNK / 2 whenever the columns allow, however
-    few sets there are. Below SEARCH_EDGES interior edges a tile is counted
-    below every edge, one pass per edge, summed in bytes over each lane's rows
-    (at most TILE_COLS) and then over each set's segments; from there on a
-    search per uniform and one histogram per tile are faster. The working set
-    is one tile and the counts, whatever ``cols``.
-
-    ``settled(counts)``, if given, marks the sets, of (cells, sets) counts
-    over the columns drawn so far, whose result no later draw can change; a
-    set it marks must stay marked as its counts grow, so that any subset of a
-    set's columns that settles it settles it for good. Once it marks at least
-    half of the sets still drawn, after a tile, those keep the counts they
-    have and are drawn no more.
-    """
-    state = _pcg_states(master_seed, stream, replications, start)
-    edges = cdf[:-1].tolist()
-    counts = np.zeros((len(cdf), replications), dtype=np.intp)
-    live, ids, drawn = counts, np.arange(replications), 0  # the sets still drawn
-    tiles = uniform_tiles(state, cols, min(cols, CHUNK // replications) or 1)
-    for tile in tiles:
-        rows, lanes = tile.shape
-        segments = lanes // len(ids)  # the segments still drawn
-        drawn += rows * segments
-        if len(edges) < SEARCH_EDGES:
-            below = np.empty(len(ids), dtype=np.intp)  # each set's draws below an edge
-            for c, edge in enumerate(edges):
-                hits = np.less(tile, edge).view(np.uint8)
-                per_lane = np.add.reduce(hits, axis=0, dtype=np.uint8)
-                np.add.reduce(per_lane.reshape(segments, -1), axis=0, out=below)
-                live[c] += below  # cell c: below edge c, less below edge c - 1
-                live[c + 1] -= below
-            live[-1] += rows * segments
-        else:  # a search per uniform, then one histogram of (cell, set) pairs
-            pairs = cell_indices(cdf, tile) * len(ids) + np.arange(lanes) % len(ids)
-            live += np.bincount(pairs.ravel(), minlength=live.size).reshape(live.shape)
-        if settled is None or drawn == cols:
-            continue
-        done = settled(live)
-        dropped = np.count_nonzero(done)
-        if not dropped or 2 * dropped < len(ids):
-            continue
-        if live is not counts:
-            counts[:, ids[done]] = live[:, done]
-        tiles.send(~done)
-        live, ids = live[:, ~done], ids[~done]
-        if not len(ids):
-            break
-    if live is not counts:
-        counts[:, ids] = live
-    return counts.T
+    """Occupancy counts (replications, cells) of ``n`` points over cells of
+    ``masses``: replication ``start + i`` draws its ``cols = cells - 1``
+    uniforms (``uniform_columns``) and ``chain_counts`` inverts them. The
+    working set is the chunk's (cols, replications) uniforms and counts,
+    whatever ``n``."""
+    if cols != len(masses) - 1:
+        raise ValueError(f"a set draws one uniform per cell but the last: {len(masses) - 1}, "
+                         f"not {cols}")
+    u = (uniform_columns(_pcg_states(master_seed, stream, replications, start), cols)
+         if cols else np.empty((0, replications)))
+    return chain_counts(n, masses, u).T
 
 
 def stop_positions(

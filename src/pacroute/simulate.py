@@ -6,42 +6,29 @@ fresh input suffer risk above epsilon"). An exact oracle gives the same
 probabilities in closed form at any calibration size; a demo pipeline
 stitches calibration, audit and the adversarial perturbation into one report.
 
-Determinism: replication r of stream s draws the uniforms of
-``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
-which ``_kernels.uniform_tiles`` recomputes bit for bit across a chunk of
-replications. Chunks of CHUNK replications are seeded and walked one after
-another, so results do not depend on how the work is split. Because scores
-and labels are cell-constant, a replication's outcome depends only on how
-many of its calibration points land in each cell (its occupancy counts); one
-``_kernels.occupancy_counts`` call per chunk draws the uniforms a tile of
-columns at a time and counts each tile, and nothing holds a chunk's
-uniforms, positions or per-point cell indices. A set is drawn no further once
-its walk is settled (``_settle_rule``), on counts over whichever of its
-columns were drawn: more than b* points at the first bad position fix its
-stop, and on the auto grid an occupied highest reachable position below that
-fixes ``prev``. A chunk holds CHUNK sets, fewer on worlds of more than
+Determinism: replication r of stream s draws the first cells - 1 uniforms
+of ``Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(s, r))))``,
+which ``_kernels.uniform_columns`` recomputes bit for bit across a chunk of
+replications. Because scores and labels are cell-constant, a replication's
+outcome depends only on how many of its calibration points land in each cell
+(its occupancy counts), and ``_kernels.occupancy_counts`` draws those from
+the uniforms by conditional binomial inversion: uniform c gives cell c's
+count, and the last cell takes the rest. Chunks of CHUNK replications are
+seeded, counted and walked one after another, so results do not depend on
+how the work is split. A chunk holds CHUNK sets, fewer on worlds of more than
 CHUNK_CELLS // CHUNK cells, and is tallied (and traced) before the next is
 drawn: memory is one chunk's working set, whatever the calibration size and
-replication count, plus one tally entry per threshold.
-Monte-Carlo chunks and the exact oracle read the count walk of
+replication count, plus one tally entry per threshold and the cells' CDF
+tables. Monte-Carlo chunks and the exact oracle read the count walk of
 :mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
-
-The demo's three lanes read three streams, so a lane's bytes do not depend
-on which process draws it: a large untraced demo on Linux with a second CPU
-audits the perturbed world in one forked worker (``_forked``) while this
-process runs the other two lanes, and any other run draws all three here. A
-worker that hands back no value, for any reason, has its lane run here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
-import pickle
 import sys
 from collections import Counter
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,13 +78,6 @@ STREAM_PERTURBED_AUDIT = 2
 
 # audit points closer than this differ only by rounding and audit the same input
 _TWIN_GAP = 1e-12
-
-# the fewest uniforms (replications x n) the demo's perturbed audit lane must
-# draw to run in a forked worker: a fork, pipe and reap round trip of an
-# empty lane took 2.0-2.4 ms in a numpy-loaded process (quartiles of 50 after
-# a full-size demo; Python 3.11, 2 vCPUs), the time of 120k-140k draws at
-# ~17 ns each, and 2^18 draws take about twice that
-FORK_MIN_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -207,37 +187,6 @@ def default_audit_points(w: CellWorld) -> tuple[float, ...]:
     return _drop_twins(np.sort(np.concatenate([np.linspace(0.0, 1.0, 21), mids])))
 
 
-def _settle_rule(w: CellWorld, walk, auto_grid: bool):
-    """``settled(counts)`` over (cells, sets) partial occupancy counts for
-    ``occupancy_counts``, or None when no set can settle.
-
-    The walk cannot pass the first bad position once the count there exceeds
-    b*, so every later draw leaves the stop alone. On the auto grid the
-    threshold also reads ``prev``, the highest occupied position below the
-    stop; it is settled once the highest position below the stop that a draw
-    can reach (a nonempty cell-mass CDF interval) is occupied, or when there
-    is none. O(sets) per call, for a few cells."""
-    b_star, position, bad_position, n_pos, _ = walk
-    first_bad = bad_position.min()
-    if first_bad == n_pos:
-        return None
-    bad = np.flatnonzero(bad_position == first_bad)
-    prev = None  # the cells at prev's settled value
-    if auto_grid:
-        edges = w.mass_cdf[:-1]
-        reachable = np.append(edges, 1.0) > np.concatenate(([0.0], edges))
-        below = position[reachable & (position < first_bad)]
-        if below.size:
-            prev = np.flatnonzero(position == below.max())
-
-    def settled(counts):
-        done = counts[bad].sum(axis=0) > b_star
-        if prev is not None:
-            done &= counts[prev].any(axis=0)
-        return done
-    return settled
-
-
 def _tau_values_for_replications(
     w: CellWorld,
     loss: LossSpec,
@@ -258,15 +207,14 @@ def _tau_values_for_replications(
     anything) every replication selects ALWAYS_DEFER, and nothing is drawn.
     """
     walk = _walk(w, loss, cfg_pac, n, algorithm)
-    settled = _settle_rule(w, walk, cfg_pac.threshold_grid is None)
     chunk = max(1, min(CHUNK, CHUNK_CELLS // w.n_cells))
     for start in range(0, replications, chunk):
         sets = min(chunk, replications - start)
         if walk[0] < 0:  # b*: no count rejects, every walk stops at position 0
             yield start, np.full(sets, ALWAYS_DEFER)
             continue
-        counts = _replication_uniforms(master_seed, stream, sets, n, w.mass_cdf,
-                                       start=start, settled=settled)
+        counts = _replication_uniforms(master_seed, stream, sets, w.n_cells - 1, n, w.masses,
+                                       start=start)
         yield start, _select(cfg_pac, walk, counts)
 
 
@@ -445,72 +393,6 @@ def enumerate_distribution(
     )
 
 
-def _forks_lane(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
-                replications: int, algorithm: str, trace) -> bool:
-    """Whether the demo runs its perturbed audit lane, on ``w``, in a forked
-    worker: on Linux with a second CPU, untraced (trace rows follow lane
-    order), for a lane of FORK_MIN_DRAWS uniforms or more whose walk draws
-    (b* >= 0). Settled by the run alone; no option asks for it."""
-    return (sys.platform == "linux" and trace is None
-            and replications * n >= FORK_MIN_DRAWS and len(os.sched_getaffinity(0)) > 1
-            and _walk(w, loss, cfg_pac, n, algorithm)[0] >= 0)
-
-
-@contextmanager
-def _forked(lane):
-    """Start ``lane()`` in a forked worker and yield ``result()``, which waits
-    for it and returns its value. A worker that hands back no value, because
-    its lane raised, a signal killed it or it never started (no fd or process
-    to spare), is replaced by ``lane()`` run here: a lane reads only its own
-    seed stream, so this run gives the worker's bytes or raises the lane's
-    exception as it is. On leaving, a worker still running is killed; it is
-    always reaped.
-
-    numpy's BLAS thread pool is not copied into the worker, whose lane calls
-    ufuncs only, never BLAS."""
-    fds = ()
-    try:
-        fds = os.pipe()
-        pid = os.fork()
-    except OSError:  # EMFILE, EAGAIN, ENOMEM: the worker never started
-        for fd in fds:
-            os.close(fd)
-        pid = None
-    if pid is None:
-        yield lane
-        return
-    read_fd, write_fd = fds
-    if pid == 0:  # the worker: leaves only by _exit, never back to the caller
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(lane()))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    reader = open(read_fd, "rb")
-    running = True
-
-    def result():
-        nonlocal running
-        data = reader.read()  # to the end first: a full pipe would block the worker
-        status = os.waitpid(pid, 0)[1]
-        running = False
-        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else lane()
-
-    try:
-        yield result
-    finally:
-        reader.close()
-        if running:
-            import signal  # here, not at the top: its enums cost every command ~1 ms
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def demo_with_replications(
     base: CellWorld,
     loss: LossSpec,
@@ -529,11 +411,7 @@ def demo_with_replications(
     draws nothing, so bad input is refused before any replication; (2) audit
     the base world (x_star is always the first audit point); (3) estimate the
     base joint risk and mean deferral mass; (4) audit the perturbed world
-    with fresh replications. When ``_forks_lane`` says so, (4) runs in a
-    forked worker started before (2), and its report is read after (3); a
-    worker that hands back no report (its lane raised, it was killed or it
-    never started) is replaced by lane (4) run here, with the same bytes or
-    the same exception.
+    with fresh replications.
     Verdicts:
 
       demo_vacuous          base fast-usage at x_star is within alpha, so the
@@ -561,15 +439,10 @@ def demo_with_replications(
         return audit_profile(w, loss, cfg_pac, cfg_points, n, algorithm=algorithm,
                              stream=stream, trace=trace, trace_prefix=f"{lane},")
 
-    def perturbed_lane():
-        return audit("perturbed", perturbed, STREAM_PERTURBED_AUDIT)
-
-    forks = _forks_lane(perturbed, loss, cfg_pac, n, cfg_mc.replications, algorithm, trace)
-    with _forked(perturbed_lane) if forks else nullcontext(perturbed_lane) as perturbed_result:
-        base_report, base_tally = audit("base", base, STREAM_AUDIT)
-        risk_est, risk_se = mc_joint_risk(base, loss, cfg_pac, cfg_mc.replications,
-                                          cfg_mc.master_seed, n, algorithm=algorithm)
-        pert_report, _ = perturbed_result()
+    base_report, base_tally = audit("base", base, STREAM_AUDIT)
+    risk_est, risk_se = mc_joint_risk(base, loss, cfg_pac, cfg_mc.replications,
+                                      cfg_mc.master_seed, n, algorithm=algorithm)
+    pert_report, _ = audit("perturbed", perturbed, STREAM_PERTURBED_AUDIT)
     deferral_mean = _tally_mean(base_tally, lambda tau: exact_deferral_mass(base, tau))
     base_star = base_report.points[0]
     pert_star = pert_report.points[0]

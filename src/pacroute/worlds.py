@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import cell_indices
+from ._kernels import cell_indices, chain_counts
 
 __all__ = [
     "Cell",
@@ -228,21 +228,23 @@ def split_at(w: CellWorld, points) -> CellWorld:
 
 
 def sample_calibration(w: CellWorld, n: int, seed) -> CalibrationSet:
-    """Draw n labeled points: cell by mass, position uniform in the cell.
+    """Draw n labeled points: counts per cell by mass, positions uniform in
+    their cells.
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts (int or
-    SeedSequence). Labels are the owning cell's expert label, so they match
-    ``cell_at`` exactly.
+    SeedSequence). The generator's first cells - 1 uniforms give the cells'
+    counts as the Monte-Carlo engine draws them (``_kernels.chain_counts``),
+    and the next n place the points, cell by cell. Labels are the owning
+    cell's expert label, so they match ``cell_at`` exactly.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    v = rng.random(n)
-    cells = cell_indices(w.mass_cdf, u)
+    counts = chain_counts(n, w.masses, rng.random((w.n_cells - 1, 1)))[:, 0]
+    cells = np.repeat(np.arange(w.n_cells), counts)
     lefts = w.lefts[cells]
     rights = w.rights[cells]
-    xs = lefts + v * (rights - lefts)
+    xs = lefts + rng.random(n) * (rights - lefts)
     # rounding can push x onto the next cell's left edge; pull it back inside
     hit = xs >= rights
     if np.any(hit):

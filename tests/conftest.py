@@ -8,7 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import pacroute as pr
-from pacroute._kernels import _pcg_states, uniform_tiles
+from pacroute._kernels import _pcg_states, uniform_columns
 from pacroute.worlds import _CELL_KEYS
 
 
@@ -22,20 +22,9 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def joined_uniforms(master_seed, stream, replications, cols, start=0, segments=1) -> np.ndarray:
-    """The (replications, cols) uniforms of ``_kernels.uniform_tiles`` with
-    ``segments`` segments per set: each tile's segments copied out of the
-    reused buffer into their columns."""
-    out = np.empty((cols, replications))
-    state = _pcg_states(master_seed, stream, replications, start)
-    seg_cols, first = -(-cols // segments), 0  # first: columns drawn per segment
-    for tile in uniform_tiles(state, cols, segments):
-        rows, lanes = tile.shape
-        for k in range(lanes // replications):
-            lane = k * replications
-            out[k * seg_cols + first:][:rows] = tile[:, lane:lane + replications]
-        first += rows
-    return out.T
+def joined_uniforms(master_seed, stream, replications, cols, start=0) -> np.ndarray:
+    """The (replications, cols) uniforms of ``_kernels.uniform_columns``."""
+    return uniform_columns(_pcg_states(master_seed, stream, replications, start), cols).T
 
 
 def make_w1() -> pr.CellWorld:
@@ -183,21 +172,6 @@ def pac_w1():
     return pr.PacConfig(
         epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=(0.5, 0.95)
     )
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of each ``os.fork`` call made from here on. The demo's lane
-    rule sees two CPUs, so a large untraced demo forks on any Linux host."""
-    calls, fork = [], os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
 
 
 # a cell must hold its own float midpoint (validate_world); cuts this far

@@ -26,8 +26,10 @@ tail of the float ``t``, rounded once, for n up to a few hundred.
 ``csv_trace_text`` is the reference for the trace writer: one tuple per row,
 formatted by ``csv.writer``.
 
-``taus_drawing_every_column`` is the Monte-Carlo selection with no set
-dropped early: every column drawn from numpy's own Generator.
+``generator_counts`` is the reference for the Monte-Carlo counts: one set
+at a time, numpy's own Generator draws the set's cells - 1 uniforms, and
+each cell's count is searched in a lone CDF row for the points left
+(``_kernels._cdf``), the last cell taking the rest.
 ``joint_risk_by_test_draws`` estimates the joint risk the direct way: each
 replication draws one more uniform from that Generator, a fresh test input,
 and counts as risky when the input's cell is bad and routed fast.
@@ -45,6 +47,7 @@ and the references above check the tail.
 """
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -53,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 import pacroute as pr
-from pacroute._kernels import cell_indices
+from pacroute._kernels import _cdf, _window, cell_indices
 from pacroute.calibrate import (
     CalibrationOutcome,
     TestedThreshold,
@@ -136,19 +139,51 @@ def _generator_cells(w, cols, replications, master_seed, stream):
         for r in range(replications)]))
 
 
-def taus_drawing_every_column(w, loss, pac, n, replications, master_seed, stream,
-                              algorithm="calibrated", cells=None):
-    """``_tau_values_for_replications`` with every column drawn: replication
-    r draws n uniforms from numpy's Generator (``cells``, if given, holds
-    their cells in its first n columns) and ``_select`` reads its full
-    occupancy counts. As there, b* < 0 draws nothing: ALWAYS_DEFER."""
+def _taus_of_cells(w, loss, pac, n, cells, algorithm="calibrated"):
+    """``_select`` on the occupancy counts of each row's first n ``cells``;
+    as in the engine, b* < 0 selects ALWAYS_DEFER."""
     walk = _walk(w, loss, pac, n, algorithm)
     if walk[0] < 0:
-        return np.full(replications, ALWAYS_DEFER)
-    if cells is None:
-        cells = _generator_cells(w, n, replications, master_seed, stream)
+        return np.full(len(cells), ALWAYS_DEFER)
     counts = np.array([np.bincount(row[:n], minlength=w.n_cells) for row in cells])
     return _select(pac, walk, counts)
+
+
+@functools.lru_cache(maxsize=4096)
+def _lone_row(r, p):
+    """``(lo, row)``: row r of Binomial(r, p)'s CDF from its window's start,
+    computed on its own."""
+    rows, q = np.array([[r]]), np.array([[p]])
+    lo, hi = (int(v[0, 0]) for v in _window(rows, q))
+    return lo, _cdf(rows, np.arange(lo, min(hi + 1, r))[None], q)[0]
+
+
+def chain_counts_scalar(n, masses, u):
+    """The occupancy counts that the cells - 1 uniforms ``u`` of one set draw:
+    cell c takes the entries of its CDF row for the points left that are
+    <= u[c], the row computed on its own, and the last cell takes the rest."""
+    m = np.asarray(masses, dtype=float)
+    rest = np.cumsum(m[::-1])[::-1]
+    counts, left = [], n
+    for c in range(len(m) - 1):
+        p = m[c] / rest[c] if rest[c] > 0 else 0.0
+        if p in (0.0, 1.0):
+            k = left if p else 0
+        else:
+            lo, row = _lone_row(left, float(p))
+            k = lo + int(np.searchsorted(row, u[c], side="right"))
+        counts.append(k)
+        left -= k
+    return counts + [left]
+
+
+def generator_counts(w, n, replications, master_seed, stream, start=0):
+    """(replications, cells) counts of ``chain_counts_scalar`` over the
+    uniforms of ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream,
+    r))))``, r from ``start``."""
+    return np.array([chain_counts_scalar(n, w.masses, np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=(stream, r)))).random(w.n_cells - 1))
+        for r in range(start, start + replications)]).reshape(replications, w.n_cells)
 
 
 def joint_risk_by_test_draws(w, loss, pac, n, replications, master_seed, stream=1,
@@ -158,8 +193,7 @@ def joint_risk_by_test_draws(w, loss, pac, n, replications, master_seed, stream=
     risky when column n's cell is bad and its score is at or below the
     threshold."""
     cells = _generator_cells(w, n + 1, replications, master_seed, stream)
-    taus = taus_drawing_every_column(w, loss, pac, n, replications, master_seed, stream,
-                                     algorithm, cells)
+    taus = _taus_of_cells(w, loss, pac, n, cells, algorithm)
     test = cells[:, n]
     est = float(np.mean(cell_exceedance_flags(w, loss)[test] & (w.scores[test] <= taus)))
     return est, math.sqrt(est * (1.0 - est) / replications)

@@ -419,7 +419,7 @@ def test_demo_canonical(tmp_path, w1_path):
     assert verdicts["demo_vacuous"] is False
 
 
-def test_demo_workers_byte_identical(tmp_path, w1_path, forks, monkeypatch):
+def test_demo_workers_byte_identical(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
         "c.json",
@@ -434,24 +434,6 @@ def test_demo_workers_byte_identical(tmp_path, w1_path, forks, monkeypatch):
     assert run_cli(["demo", "--config", cfg, "--out", a, "--workers", 1]) == 0
     assert run_cli(["demo", "--config", cfg, "--out", b, "--workers", 8]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # --workers changes nothing; the split of lanes over processes is chosen
-    # from the run, so a run large enough to fork is checked against itself
-    # run in-process, on both grids
-    n, limit = 60, simulate.FORK_MIN_DRAWS
-    for grid in ([0.5, 0.95], "auto"):
-        big = write_config(tmp_path, "big.json", {
-            **BASE_CONFIG, "world": w1_path,
-            "pac": {**BASE_CONFIG["pac"], "threshold_grid": grid},
-            "mc": {"replications": -(-limit // n), "master_seed": 11},
-            "demo": {"x_star": 0.4, "eta": 0.01, "n": n},
-        })
-        outs = [tmp_path / "forked.json", tmp_path / "here.json"]
-        for out, fewest in zip(outs, (limit, math.inf)):
-            forks.clear()
-            monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", fewest)
-            assert run_cli(["demo", "--config", big, "--out", out]) == 0
-            assert len(forks) == (fewest == limit)
-        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_workers_below_one_exits_2(tmp_path, w1_path, capsys):

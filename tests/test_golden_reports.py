@@ -13,10 +13,12 @@ import pytest
 
 from pacroute.cli import main
 
+from conftest import make_tied_scores, world_to_dict
+
 ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN_SHA256 = {
-    "calibrate": "40ef1f631f7d94fffe827f3230c9b873c915580f58af3c2c70a839143d57fb4e",
+    "calibrate": "ea4766cd2d69e6d01e918ca131c491b4ea38a5f7905c385d1da79abbf49cd5e3",
     "audit": "fdbff963ee30453efc90fb682b325710d23f3d0d8bb8acd5a22093594575a0e9",
     "demo": "3c77256369d4e4b41c8edbd90e9bba293013a600a4e7c86ee6076b7bd7fef714",
     "oracle": "6ece47c33d32a86a1998a531ff7a46a0eea2c0198c886c199657fcb8a8e1f9c6",
@@ -33,6 +35,13 @@ TRIVIAL_SHA256 = {
 TRACE_SHA256 = {
     "audit": "fdb9d9f2a3b93cca6e6644e39a44af23b9a30510a635e6cd7ec62c7ed518da47",
     "demo": "14f9393c45908df03d9127c9215302e91f23edf722bede15fe9fa6e24fd7986b",
+}
+
+# audit and its --trace on the tied-score world (conftest.make_tied_scores),
+# whose replications select several thresholds, so these hashes see the draws
+TIED_AUDIT_SHA256 = {
+    "report": "135c4d29978e24870c47b1027df31ebfaefed45bc5808c0fb68a2671af409598",
+    "trace": "c44772f0a87c7836db1666f7f0fcc9016547ac8ad6b4e64c934b8b0192e4a868",
 }
 
 # validate-world on the w1 config, and on w1 with a gap between its cells
@@ -92,6 +101,25 @@ def test_w1_audit_points_same_text_in_report_and_trace(cmd, tmp_path, monkeypatc
         points = [p["x"] for p in audit["points"]]
         assert points
         assert set(points) == {row["point"] for row in rows if row.get("world", "") == world}
+
+
+def test_tied_world_audit_and_trace_bytes(tmp_path, monkeypatch):
+    # the report embeds the world path: keep it relative, so the bytes are fixed
+    monkeypatch.chdir(tmp_path)
+    Path("tied.json").write_text(json.dumps(world_to_dict(make_tied_scores())), encoding="utf-8")
+    Path("tied_audit.json").write_text(json.dumps({
+        "world": "tied.json",
+        "loss": {"kind": "zero_one", "epsilon": 0.0},
+        "pac": {"epsilon": 0.0, "alpha": 0.8, "delta_split": 0.3, "threshold_grid": "auto"},
+        "mc": {"replications": 300, "master_seed": 20250810, "audit_points": "auto"},
+        "calibration": {"n": 12},
+        "algorithm": "calibrated",
+    }), encoding="utf-8")
+    argv = ["audit", "--config", "tied_audit.json", "--out", "r.json", "--trace", "t.csv"]
+    assert main(argv) == 0
+    with open("t.csv", encoding="utf-8", newline="") as f:
+        assert len({row["tau_hat"] for row in csv.DictReader(f)}) >= 4
+    assert {"report": _sha256(Path("r.json")), "trace": _sha256(Path("t.csv"))} == TIED_AUDIT_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATE_WORLD_SHA256))

@@ -1,7 +1,8 @@
+import itertools
+import math
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute
-from pacroute import _kernels, calibrate, simulate
-from pacroute._kernels import (
-    TILE_COLS,
-    cell_indices,
-    occupancy_counts,
-    stop_positions,
-    tau_indices,
-)
+from pacroute import _kernels
+from pacroute._kernels import chain_counts, occupancy_counts, stop_positions, tau_indices
 
-from conftest import child_env, joined_uniforms, make_distinct_scores, make_w1
-from oracles import stop_position_scan
-from test_seeding import numpy_rows
+from conftest import (child_env, make_distinct_scores, make_five_cell, make_masses_short_of_one,
+                      make_three_cell, make_tied_scores, make_w1)
+from oracles import chain_counts_scalar, exact_tail_row, generator_counts, stop_position_scan
 
 
 def test_numpy_kernel_hand_case():
@@ -59,198 +54,189 @@ def test_stop_positions_match_per_set_scan(case):
     assert stop_positions(counts, position, b_star, n_positions).tolist() == expected
 
 
-# n at, one below and one past a tile edge
-TILE_EDGE_NS = [k * TILE_COLS + d for k in (1, 6) for d in (-1, 0, 1)]
-
-
-def _per_column_histogram(cdf, master_seed, stream, replications, n, start, cols=None):
-    """Counts of the first ``n`` of ``cols`` (default ``n``) columns, drawn in one segment."""
-    u = joined_uniforms(master_seed, stream, replications, cols or n, start=start)
-    return np.array([np.bincount(cell_indices(cdf, row[:n]), minlength=len(cdf)) for row in u])
-
-
-# test_draw: the reference draws a column past the n counted, so the counts
-# of a set's first n columns are checked not to depend on what follows them
-@pytest.mark.parametrize("extra", [0, 1], ids=["calibration", "test_draw"])
-@pytest.mark.parametrize("n", TILE_EDGE_NS)
-@pytest.mark.parametrize("make_world", [make_w1, lambda: make_distinct_scores(16)],
-                         ids=["2_cells", "16_cells"])
-def test_occupancy_counts_match_per_column_histogram(make_world, n, extra):
-    cdf = make_world().mass_cdf
-    counts = occupancy_counts(5, 1, 37, n, cdf, start=9)
-    assert counts.shape == (37, len(cdf))
-    assert np.array_equal(counts, _per_column_histogram(cdf, 5, 1, 37, n, 9, n + extra))
-
-
-def _histograms(cells, n_cells):
-    """(sets, n_cells) counts of each row of per-column cell indices."""
-    offsets = np.arange(len(cells))[:, None] * n_cells
-    return np.bincount((cells + offsets).ravel(),
-                       minlength=len(cells) * n_cells).reshape(len(cells), n_cells)
-
-
-def _numpy_counts(cdf, master_seed, stream, sets, cols, start):
-    """Counts of numpy's own generator, one replication at a time: the
-    determinism contract, counted by ``cell_indices``."""
-    u = numpy_rows(master_seed, stream, sets, cols, start)
-    return _histograms(cell_indices(cdf, u), len(cdf))
-
+WORLDS = {"2_cells": make_w1, "16_cells": lambda: make_distinct_scores(16),
+          "zero_mass_cell": make_five_cell, "tied_scores": make_tied_scores,
+          "short_of_one": make_masses_short_of_one}
 
 SETS = [1, 8, 64, 300, _kernels.CHUNK - 1, _kernels.CHUNK]
 
 
-@st.composite
-def count_cases(draw):
-    """(sets, n, start): ``n`` one below, at or one past ``seg_cols`` columns
-    in each of a chunk's segments, and ``seg_cols`` on both sides of a tile
-    edge."""
-    sets = draw(st.sampled_from(SETS))
-    seg_cols = draw(st.sampled_from([1, 2, TILE_COLS - 1, TILE_COLS, TILE_COLS + 1,
-                                     2 * TILE_COLS + 1]))
-    n = max(0, seg_cols * (_kernels.CHUNK // sets) + draw(st.integers(-1, 1)))
-    back = draw(st.integers(0, 64))
-    start = 2**32 - sets - back if draw(st.booleans()) else back
-    return sets, n, start
+@pytest.fixture
+def fresh_tables():
+    """Clear the cached chains before and after a test that moves the table
+    settings, so no chain built under one setting serves another."""
+    _kernels._chain.cache_clear()
+    yield
+    _kernels._chain.cache_clear()
 
 
-@given(case=count_cases(), search=st.booleans(),
+def _counts(w, n, sets, master_seed=5, stream=1, start=9):
+    return occupancy_counts(master_seed, stream, sets, w.n_cells - 1, n, w.masses, start=start)
+
+
+@given(sets=st.sampled_from(SETS), n=st.sampled_from([1, 2, 5, 100, 1000]),
+       back=st.integers(0, 64), near_top=st.booleans(),
        master_seed=st.integers(0, 2**64), stream=st.sampled_from([0, 1, 2]),
-       make_world=st.sampled_from([make_w1, lambda: make_distinct_scores(16)]))
+       world=st.sampled_from(sorted(WORLDS)))
 @settings(max_examples=40, deadline=None)
-def test_occupancy_counts_match_numpy_generator(case, search, master_seed, stream, make_world):
-    sets, n, start = case
-    cdf = make_world().mass_cdf
-    with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
-        counts = occupancy_counts(master_seed, stream, sets, n, cdf, start=start)
-    assert np.array_equal(counts, _numpy_counts(cdf, master_seed, stream, sets, n, start))
+def test_occupancy_counts_match_numpy_generator(sets, n, back, near_top, master_seed, stream,
+                                                world):
+    # the chain over numpy's own Generator, one set at a time, each count
+    # searched in its own row: the same counts, bit for bit, whatever the
+    # chunk size, its segments or the tables; near_top puts the last
+    # replication index within 64 of 2**32 - 1
+    w = WORLDS[world]()
+    start = 2**32 - sets - back if near_top else back
+    counts = _counts(w, n, sets, master_seed, stream, start)
+    assert counts.shape == (sets, w.n_cells) and (counts.sum(axis=1) == n).all()
+    check = np.random.default_rng(master_seed).choice(sets, min(sets, 40), replace=False)
+    for i in check.tolist():  # the reference is slow: a sample of the sets
+        want = generator_counts(w, n, 1, master_seed, stream, start + i)[0]
+        assert counts[i].tolist() == want.tolist(), i
 
 
-@pytest.mark.parametrize("sets", [1, 8])
-def test_byte_counts_hold_a_full_tile_of_every_segment(sets):
-    # one tile draws TILE_COLS columns in each of CHUNK // sets segments:
-    # thousands of draws per set and cell, though each lane's count in the
-    # tile fits in a byte. Totals alone would not show a count that wrapped
-    cdf = make_w1().mass_cdf
-    n = TILE_COLS * (_kernels.CHUNK // sets)
-    counts = occupancy_counts(6, 0, sets, n, cdf)
-    want = _numpy_counts(cdf, 6, 0, sets, n, 0)
-    assert counts.min() > 255
-    assert np.array_equal(counts, want)
+def test_a_cell_of_zero_mass_takes_no_point():
+    w = make_five_cell()  # cell 1 has mass 0
+    counts = _counts(w, 100, 2000)
+    assert not counts[:, 1].any()
+    assert (counts[:, [0, 2, 3, 4]] > 0).all()
 
 
-def test_few_sets_at_max_n_take_a_chunk_of_lanes():
-    # 8 sets at n = 10**6 draw in 1024 segments each, CHUNK lanes a tile
+def _table(n, p):
+    """The ``_cdf_table`` row entries of a cell with probability p."""
+    width = int(np.count_nonzero(_kernels._cdf(np.array([[n]]), np.arange(n + 1)[None],
+                                               np.array([[p]])) < 1 - _kernels.TABLE_TAIL)) + 1
+    flat, _, width, _ = _kernels._cdf_table(n, p, width)
+    return flat.reshape(n + 1, width + 1)[:, :width]
+
+
+@pytest.mark.parametrize("cdf_of", [
+    lambda row: row,
+    lambda row: np.nextafter(row, 0.0),
+    lambda row: np.nextafter(row, 1.0),
+    None,
+], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one"])
+def test_occupancy_counts_at_exact_edges(cdf_of):
+    # a uniform on a CDF entry counts that entry (<=); one ulp below it does
+    # not. The uniforms here are the second cell's table entries themselves,
+    # so the table's guided search is checked on its own edges
+    w = make_masses_short_of_one() if cdf_of is None else make_three_cell()
+    n = 40
+    # cell 0's uniforms: one between each pair of its row's entries, so that
+    # cell 0 takes each count j it can and leaves n - j to cell 1
+    row0 = _kernels._cdf(np.array([[n]]), np.arange(n + 1)[None], np.array([[w.masses[0]]]))[0]
+    below = np.concatenate(([0.0], row0[:-1]))
+    takes = np.flatnonzero(below < row0)
+    first = np.repeat((below[takes] + row0[takes]) / 2, 7)
+    left = n - np.repeat(takes, 7)
+    p = w.masses[1] / w.masses[1:].sum()
+    u = (cdf_of or (lambda row: row))(_table(n, p)[left, np.arange(len(left)) % 7])
+    u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+    got = chain_counts(n, w.masses, np.stack([first, u]))
+    want = np.array([chain_counts_scalar(n, w.masses, [a, b]) for a, b in zip(first, u)]).T
+    assert np.array_equal(got[0], n - left)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("world", ["2_cells", "zero_mass_cell", "tied_scores"])
+def test_count_frequencies_match_the_multinomial_pmf(world, n):
+    # every count vector at small n, against its exact probability: Pearson's
+    # chi-square over the outcomes stays below its 0.999 quantile
+    w, sets = WORLDS[world](), 40000
+    counts = np.concatenate([_counts(w, n, 8192, 3, 0, s)[:min(8192, sets - s)]
+                             for s in range(0, sets, 8192)])
+    m = w.masses / w.masses.sum()
+    seen = {}
+    for row in map(tuple, counts.tolist()):
+        seen[row] = seen.get(row, 0) + 1
+    outcomes = [c for c in itertools.product(range(n + 1), repeat=w.n_cells) if sum(c) == n]
+    probs = [math.factorial(n) * math.prod(q**k / math.factorial(k) for q, k in zip(m, c))
+             for c in outcomes]
+    assert set(seen) <= {c for c, q in zip(outcomes, probs) if q > 0}
+    live = [(c, q) for c, q in zip(outcomes, probs) if q > 0]
+    chi2 = sum((seen.get(c, 0) - sets * q)**2 / (sets * q) for c, q in live)
+    dof = len(live) - 1
+    assert chi2 < dof + 3.1 * math.sqrt(2 * dof) + 10
+
+
+@pytest.mark.parametrize("n, make_world", [(10**4, lambda: make_distinct_scores(16)),
+                                           (100, lambda: make_distinct_scores(300))],
+                         ids=["n_10000_16_cells", "n_100_300_cells"])
+def test_counts_pass_a_chi_square_bound_at_large_n_and_many_cells(n, make_world):
+    # the cell totals over R sets are Multinomial(R n, masses); and each
+    # cell's counts are Binomial(n, m_c), so their spread is n m_c (1 - m_c)
+    w = make_world()
+    sets = 4096
+    counts = _counts(w, n, sets, 11, 0, 0)
+    m = w.masses / w.masses.sum()
+    total = counts.sum(axis=0)
+    chi2 = ((total - sets * n * m)**2 / (sets * n * m)).sum()
+    dof = w.n_cells - 1
+    assert chi2 < dof + 4 * math.sqrt(2 * dof)
+    var = counts.var(axis=0) / (n * m * (1 - m))
+    assert abs(var.mean() - 1.0) < 4 * math.sqrt(2.0 / sets / w.n_cells) + 0.02
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 100, 300])
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.2, 0.5, 0.9, 1 - 1e-6])
+def test_cdf_rows_match_the_exact_tail(n, p):
+    # rows of a table, against the exact rational tail
+    rows = _kernels._cdf(np.arange(n + 1)[:, None], np.arange(n + 1)[None],
+                         np.full((n + 1, 1), p))
+    for r in sorted({0, 1, n // 3, n - 1, n}):  # the exact tails are slow
+        want = exact_tail_row(r, p) + [1.0] * (n - r)
+        assert np.allclose(rows[r], want, rtol=0.0, atol=1e-12), r
+
+
+@pytest.mark.parametrize("world", ["2_cells", "16_cells", "zero_mass_cell"])
+def test_table_search_and_row_search_give_equal_counts(world, monkeypatch, fresh_tables):
+    # with no table every count is searched in its own row, as at large n
+    w = WORLDS[world]()
+    want = _counts(w, 100, 3000)
+    monkeypatch.setattr(_kernels, "TABLE_BYTES", 0)
+    _kernels._chain.cache_clear()
+    assert all(table is None for _, table in _kernels._chain(100, tuple(w.masses)))
+    assert np.array_equal(_counts(w, 100, 3000), want)
+
+
+def test_counts_past_the_table_are_searched_in_their_row(monkeypatch, fresh_tables):
+    # narrow tables that end at each cell's median: about half the counts
+    # are read past them, in their rows
+    w = make_distinct_scores(16)
+    want = generator_counts(w, 100, 50, 5, 1, 9)
+    monkeypatch.setattr(_kernels, "TABLE_TAIL", 0.5)
+    assert np.array_equal(_counts(w, 100, 50), want)
+
+
+def test_tables_stay_within_their_bytes(monkeypatch, fresh_tables):
+    # a world's tables together take at most TABLE_BYTES; the cells past it
+    # go without, and their counts are searched in their rows
+    w = make_distinct_scores(300)
+    want = generator_counts(w, 100, 20, 5, 1, 9)
+    monkeypatch.setattr(_kernels, "TABLE_BYTES", 2**20)
+    tables = [table for _, table in _kernels._chain(100, tuple(w.masses))]
+    assert sum(t[0].nbytes + t[1].nbytes for t in tables if t) <= 2**20
+    assert tables[1] is not None and tables[-1] is None
+    assert np.array_equal(_counts(w, 100, 20), want)
+
+
+def test_few_sets_at_max_n_hold_little_memory():
+    # 8 sets at n = 10**6 on 16 cells: one row per set and cell, no table
+    w = make_distinct_scores(16)
+    _kernels._log_factorials(10**6)  # kept for the run: 8 MB, before the count
     tracemalloc.start()
     try:
-        occupancy_counts(3, 0, 8, 10**6, make_distinct_scores(16).mass_cdf)
+        occupancy_counts(3, 0, 8, 15, 10**6, w.masses)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
 
 
-def _edges_on_draws(u):
-    # 15 interior edges taken from the block's own draws, so uniforms sit
-    # exactly on them; one is taken twice, a tied edge (an empty cell)
-    picks = np.random.default_rng(0).choice(u.ravel(), 14, replace=False)
-    return np.append(np.sort(np.append(picks, picks[0])), 1.0)
-
-
-@pytest.mark.parametrize("cdf_of", [
-    _edges_on_draws,
-    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 0.0), 1.0),
-    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 1.0), 1.0),
-    lambda u: np.linspace(0.25, 0.5, 3),  # short of 1: the rest lands in the last cell
-], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one"])
-def test_occupancy_counts_at_exact_edges(cdf_of):
-    n = 2 * TILE_COLS + 3
-    cdf = cdf_of(joined_uniforms(8, 0, 64, n))
-    counts = occupancy_counts(8, 0, 64, n, cdf)
-    assert np.array_equal(counts, _per_column_histogram(cdf, 8, 0, 64, n, 0))
-
-
-@pytest.mark.parametrize("cdf_of", [
-    _edges_on_draws,
-    lambda u: np.append(np.nextafter(_edges_on_draws(u)[:-1], 0.0), 1.0),
-    lambda u: np.linspace(0.25, 0.5, 3),
-], ids=["on_draws", "ulp_below_draws", "short_of_one"])
-def test_search_counting_matches_edge_passes(monkeypatch, cdf_of):
-    # worlds of SEARCH_EDGES interior edges or more are counted by a search
-    # per uniform; forced here on few cells, it must count alike
-    n = 2 * TILE_COLS + 3
-    cdf = cdf_of(joined_uniforms(8, 0, 64, n))
-    want = occupancy_counts(8, 0, 64, n, cdf)
-    monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
-    assert np.array_equal(occupancy_counts(8, 0, 64, n, cdf), want)
-
-
-def _tile_ends(n, sets):
-    """(seg_cols, ends): ``occupancy_counts`` draws each set's ``n``
-    columns in segments of ``seg_cols`` columns, and after each
-    tile every segment still drawn has drawn its first ``ends[i]``; the last
-    segment is the shortest and ends first, on a tile edge of its own."""
-    segments = max(1, min(n, _kernels.CHUNK // sets))
-    seg_cols = -(-n // segments)
-    last = n - (-(-n // seg_cols) - 1) * seg_cols
-    ends = []
-    while not ends or ends[-1] < seg_cols:
-        end = ends[-1] if ends else 0
-        ends.append(end + min(TILE_COLS, (last if end < last else seg_cols) - end))
-    return seg_cols, ends
-
-
-def _dropping_reference(cdf, u, n, at_least):
-    """Counts of sets drawn tile by tile in segments of columns,
-    where after each tile but the last the sets with ``at_least`` points in
-    the last cell are dropped, keeping their counts over the columns drawn so
-    far, once they are at least half of those left."""
-    cells = cell_indices(cdf, u)
-    seg_cols, ends = _tile_ends(n, len(u))
-    live = np.ones(len(u), dtype=bool)
-    counts = _histograms(cells, len(cdf))
-    for end in ends[:-1]:
-        partial = _histograms(cells[:, np.arange(n) % seg_cols < end], len(cdf))
-        done = live & (partial[:, -1] >= at_least)
-        if done.any() and 2 * done.sum() >= live.sum():
-            counts[done] = partial[done]
-            live &= ~done
-    return counts
-
-
-@pytest.mark.parametrize("search", [False, True], ids=["edge_passes", "search"])
-@pytest.mark.parametrize("at_least", [1, 3, 9])
-@pytest.mark.parametrize("n", TILE_EDGE_NS)
-def test_dropped_sets_keep_partial_counts_and_test_cells(monkeypatch, n, at_least, search):
-    # a settle rule that stays true as counts grow: points in the last cell.
-    # 300 sets in lanes of 300 draw one segment each, so a set's columns so
-    # far are a prefix; in 900 or CHUNK lanes, 3 or 27 segments each
-    if search:
-        monkeypatch.setattr(_kernels, "SEARCH_EDGES", 0)
-    cdf = make_w1().mass_cdf
-    u = joined_uniforms(4, 2, 300, n, start=11)
-    for lanes in (300, 900, _kernels.CHUNK):
-        monkeypatch.setattr(_kernels, "CHUNK", lanes)
-        counts = occupancy_counts(4, 2, 300, n, cdf, start=11,
-                                  settled=lambda c: c[-1] >= at_least)
-        assert np.array_equal(counts, _dropping_reference(cdf, u, n, at_least)), lanes
-
-
-@pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])
-@pytest.mark.parametrize("sets, n", [(8, 40000), (300, 1000), (_kernels.CHUNK, 100)])
-def test_settled_sets_select_as_if_fully_drawn(sets, n, grid):
-    # a set the settle rule drops keeps counts over part of its columns,
-    # whichever its segments drew, and selects the threshold all of them select.
-    # On w1 at alpha 0.1 a set settles once its bad count passes b*, about
-    # n / 10, and the bad cell takes 0.2 of the draws
-    w, loss = make_w1(), pacroute.LossSpec(kind="zero_one", epsilon=0.0)
-    pac = pacroute.PacConfig(epsilon=0.0, alpha=0.1, delta_split=0.05, threshold_grid=grid)
-    walk = calibrate._walk(w, loss, pac, n, "calibrated")
-    settled = simulate._settle_rule(w, walk, grid is None)
-    counts = occupancy_counts(3, 0, sets, n, w.mass_cdf, settled=settled)
-    full = occupancy_counts(3, 0, sets, n, w.mass_cdf)
-    assert (counts.sum(axis=1) < n).mean() >= 0.5  # most sets stopped early
-    assert np.array_equal(calibrate._select(pac, walk, counts),
-                          calibrate._select(pac, walk, full))
+def test_cols_must_be_one_per_cell_but_the_last():
+    with pytest.raises(ValueError, match="one uniform per cell but the last"):
+        occupancy_counts(3, 0, 8, 2, 100, make_w1().masses)
 
 
 def test_numpy_fallback_runs_without_numba():

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from pacroute.simulate import (
 
 from conftest import (
     corpus,
-    joined_uniforms,
     make_distinct_scores,
     make_five_cell,
     make_masses_short_of_one,
@@ -42,12 +40,12 @@ from conftest import (
 )
 from oracles import (
     binomial_pvalue_table,
+    generator_counts,
     brute_force_enumerate,
     csv_trace_text,
     joint_risk_by_test_draws,
     occupancy_enumerate,
     select_threshold_loop,
-    taus_drawing_every_column,
     threshold_law_scalar,
 )
 from test_worlds import world_strategy
@@ -268,13 +266,11 @@ def _engine_against_select_threshold(w, loss, pac, n, reps, seed, stream):
     check the count-based walk agrees with the reference implementation.
     Returns the walk's thresholds and the cells each replication occupied."""
     taus = walk_all(w, loss, pac, n, reps, seed, stream)
-    u = joined_uniforms(seed, stream, reps, n)
+    counts = generator_counts(w, n, reps, seed, stream)
     mids = (w.lefts + w.rights) / 2
     occupied = []
     for r in range(reps):
-        cells = np.minimum(
-            np.searchsorted(w.mass_cdf, u[r], side="right"), len(w.cells) - 1
-        )
+        cells = np.repeat(np.arange(w.n_cells), counts[r])
         d = pr.CalibrationSet(xs=mids[cells], ys=w.expert_labels[cells])
         ref = select_threshold_loop(d, w, loss, pac).tau_hat
         if ref is ALWAYS_DEFER:
@@ -316,15 +312,12 @@ def test_engine_matches_select_threshold_auto_grid(w1, loss01):
 
 
 def _reference_walk(w, loss, pac, n, reps, seed, stream):
-    """Row by row: numpy's Generator, then select_threshold_loop on the cells hit."""
+    """Row by row: the scalar chain over numpy's Generator, then
+    select_threshold_loop on a set with those counts."""
     mids = (w.lefts + w.rights) / 2
     taus = np.empty(reps)
-    for r in range(reps):
-        seq = np.random.SeedSequence(seed, spawn_key=(stream, r))
-        u = np.random.Generator(np.random.PCG64(seq)).random(n)
-        cells = np.minimum(
-            np.searchsorted(w.mass_cdf, u, side="right"), len(w.cells) - 1
-        )
+    for r, row in enumerate(generator_counts(w, n, reps, seed, stream)):
+        cells = np.repeat(np.arange(w.n_cells), row)
         d = pr.CalibrationSet(xs=mids[cells], ys=w.expert_labels[cells])
         tau = select_threshold_loop(d, w, loss, pac).tau_hat
         taus[r] = -np.inf if tau is ALWAYS_DEFER else tau
@@ -347,46 +340,6 @@ def test_chunked_walk_matches_row_by_row_reference(loss01, make_world, grid, n_t
     ref_taus = _reference_walk(w, loss01, pac, n, reps, seed, stream)
     assert len(np.unique(ref_taus)) == n_taus
     assert np.array_equal(walk_all(w, loss01, pac, n, reps, seed, stream), ref_taus)
-
-
-@given(
-    w=world_strategy(score=st.sampled_from([-0.5, 0.1, 0.4, 0.6, 0.9])),
-    grid=st.sampled_from([None, (0.3, 0.6), (0.0, 0.5, 0.95)]),
-    levels=st.sampled_from([(0.3, 0.05), (0.8, 0.3)]),
-    algorithm=st.sampled_from(ALGORITHMS),
-    n=st.sampled_from([1, 15, 16, 17, 33, 100]),
-    search=st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_settle_rule_never_changes_a_result(w, grid, levels, algorithm, n, search):
-    # tied scores and zero-mass cells; alpha 0.3 gives b* = 0 at n = 15-17,
-    # so many sets settle after the first tile; search: count by a search per
-    # uniform, as on worlds of many cells
-    loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
-    pac = pr.PacConfig(epsilon=0.0, alpha=levels[0], delta_split=levels[1],
-                       threshold_grid=grid)
-    args = (w, loss, pac, n, 96, 5, 3)
-    with mock.patch.object(_kernels, "SEARCH_EDGES", 0 if search else _kernels.SEARCH_EDGES):
-        taus = walk_all(*args, algorithm=algorithm)
-    assert np.array_equal(taus, taus_drawing_every_column(*args, algorithm=algorithm))
-
-
-def _settled(w, loss, pac, n, counts):
-    walk = calibrate._walk(w, loss, pac, n, "calibrated")
-    return simulate._settle_rule(w, walk, pac.threshold_grid is None)(counts.T)
-
-
-def test_settle_rule_on_w1_and_the_demo_perturbed_world(w1, loss01, pac_w1):
-    # w1: b* = 1 at n = 100, and 16 draws put two points in the 0.2-mass bad
-    # cell with probability 0.86
-    counts = _kernels.occupancy_counts(3, 0, CHUNK, _kernels.TILE_COLS, w1.mass_cdf)
-    assert np.mean(_settled(w1, loss01, pac_w1, 100, counts)) >= 0.85
-    # the demo's perturbed world: its first bad position holds only the ball,
-    # whose mass is below eta / (2n), so no set settles even with every draw
-    _, perturbed = pr.perturb(w1, loss01, 0.4, 0.01, 100)
-    counts = _kernels.occupancy_counts(3, simulate.STREAM_PERTURBED_AUDIT, CHUNK, 100,
-                                       perturbed.mass_cdf)
-    assert not _settled(perturbed, loss01, pac_w1, 100, counts).any()
 
 
 def test_chunk_sets_shrink_as_cells_grow(loss01, monkeypatch):
@@ -438,8 +391,8 @@ def test_joint_risk_memory_flat_in_n(w1, loss01, pac_w1):
         finally:
             tracemalloc.stop()
 
-    # uniforms are drawn and counted one tile of columns at a time, so the
-    # chunk's working set does not grow with the calibration size
+    # a set draws cells - 1 uniforms whatever n, so the chunk's working set
+    # does not grow with the calibration size
     peak(100)  # fill the caches first, so both runs below start alike
     assert peak(4000) - peak(100) <= 2**20
 
