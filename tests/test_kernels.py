@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacroute
-from pacroute import _kernels
-from pacroute._kernels import chain_counts, occupancy_counts, stop_positions, tau_indices
+from pacroute import _kernels, calibrate
+from pacroute._kernels import (cell_indices, chain_counts, occupancy_counts, stop_positions,
+                               tau_indices)
 
-from conftest import (child_env, make_distinct_scores, make_five_cell, make_masses_short_of_one,
-                      make_three_cell, make_tied_scores, make_w1)
+from conftest import (child_env, joined_uniforms, make_distinct_scores, make_five_cell,
+                      make_masses_short_of_one, make_three_cell, make_tied_scores, make_w1)
 from oracles import chain_counts_scalar, exact_tail_row, generator_counts, stop_position_scan
 
 
@@ -102,12 +103,95 @@ def test_a_cell_of_zero_mass_takes_no_point():
     assert (counts[:, [0, 2, 3, 4]] > 0).all()
 
 
+# calibration sizes, each beside its two neighbours
+NS = [15, 16, 17, 95, 96, 97]
+
+
+# test_draw: the reference draws one column past the cells - 1 that a set
+# counts, as sample_calibration goes on to draw its points' positions, so a
+# set's counts are checked not to depend on the columns after them
+@pytest.mark.parametrize("extra", [0, 1], ids=["calibration", "test_draw"])
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("make_world", [make_w1, lambda: make_distinct_scores(16)],
+                         ids=["2_cells", "16_cells"])
+def test_occupancy_counts_match_per_column_histogram(make_world, n, extra):
+    # column c of a set's uniforms gives cell c's count, as the scalar chain
+    # inverts it; and the counts are the histogram over cells of the points
+    # that sample_calibration places from the same seed
+    w = make_world()
+    cols = w.n_cells - 1
+    counts = _counts(w, n, 37)
+    u = joined_uniforms(5, 1, 37, cols + extra, start=9)
+    assert counts.tolist() == [chain_counts_scalar(n, w.masses, row[:cols]) for row in u]
+    for i, want in enumerate(counts):
+        d = pacroute.sample_calibration(w, n, np.random.SeedSequence(5, spawn_key=(1, 9 + i)))
+        assert np.bincount(cell_indices(w.rights, d.xs), minlength=w.n_cells).tolist() \
+            == want.tolist(), i
+
+
+def _dyadic_world(weights):
+    """Cells of equal width and mass ``weights`` / their sum, a power of 2,
+    so that the masses of any cells sum exactly."""
+    total = sum(weights)
+    assert total & (total - 1) == 0
+    edges = np.linspace(0.0, 1.0, len(weights) + 1)
+    return pacroute.CellWorld(
+        cells=tuple(pacroute.Cell(float(edges[i]), float(edges[i + 1]), k / total, 0, i % 2,
+                                  i / len(weights)) for i, k in enumerate(weights)),
+        alphabet_size=2,
+    )
+
+
+WEIGHTS = [9, 3, 14, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 25, 17]  # 128
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["edge_passes", "search"])
+@pytest.mark.parametrize("at_least", [1, 3, 9])
+@pytest.mark.parametrize("n", NS)
+def test_dropped_sets_keep_partial_counts_and_test_cells(monkeypatch, fresh_tables, n,
+                                                         at_least, search):
+    # uniform c belongs to cell c, so a set's counts of its first at_least
+    # cells do not depend on the cells after them: merged into one cell,
+    # those take the rest. The middle 100 of 300 sets, drawn on their own
+    # in other segments, keep their counts: in chunks of 300, 900 or CHUNK
+    # lanes a set's columns are drawn in 1 to 15 segments. search: no
+    # tables, every count searched in its own row
+    if search:
+        monkeypatch.setattr(_kernels, "TABLE_BYTES", 0)
+    w = _dyadic_world(WEIGHTS)
+    merged = _dyadic_world(WEIGHTS[:at_least] + [sum(WEIGHTS[at_least:])])
+    for lanes in (300, 900, _kernels.CHUNK):
+        monkeypatch.setattr(_kernels, "CHUNK", lanes)
+        full = occupancy_counts(4, 2, 300, w.n_cells - 1, n, w.masses, start=11)[100:200]
+        kept = occupancy_counts(4, 2, 100, at_least, n, merged.masses, start=111)
+        assert np.array_equal(kept[:, :at_least], full[:, :at_least]), lanes
+        assert np.array_equal(kept[:, -1], full[:, at_least:].sum(axis=1)), lanes
+
+
 def _table(n, p):
     """The ``_cdf_table`` row entries of a cell with probability p."""
     width = int(np.count_nonzero(_kernels._cdf(np.array([[n]]), np.arange(n + 1)[None],
                                                np.array([[p]])) < 1 - _kernels.TABLE_TAIL)) + 1
     flat, _, width, _ = _kernels._cdf_table(n, p, width)
     return flat.reshape(n + 1, width + 1)[:, :width]
+
+
+def _edge_uniforms(cdf_of):
+    """``(w, n, u, left)``: (2, sets) uniforms of a three-cell world at n = 40
+    whose second row lies on (``cdf_of`` moves it off) entries of the second
+    cell's table, in the row of the ``left`` points the first cell leaves."""
+    w = make_masses_short_of_one() if cdf_of is None else make_three_cell()
+    n = 40
+    # cell 0's uniforms: one between each pair of its row's entries, so that
+    # cell 0 takes each count j it can and leaves n - j to cell 1
+    row0 = _kernels._cdf(np.array([[n]]), np.arange(n + 1)[None], np.array([[w.masses[0]]]))[0]
+    below = np.concatenate(([0.0], row0[:-1]))
+    takes = np.flatnonzero(below < row0)
+    first = np.repeat((below[takes] + row0[takes]) / 2, 7)
+    left = n - np.repeat(takes, 7)
+    p = w.masses[1] / w.masses[1:].sum()
+    u = (cdf_of or (lambda row: row))(_table(n, p)[left, np.arange(len(left)) % 7])
+    return w, n, np.stack([first, np.clip(u, 0.0, np.nextafter(1.0, 0.0))]), left
 
 
 @pytest.mark.parametrize("cdf_of", [
@@ -120,22 +204,29 @@ def test_occupancy_counts_at_exact_edges(cdf_of):
     # a uniform on a CDF entry counts that entry (<=); one ulp below it does
     # not. The uniforms here are the second cell's table entries themselves,
     # so the table's guided search is checked on its own edges
-    w = make_masses_short_of_one() if cdf_of is None else make_three_cell()
-    n = 40
-    # cell 0's uniforms: one between each pair of its row's entries, so that
-    # cell 0 takes each count j it can and leaves n - j to cell 1
-    row0 = _kernels._cdf(np.array([[n]]), np.arange(n + 1)[None], np.array([[w.masses[0]]]))[0]
-    below = np.concatenate(([0.0], row0[:-1]))
-    takes = np.flatnonzero(below < row0)
-    first = np.repeat((below[takes] + row0[takes]) / 2, 7)
-    left = n - np.repeat(takes, 7)
-    p = w.masses[1] / w.masses[1:].sum()
-    u = (cdf_of or (lambda row: row))(_table(n, p)[left, np.arange(len(left)) % 7])
-    u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
-    got = chain_counts(n, w.masses, np.stack([first, u]))
-    want = np.array([chain_counts_scalar(n, w.masses, [a, b]) for a, b in zip(first, u)]).T
+    w, n, u, left = _edge_uniforms(cdf_of)
+    got = chain_counts(n, w.masses, u)
+    want = np.array([chain_counts_scalar(n, w.masses, col) for col in u.T]).T
     assert np.array_equal(got[0], n - left)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cdf_of", [
+    lambda row: row,
+    lambda row: np.nextafter(row, 0.0),
+    None,
+], ids=["on_draws", "ulp_below_draws", "short_of_one"])
+def test_search_counting_matches_edge_passes(monkeypatch, fresh_tables, cdf_of):
+    # the table's guided search passes the entries <= each uniform one edge
+    # at a time; with no table each count is searched in its own row. On
+    # uniforms on and one ulp below the table's entries both count alike
+    w, n, u, _ = _edge_uniforms(cdf_of)
+    assert _kernels._chain(n, tuple(w.masses))[1][1] is not None
+    want = chain_counts(n, w.masses, u)
+    monkeypatch.setattr(_kernels, "TABLE_BYTES", 0)
+    _kernels._chain.cache_clear()
+    assert _kernels._chain(n, tuple(w.masses))[1][1] is None
+    assert np.array_equal(chain_counts(n, w.masses, u), want)
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -232,6 +323,51 @@ def test_few_sets_at_max_n_hold_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_few_sets_at_max_n_take_a_chunk_of_lanes(monkeypatch):
+    # 8 sets on 2049 cells draw their 2048 columns in 1024 segments of 2,
+    # side by side: each PCG64 step spans CHUNK lanes, whatever n
+    w = make_distinct_scores(2049)
+    lanes, uniforms = [], _kernels._uniforms
+    monkeypatch.setattr(_kernels, "_uniforms",
+                        lambda hi, lo, out=None: (lanes.append(len(hi)), uniforms(hi, lo, out))[1])
+    counts = occupancy_counts(3, 0, 8, 2048, 10**6, w.masses)
+    assert lanes == [_kernels.CHUNK] * 2
+    assert np.array_equal(counts[:2], generator_counts(w, 10**6, 2, 3, 0))
+
+
+@pytest.mark.parametrize("sets", [1, 8])
+def test_byte_counts_hold_a_full_tile_of_every_segment(monkeypatch, sets):
+    # in chunks of 4 * sets lanes each set's 15 columns are cut into
+    # segments of 4, 4, 4 and 3, drawn side by side; every column of every
+    # segment, the shorter last one too, is numpy's. At n = 10**4 each
+    # count is far past a byte, so a count cut to one would show
+    w = make_distinct_scores(16)
+    monkeypatch.setattr(_kernels, "CHUNK", 4 * sets)
+    counts = occupancy_counts(6, 0, sets, 15, 10**4, w.masses)
+    assert counts.min() > 255
+    assert np.array_equal(counts, generator_counts(w, 10**4, sets, 6, 0))
+
+
+@pytest.mark.parametrize("grid", [(0.5, 0.95), None], ids=["fixed", "auto"])
+@pytest.mark.parametrize("sets, n", [(8, 40000), (300, 1000), (_kernels.CHUNK, 100)])
+def test_settled_sets_select_as_if_fully_drawn(sets, n, grid):
+    # a set's occupancy counts settle its threshold: the walk over a chunk's
+    # counts selects for each set what select_threshold selects on the set's
+    # points as sample_calibration draws them. On the tied-score world the
+    # bad mass at or below 0.5 is 0.05, and alpha puts its test 3 standard
+    # errors above that, so the sets split between two thresholds
+    w, loss = make_tied_scores(), pacroute.LossSpec(kind="zero_one", epsilon=0.0)
+    pac = pacroute.PacConfig(epsilon=0.0, alpha=0.06 + 3 * math.sqrt(0.0475 / n),
+                             delta_split=0.01, threshold_grid=grid)
+    counts = occupancy_counts(3, 0, sets, w.n_cells - 1, n, w.masses)
+    taus = calibrate._select(pac, calibrate._walk(w, loss, pac, n, "calibrated"), counts)
+    assert len(np.unique(taus)) >= 2
+    for tau in np.unique(taus).tolist():  # up to 12 sets of each threshold
+        for i in np.flatnonzero(taus == tau)[:12].tolist():
+            d = pacroute.sample_calibration(w, n, np.random.SeedSequence(3, spawn_key=(0, i)))
+            assert calibrate.select_threshold(d, w, loss, pac).tau_hat == tau, i
 
 
 def test_cols_must_be_one_per_cell_but_the_last():
