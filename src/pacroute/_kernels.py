@@ -8,14 +8,15 @@ inverting uniform ``c`` through that binomial's CDF, and the last cell takes
 what is left. So a set draws one uniform per cell but the last, whatever
 ``n``. The count is the number of entries of the CDF row that are <= the
 uniform. Rows come from one routine (``_cdf``); a world's rows for every
-remaining count 0..n are kept as a table per cell, with a guide table over
-the uniform (Chen & Asau 1974) to start each search, when the tables fit in
-TABLE_BYTES; a count the table cannot hold, or a world whose tables would
-not fit, is searched in its own row (``_cdf_row``). ``stop_positions``
-applies the fixed-sequence stopping rule to counts, as a running sum of the
-counts over the cells in position order; ``tau_indices`` is that rule on a
-fixed grid. ``cell_indices`` maps points of [0, 1] to cells. Each works on a
-block of values at once and depends on nothing but its inputs.
+remaining count 0..n are kept as a table per cell, the first cell included,
+with a guide table over the uniform (Chen & Asau 1974) to start each search,
+when the tables fit in TABLE_BYTES; a count the table cannot hold, or a cell
+without a table, is searched in its own row (``_row_counts``).
+``stop_positions`` applies the fixed-sequence stopping rule to counts, as a
+running sum of the counts over the cells in position order; ``tau_indices``
+is that rule on a fixed grid. ``cell_indices`` maps points of [0, 1] to
+cells. Each works on a block of values at once and depends on nothing but
+its inputs.
 
 Replication ``r`` of stream ``s`` draws
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(s, r)))).random(cols)``,
@@ -109,6 +110,9 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+# mixed by hand, though numpy's SeedSequence(master_seed, spawn_key=(stream,)).pool is this
+# pool and INIT_A * MULT_A**(4 * entropy words) mod 2**32 this constant: `import pacroute.cli`
+# loads no numpy.random, whose first use costs 8.5 ms (2 vCPUs) in every audit and demo
 def _pool_before_last_word(master_seed: int, stream: int) -> tuple[list[int], int]:
     """The SeedSequence pool and hash constant once every entropy word but the
     replication's has been mixed in.
@@ -259,22 +263,17 @@ def uniform_columns(state: tuple, cols: int) -> np.ndarray:
 
     A chunk of fewer than CHUNK sets cuts each set's columns into
     ``CHUNK // sets`` segments (at most one per column) of ``seg_cols`` columns,
-    the last one shorter, drawn side by side from their first states
-    (``_segment_starts``), so that every step spans up to CHUNK lanes."""
+    drawn whole side by side from their first states (``_segment_starts``) so
+    that every step spans up to CHUNK lanes, then cut at ``cols``."""
     sets = len(state[0])
     segments = max(1, min(cols, CHUNK // sets))
     seg_cols = -(-cols // segments)
     segments = -(-cols // seg_cols) if cols else 1
-    last = cols - (segments - 1) * seg_cols  # columns of the last segment
     hi, lo, inc_hi, inc_lo = _segment_starts(*state, seg_cols, segments)
     out = np.empty((seg_cols, segments, sets))  # [j, k]: column k * seg_cols + j
     for j in range(seg_cols):
-        if j == last:  # the last segment's lanes, at the end, are done
-            hi, lo, inc_hi, inc_lo = (a[:-sets] for a in (hi, lo, inc_hi, inc_lo))
         hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
-        _uniforms(hi, lo, out=out[j, :len(hi) // sets].reshape(-1))
-    if segments == 1:
-        return out[:, 0]
+        _uniforms(hi, lo, out=out[j].reshape(-1))
     return out.transpose(1, 0, 2).reshape(-1, sets)[:cols]
 
 
@@ -325,16 +324,6 @@ def _cdf(r: np.ndarray, k: np.ndarray, p) -> np.ndarray:
     return np.where(k < np.minimum(hi + 1, r), cdf, 1.0)
 
 
-@lru_cache(maxsize=64)
-def _cdf_row(r: int, p: float) -> tuple[int, np.ndarray]:
-    """``(lo, row)``: the entries of P(Binomial(r, p) <= k) from the start
-    ``lo`` of the window, below which they are 0, to the first that is 1. A
-    uniform ``u`` draws ``lo + searchsorted(row, u, side="right")``."""
-    rows, q = np.array([[r]]), np.array([[p]])
-    lo, hi = (int(v[0, 0]) for v in _window(rows, q))
-    return lo, _cdf(rows, np.arange(lo, min(hi + 1, r))[None], q)[0]
-
-
 def _row_counts(r: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
     """The count each uniform ``u`` draws from its own row ``r``: the entries
     of that row <= u. Each distinct row is computed once, over its window,
@@ -375,21 +364,23 @@ def _cdf_table(n: int, p: float, width: int):
 
 
 @lru_cache(maxsize=8)
-def _chain(n: int, masses: tuple) -> list:
+def _chain(n: int, masses: tuple, tables: bool = True) -> list:
     """``(p, table)`` for each cell but the last: the probability that one of
     the points left falls in the cell, m_c / (m_c + ... + m_last) (0 when
     nothing is left), and the cell's ``_cdf_table``, or None where p is 0 or
-    1 or the world's tables would pass TABLE_BYTES. A table keeps the counts
-    up to the first whose entry in row ``n`` is at least 1 - TABLE_TAIL."""
+    1, the world's tables would pass TABLE_BYTES or ``tables`` is false. A
+    table keeps the counts up to the first whose entry in row ``n`` is at
+    least 1 - TABLE_TAIL."""
     m = np.asarray(masses, dtype=float)
     rest = np.cumsum(m[::-1])[::-1]  # the mass of each cell and the cells after it
     probs = np.divide(m, rest, out=np.zeros_like(m), where=rest > 0.0)[:-1].tolist()
-    budget, links = TABLE_BYTES, []
+    budget, links = TABLE_BYTES if tables else 0, []
     for p in probs:
         table = None
         if 0.0 < p < 1.0 and (n + 1) * 17 <= budget:  # the least a table takes
-            lo, row = _cdf_row(n, p)
-            width = lo + int(np.count_nonzero(row < 1.0 - TABLE_TAIL)) + 1
+            lo, hi = _window(n, p)  # row n from its window's start
+            row = _cdf(np.array([[n]]), np.arange(lo, hi + 1)[None], np.array([[p]]))
+            width = int(lo + np.count_nonzero(row < 1.0 - TABLE_TAIL)) + 1
             buckets = 1 << (width - 1).bit_length()
             budget -= (n + 1) * ((width + 1) * 8 + buckets * (1 if width < 256 else 2))
             if budget >= 0:
@@ -398,21 +389,21 @@ def _chain(n: int, masses: tuple) -> list:
     return links
 
 
-def chain_counts(n: int, masses, u: np.ndarray) -> np.ndarray:
+def chain_counts(n: int, masses, u: np.ndarray, tables: bool = True) -> np.ndarray:
     """The (cells, sets) occupancy counts of ``n`` points over cells of
     ``masses`` that the (cells - 1, sets) uniforms ``u`` draw: cell ``c``
     takes the number of entries of its CDF row for the points left that are
-    <= ``u[c]``, and the last cell takes what is left."""
+    <= ``u[c]``, and the last cell takes what is left. Each count is searched
+    in its cell's table, or in its own row where there is none; ``tables``
+    false builds none, for callers whose few sets would not repay a table's
+    n + 1 rows."""
     sets = u.shape[1]
     counts = np.empty((len(masses), sets), dtype=np.intp)
     left = np.full(sets, n, dtype=np.intp)
-    for c, (p, table) in enumerate(_chain(n, tuple(masses))):
+    for c, (p, table) in enumerate(_chain(n, tuple(masses), tables)):
         uc = u[c]
         if p == 0.0 or p == 1.0:
             k = left.copy() if p else np.zeros(sets, dtype=np.intp)
-        elif c == 0:  # every set reads row n
-            lo, row = _cdf_row(n, p)
-            k = lo + row.searchsorted(uc, side="right")
         elif table is None:
             k = _row_counts(left, uc, p)
         else:
@@ -446,8 +437,7 @@ def occupancy_counts(
     if cols != len(masses) - 1:
         raise ValueError(f"a set draws one uniform per cell but the last: {len(masses) - 1}, "
                          f"not {cols}")
-    u = (uniform_columns(_pcg_states(master_seed, stream, replications, start), cols)
-         if cols else np.empty((0, replications)))
+    u = uniform_columns(_pcg_states(master_seed, stream, replications, start), cols)
     return chain_counts(n, masses, u).T
 
 

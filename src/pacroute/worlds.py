@@ -233,14 +233,15 @@ def sample_calibration(w: CellWorld, n: int, seed) -> CalibrationSet:
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts (int or
     SeedSequence). The generator's first cells - 1 uniforms give the cells'
-    counts as the Monte-Carlo engine draws them (``_kernels.chain_counts``),
+    counts as the Monte-Carlo engine draws them (``_kernels.chain_counts``,
+    each count searched in its own row: one set would not repay the tables),
     and the next n place the points, cell by cell. Labels are the owning
     cell's expert label, so they match ``cell_at`` exactly.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    counts = chain_counts(n, w.masses, rng.random((w.n_cells - 1, 1)))[:, 0]
+    counts = chain_counts(n, w.masses, rng.random((w.n_cells - 1, 1)), tables=False)[:, 0]
     cells = np.repeat(np.arange(w.n_cells), counts)
     lefts = w.lefts[cells]
     rights = w.rights[cells]

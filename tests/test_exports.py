@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["pacroute"] + [f"pacroute.{m.name}" for m in pkgutil.iter_modules(pacroute.__path__)]
 
 # exports kept with no caller yet, each with the reason
-NO_CALLER_YET = {"tv_single": "ROADMAP item 3: the `certify` command's exact TV"}
+NO_CALLER_YET = {"tv_single": "ROADMAP item 7: the `certify` command's exact TV"}
 
 
 def _quickstart() -> str:

@@ -194,21 +194,38 @@ def _edge_uniforms(cdf_of):
     return w, n, np.stack([first, np.clip(u, 0.0, np.nextafter(1.0, 0.0))]), left
 
 
-@pytest.mark.parametrize("cdf_of", [
-    lambda row: row,
-    lambda row: np.nextafter(row, 0.0),
-    lambda row: np.nextafter(row, 1.0),
-    None,
-], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one"])
-def test_occupancy_counts_at_exact_edges(cdf_of):
+def _first_cell_edge_uniforms(cdf_of):
+    """``(w, n, u)``: (2, sets) uniforms of a three-cell world at n = 40 whose
+    first row lies on (``cdf_of`` moves it off) the entries of row n of the
+    first cell's table, and whose second row runs over (0, 1)."""
+    w, n = make_three_cell(), 40
+    first = np.clip(cdf_of(_table(n, w.masses[0])[n]), 0.0, np.nextafter(1.0, 0.0))
+    return w, n, np.stack([first, (np.arange(len(first)) + 0.5) / len(first)])
+
+
+@pytest.mark.parametrize("cell, cdf_of", [
+    (1, lambda row: row),
+    (1, lambda row: np.nextafter(row, 0.0)),
+    (1, lambda row: np.nextafter(row, 1.0)),
+    (1, None),
+    (0, lambda row: row),
+    (0, lambda row: np.nextafter(row, 0.0)),
+    (0, lambda row: np.nextafter(row, 1.0)),
+], ids=["on_draws", "ulp_below_draws", "ulp_above_draws", "short_of_one",
+        "first_cell_on_draws", "first_cell_ulp_below_draws", "first_cell_ulp_above_draws"])
+def test_occupancy_counts_at_exact_edges(cell, cdf_of):
     # a uniform on a CDF entry counts that entry (<=); one ulp below it does
-    # not. The uniforms here are the second cell's table entries themselves,
-    # so the table's guided search is checked on its own edges
-    w, n, u, left = _edge_uniforms(cdf_of)
-    got = chain_counts(n, w.masses, u)
-    want = np.array([chain_counts_scalar(n, w.masses, col) for col in u.T]).T
-    assert np.array_equal(got[0], n - left)
-    assert np.array_equal(got, want)
+    # not. The uniforms of ``cell`` are its table's entries themselves, so
+    # the table's guided search is checked on its own edges: the second
+    # cell's in the rows the first leaves, the first cell's in row n
+    if cell:
+        w, n, u, left = _edge_uniforms(cdf_of)
+        assert np.array_equal(chain_counts(n, w.masses, u)[0], n - left)
+    else:
+        w, n, u = _first_cell_edge_uniforms(cdf_of)
+    assert _kernels._chain(n, tuple(w.masses))[cell][1] is not None
+    want = [chain_counts_scalar(n, w.masses, col) for col in u.T]
+    assert chain_counts(n, w.masses, u).T.tolist() == want
 
 
 @pytest.mark.parametrize("cdf_of", [
@@ -289,6 +306,16 @@ def test_table_search_and_row_search_give_equal_counts(world, monkeypatch, fresh
     _kernels._chain.cache_clear()
     assert all(table is None for _, table in _kernels._chain(100, tuple(w.masses)))
     assert np.array_equal(_counts(w, 100, 3000), want)
+
+
+def test_sample_calibration_builds_no_table(monkeypatch, fresh_tables):
+    # one set searches each count in its own row: building a world's tables,
+    # n + 1 rows each, would cost it many times its draw
+    def no_table(*args):
+        raise AssertionError("a table was built for one set")
+    monkeypatch.setattr(_kernels, "_cdf_table", no_table)
+    d = pacroute.sample_calibration(make_distinct_scores(16), 1000, 3)
+    assert len(d.xs) == 1000
 
 
 def test_counts_past_the_table_are_searched_in_their_row(monkeypatch, fresh_tables):
