@@ -5,9 +5,29 @@ scores, calibrate a single-threshold router to a marginal risk guarantee,
 and probe pointwise guarantees: Monte-Carlo audits, exact closed-form
 oracles, and an adversarial local-relabeling demo showing that pointwise
 guarantees force near-total deferral.
+
+pacroute makes no BLAS call, so ``import pacroute`` loads numpy with OpenBLAS
+limited to one thread, unless numpy is already loaded or the caller set an
+OpenBLAS thread count; the environment is left as it was.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# The OpenBLAS in numpy's wheels reads its thread count from the environment
+# once, as it loads, and starts its worker threads then, which can add about
+# 60 ms to a command's start-up on 2 vCPUs. A count the caller set is kept,
+# and once numpy is loaded a count set here would change nothing.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                 "OPENBLAS_DEFAULT_NUM_THREADS")
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_BLAS_THREADS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .adversary import (
     DemoPreconditionError,

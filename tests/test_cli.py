@@ -1184,24 +1184,33 @@ def test_console_script_entry_point(tmp_path, w1_path):
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
-    # plain np.unique imports numpy.ma on its first call (about 11 ms); pytest
-    # may import it itself, so the commands run in a fresh process
+    # numpy loads these submodules on first use: plain np.unique imports
+    # numpy.ma on its first call (about 11 ms), and the first use of
+    # numpy.random takes 8-11 ms. pytest may import them itself, so the
+    # commands run in a fresh process. Only calibrate may load numpy.random:
+    # sample_calibration draws through default_rng.
+    lazy = ("numpy.random", "numpy.ma", "numpy.fft", "numpy.polynomial", "numpy.testing")
     root = Path(__file__).resolve().parents[1]
     auto = json.loads((root / "configs/calibrate_w1.json").read_text())
     auto["pac"]["threshold_grid"] = "auto"
-    runs = [(cmd, f"configs/{cmd}_w1.json") for cmd in ("calibrate", "audit", "demo")]
+    runs = [(cmd, f"configs/{cmd}_w1.json") for cmd in ("audit", "demo", "oracle", "calibrate")]
     runs.append(("calibrate", write_config(tmp_path, "auto.json", auto)))
     code = (
         "import sys\n"
         "from pacroute.cli import main\n"
+        f"print('import', *[m for m in {lazy!r} if m in sys.modules])\n"
         f"for i, (cmd, cfg) in enumerate({runs!r}):\n"
         f"    assert main([cmd, '--config', cfg, '--out', {str(tmp_path)!r} + f'/{{i}}.json']) == 0\n"
-        "    print(cmd, cfg, 'numpy.ma' in sys.modules)\n"
+        f"    print(cmd, *[m for m in {lazy!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=root, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [word for cmd, cfg in runs for word in (cmd, cfg, "False")]
+    steps = [line.split() for line in proc.stdout.splitlines()]
+    assert [step[0] for step in steps] == ["import", *[cmd for cmd, _ in runs]]
+    loaded = [(step[0], m) for step in steps for m in step[1:]
+              if (step[0], m) != ("calibrate", "numpy.random")]
+    assert loaded == []
 
 
 def test_float_format_shortest_repr(tmp_path, w1_path):

@@ -7,13 +7,15 @@ say in the change log what changed and why.
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from pacroute.cli import main
 
-from conftest import make_tied_scores, world_to_dict
+from conftest import child_env, make_tied_scores, world_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +103,25 @@ def test_w1_audit_points_same_text_in_report_and_trace(cmd, tmp_path, monkeypatc
         points = [p["x"] for p in audit["points"]]
         assert points
         assert set(points) == {row["point"] for row in rows if row.get("world", "") == world}
+
+
+def test_report_bytes_do_not_depend_on_the_blas_pool(tmp_path):
+    # `import pacroute` keeps a thread count the caller set, so these commands
+    # run beside a two-thread OpenBLAS pool, not the one-thread default
+    code = (
+        "import sys\n"
+        "from pacroute.cli import main\n"
+        "for cmd in ('audit', 'demo'):\n"
+        "    out, trace = f'{sys.argv[1]}/{cmd}.json', f'{sys.argv[1]}/{cmd}.csv'\n"
+        "    argv = [cmd, '--config', f'configs/{cmd}_w1.json', '--out', out, '--trace', trace]\n"
+        "    assert main(argv) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, cwd=ROOT, env={**child_env(), "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    for cmd in ("audit", "demo"):
+        assert _sha256(tmp_path / f"{cmd}.json") == GOLDEN_SHA256[cmd]
+        assert _sha256(tmp_path / f"{cmd}.csv") == TRACE_SHA256[cmd]
 
 
 def test_tied_world_audit_and_trace_bytes(tmp_path, monkeypatch):
