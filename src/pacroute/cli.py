@@ -6,6 +6,16 @@ no effect on outputs or on work. A command that ``_COMMANDS`` gives a trace
 header (``audit``, ``demo``) also takes ``--trace``, and writes each chunk's
 per-replication CSV rows as it walks the chunk; the others refuse the flag.
 
+``parse_args`` reads ``COMMAND --flag value ...`` by the ``_FLAGS`` table,
+flag -> converter, without argparse: in a fresh process on 2 vCPUs
+argparse's parsers, help formatters and ``gettext`` lookups took 1.6-4.2 ms
+of every command, as long as the exact oracle of a 10-cell world or longer
+(README, "Start-up"). A value follows its flag or an ``=``; the last of
+a repeated flag wins; a flag is never abbreviated. A parse error prints the
+usage line and a message naming the flag to stderr and raises
+``SystemExit(2)``; ``-h`` prints the help to stdout and raises
+``SystemExit(0)``.
+
 The config is checked before any work. A key that no command reads is
 refused, and numbers follow ``worlds.json_number``. ``_resolve`` parses the
 config once, by the ``_KEYS`` table, into the values a command computes with
@@ -25,14 +35,13 @@ output it created or wrote to, if the path itself is still that regular
 file (``os.lstat``: a symlink or a device is never unlinked); an output it
 never wrote keeps its bytes.
 
-Exit codes: 0 success, 2 config or parse error (an output that cannot be
-written, an ``n`` above MAX_N, or a run too large for memory, included), 3
-world validation error, 4 demo precondition error.
+Exit codes: 0 success, 2 config or parse error (also an output that cannot
+be written, stdout included, an ``n`` above MAX_N, or a run too large for
+memory), 3 world validation error, 4 demo precondition error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import stat
@@ -257,8 +266,18 @@ def _emit(command: str, config: dict, report, out) -> None:
                       "report": report}) + "\n"
     if out is not None:
         out.write(text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        # text a failed write leaves in stdout's buffer would fail again, with
+        # a traceback, as the interpreter flushes stdout at exit
+        with suppress(OSError, ValueError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ConfigError(f"cannot write the report to stdout: {e}") from e
 
 
 def _write_trace(path: str, output, header, command):
@@ -322,7 +341,7 @@ def _run(command: str, cfg: dict, args) -> int:
     _check_keys(cfg)
     if "out" in cfg:
         json_field(cfg, "out", str, "config")
-    trace, out = getattr(args, "trace", None), args.out or cfg.get("out")
+    trace, out = args.trace, args.out or cfg.get("out")
     if command == "validate-world":
         try:
             _load_world_from_config(cfg)
@@ -343,38 +362,101 @@ def _run(command: str, cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pacroute",
-        description="Calibrate, audit and stress-test threshold routers on "
-        "synthetic worlds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_COMMANDS, "validate-world"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the run config JSON")
-        p.add_argument("--out", default=None, help="write the report here (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument(
-            "--workers", type=_positive_int, default=1,
-            help="accepted for compatibility; has no effect on outputs or work",
-        )
-        if name in _COMMANDS and _COMMANDS[name][3]:
-            p.add_argument(
-                "--trace", default=None, help="write the per-replication CSV trace here",
-            )
-    return parser
+# flag -> the converter of its value; --trace only for a command that
+# _COMMANDS gives a trace header
+_FLAGS = {"--config": str, "--out": str, "--seed": _integer, "--workers": _positive_int,
+          "--trace": str}
+
+_COMMAND_NAMES = (*_COMMANDS, "validate-world")
+
+USAGE = (f"usage: pacroute {{{','.join(_COMMAND_NAMES)}}} --config PATH [--out PATH] "
+         "[--seed N] [--workers N] [--trace PATH]")
+
+HELP = f"""{USAGE}
+
+Calibrate, audit and stress-test threshold routers on synthetic worlds.
+
+  --config PATH   the run config JSON (required)
+  --out PATH      write the report here (default: the config's "out", else stdout)
+  --seed N        override the config's seeds
+  --workers N     an integer >= 1, accepted for compatibility; no effect on
+                  outputs or on work
+  --trace PATH    audit and demo only: write the per-replication CSV trace here
+
+A value follows its flag as the next argument or after "=" (--seed=3); one
+that begins with "-" must be a number. The last of a repeated flag wins.
+
+Exit codes: 0 success, 2 config or parse error, 3 world validation error,
+4 demo precondition error.
+"""
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}\npacroute: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _is_value(text: str) -> bool:
+    """May ``text`` follow a flag as its value: not itself flag-like?"""
+    return text[:1] != "-" or text == "-" or text[1:2].isdigit() or text[1:2] == "."
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command of ``argv`` and its flags' values, by ``_FLAGS``.
+
+    ``-h`` or ``--help`` prints HELP to stdout and raises SystemExit(0); a
+    parse error prints USAGE and a message to stderr and raises SystemExit(2).
+    """
+    args = SimpleNamespace(command=None, config=None, out=None, seed=None, workers=1,
+                           trace=None)
+    rest = iter(argv)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(HELP)
+            raise SystemExit(EXIT_OK)
+        if args.command is None:
+            if arg not in _COMMAND_NAMES:
+                _usage_error(f"the first argument must be a command "
+                             f"({', '.join(_COMMAND_NAMES)}), got {arg!r}")
+            args.command = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(f"unrecognized argument {arg!r}")
+        if flag == "--trace" and (args.command not in _COMMANDS
+                                  or not _COMMANDS[args.command][3]):
+            _usage_error(f"{args.command} takes no --trace")
+        if not eq:
+            value = next(rest, None)
+            if value is None or not _is_value(value):
+                _usage_error(f"{flag} needs a value")
+        try:
+            setattr(args, flag[2:], _FLAGS[flag](value))
+        except ValueError as e:
+            _usage_error(f"{flag} {e}")
+    if args.command is None:
+        _usage_error(f"missing command ({', '.join(_COMMAND_NAMES)})")
+    if args.config is None:
+        _usage_error("missing --config")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _run(args.command, _load_config(args.config), args)
     except WorldValidationError as e:

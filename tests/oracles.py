@@ -334,6 +334,13 @@ def auto_threshold_grid(observed_scores):
     return tuple(float(v) for v in mids) + (float(s[-1]) + 1.0,)
 
 
+@functools.lru_cache(maxsize=4096)
+def _p_value(b, n, test_level):
+    """The scalar ``binomial_tail`` p-value, once per (b, n, test_level): a
+    reference walk over thousands of sets asks for the same few values."""
+    return float(binomial_tail(b, n, test_level))
+
+
 def select_threshold_loop(d, w, loss, cfg):
     """``select_threshold`` counting each grid threshold's exceedances afresh."""
     n = len(d)
@@ -343,7 +350,7 @@ def select_threshold_loop(d, w, loss, cfg):
     tau_hat = ALWAYS_DEFER
     for tau in grid:
         b = empirical_exceedances(d, w, loss, tau)
-        p = float(binomial_tail(b, n, cfg.test_level))
+        p = _p_value(b, n, cfg.test_level)
         rejected = p <= cfg.delta_split
         tested.append(TestedThreshold(tau=tau, exceedances=b, p_value=p, rejected=rejected))
         if not rejected:

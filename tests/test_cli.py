@@ -968,6 +968,84 @@ def test_trace_refused_by_commands_that_write_none(tmp_path, w1_path, capsys, co
     assert not trace.exists()
 
 
+# argv, with CFG for a valid config -> exit code, the stream written to, and
+# text it holds; a parse error writes the usage line first
+PARSE_CASES = {
+    "no_command": ([], 2, "err", "missing command"),
+    "unknown_command": (["route", "--config", "CFG"], 2, "err", "got 'route'"),
+    "flag_before_command": (["--config", "CFG", "oracle"], 2, "err", "got '--config'"),
+    "no_config": (["oracle"], 2, "err", "missing --config"),
+    "unknown_flag": (["oracle", "--config", "CFG", "--bogus", "1"], 2, "err", "'--bogus'"),
+    "no_abbreviation": (["oracle", "--conf", "CFG"], 2, "err", "'--conf'"),
+    "extra_argument": (["oracle", "--config", "CFG", "extra"], 2, "err", "'extra'"),
+    "no_value": (["oracle", "--config", "CFG", "--seed"], 2, "err", "--seed needs a value"),
+    "flag_as_value": (["oracle", "--config", "--out", "r.json"], 2, "err",
+                      "--config needs a value"),
+    "seed_not_integer": (["oracle", "--config", "CFG", "--seed", "x"], 2, "err",
+                         "--seed must be an integer, got 'x'"),
+    "seed_eq_float": (["oracle", "--config", "CFG", "--seed=1.5"], 2, "err",
+                      "--seed must be an integer, got '1.5'"),
+    "workers_eq_zero": (["oracle", "--config=CFG", "--workers=0"], 2, "err",
+                        "--workers must be >= 1, got 0"),
+    "trace_eq_on_oracle": (["oracle", "--config", "CFG", "--trace=t.csv"], 2, "err",
+                           "oracle takes no --trace"),
+    "help": (["-h"], 0, "out", "usage: pacroute "),
+    "help_after_command": (["oracle", "--config", "CFG", "--help"], 0, "out", "--trace PATH"),
+}
+
+
+@pytest.mark.parametrize("argv, code, stream, text", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_parse_contract(tmp_path, w1_path, capsys, monkeypatch, argv, code, stream, text):
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path, "oracle": {"n": 3}})
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        run_cli([a.replace("CFG", cfg) for a in argv])
+    assert e.value.code == code
+    out, err = capsys.readouterr()
+    written, other = (err, out) if stream == "err" else (out, err)
+    assert text in written and other == ""
+    assert written.startswith("usage: pacroute {calibrate,audit,demo,oracle,validate-world} ")
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "w1.json"]
+
+
+def test_flag_eq_value_and_the_last_repeated_flag_write_the_same_bytes(tmp_path, w1_path):
+    cfg = write_config(tmp_path, "c.json", _audit_payload(w1_path))
+    runs = {
+        "space": ["--config", cfg, "--seed", 9, "--workers", 2],
+        "eq": [f"--config={cfg}", "--seed=9", "--workers=2"],
+        "repeated": ["--config", tmp_path / "none.json", "--seed", 1, "--config", cfg,
+                     "--seed=9", "--out", tmp_path / "never.json"],
+    }
+    for name, flags in runs.items():
+        out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert run_cli(["audit", *flags, f"--out={out}", "--trace", trace]) == 0
+    for suffix in ("json", "csv"):
+        texts = {(tmp_path / f"{name}.{suffix}").read_bytes() for name in runs}
+        assert len(texts) == 1
+    assert read_json(tmp_path / "eq.json")["config"]["mc"]["master_seed"] == 9
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["oracle", "validate-world"])
+def test_report_stdout_cannot_take_exits_2(tmp_path, w1_path, command, buffered):
+    # every write to /dev/full fails with ENOSPC; a buffered stdout fails at
+    # the flush, and would fail again as the interpreter flushes it at exit
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIG, "world": w1_path, "oracle": {"n": 3}})
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pacroute.cli", command, "--config", cfg],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=env if buffered else {**env, "PYTHONUNBUFFERED": "1"},
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write the report to stdout: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_oracle_joint(tmp_path, w1_path):
     cfg = write_config(
         tmp_path,
@@ -1189,7 +1267,10 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy.random takes 8-11 ms. pytest may import them itself, so the
     # commands run in a fresh process. Only calibrate may load numpy.random:
     # sample_calibration draws through default_rng.
-    lazy = ("numpy.random", "numpy.ma", "numpy.fft", "numpy.polynomial", "numpy.testing")
+    # argparse, gettext and locale cost about 1.7 ms to import, and the
+    # command line needs none of them
+    lazy = ("numpy.random", "numpy.ma", "numpy.fft", "numpy.polynomial", "numpy.testing",
+            "argparse", "gettext", "locale")
     root = Path(__file__).resolve().parents[1]
     auto = json.loads((root / "configs/calibrate_w1.json").read_text())
     auto["pac"]["threshold_grid"] = "auto"
