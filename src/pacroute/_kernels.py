@@ -95,9 +95,8 @@ def _uint32_words(value: int) -> list[int]:
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     """SeedSequence ``hashmix``; with ``mult=_MULT_B``, one ``generate_state``
-    output word. Returns (mixed word, next hash constant). ``value`` is a
-    Python int below 2**32 or a uint32 array, whose products wrap mod 2**32
-    by themselves."""
+    output word. Returns (mixed word, next hash constant), of Python ints
+    below 2**32; ``_pcg_states`` runs the same steps on uint32 arrays."""
     value = value ^ hash_const
     hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
@@ -105,7 +104,7 @@ def _hashmix(value, hash_const: int, mult: int = _MULT_A):
 
 
 def _mix(x, y):
-    """SeedSequence ``mix`` of two words, each a Python int or uint32 array."""
+    """SeedSequence ``mix`` of two words, Python ints below 2**32."""
     result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
     return result ^ (result >> 16)
 
@@ -138,6 +137,18 @@ def _pool_before_last_word(master_seed: int, stream: int) -> tuple[list[int], in
             mixed, hash_const = _hashmix(word, hash_const)
             pool[i_dst] = _mix(pool[i_dst], mixed)
     return pool, hash_const
+
+
+def _hash_constants(hash_const: int, mult: int, steps: int) -> tuple:
+    """The constants ``steps`` chained ``_hashmix`` steps from ``hash_const``
+    read: each step's incoming constant, and that times ``mult``, as (steps,
+    1) uint32 columns. They do not depend on the words mixed."""
+    incoming = []
+    for _ in range(steps):
+        incoming.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+    return (np.array(incoming, dtype=np.uint32)[:, None],
+            np.array(incoming[1:] + [hash_const], dtype=np.uint32)[:, None])
 
 
 def _halves(m: int) -> tuple:
@@ -219,18 +230,26 @@ def _pcg_states(master_seed: int, stream: int, replications: int, start: int):
         )
     pool, hash_const = _pool_before_last_word(master_seed, stream)
     r = np.arange(start, start + replications, dtype=np.uint32)
-    # mix the replication's word into each pool word
-    vec_pool = []
-    for word in pool:
-        mixed, hash_const = _hashmix(r, hash_const)
-        vec_pool.append(_mix(word, mixed))
-    # generate_state(4, uint64): 8 uint32 words cycling over the pool
-    hash_const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        word, hash_const = _hashmix(vec_pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(word.astype(np.uint64))
-    s0, s1, s2, s3 = (words[2 * i] | (words[2 * i + 1] << 32) for i in range(4))
+    # mix the replication's word into each pool word: 4 hashmix steps, then
+    # 4 mixes, as (4, sets) passes over columns of constants; uint32 wraps
+    mix_in, mix_mult = _hash_constants(hash_const, _MULT_A, _POOL_SIZE)
+    vec_pool = r ^ mix_in
+    vec_pool *= mix_mult
+    vec_pool ^= vec_pool >> 16
+    vec_pool *= _MIX_MULT_R
+    np.subtract(np.array([[_MIX_MULT_L * word & _MASK32] for word in pool], dtype=np.uint32),
+                vec_pool, out=vec_pool)
+    vec_pool ^= vec_pool >> 16
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool, each
+    # pair of them one uint64 word, the first its low half
+    gen_in, gen_mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = np.tile(vec_pool, (2, 1))
+    words ^= gen_in
+    words *= gen_mult
+    words ^= words >> 16
+    high = np.left_shift(words[1::2], 32, dtype=np.uint64)
+    high |= words[0::2]
+    s0, s1, s2, s3 = high
     # PCG64 seeding: state 0, step, add initstate (s0:s1), step;
     # inc = (s2:s3) << 1 | 1
     inc_hi = (s2 << 1) | (s3 >> 63)

@@ -22,7 +22,6 @@ Monte-Carlo engine and the exact law in :mod:`pacroute.simulate` read it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -152,14 +151,52 @@ def binomial_tail(k, n: int, t) -> np.ndarray:
     return tails
 
 
+#: The most terms one ``binomial_tail`` call of ``max_rejectable_count`` sums.
+SEARCH_TERMS = 2**15
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile of p in (0, 1), by bisection on ``math.erfc``."""
+    lo, hi = -40.0, 40.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if math.erfc(-mid / math.sqrt(2.0)) / 2.0 < p else (lo, mid)
+    return lo
+
+
 @lru_cache(maxsize=256)
 def max_rejectable_count(n: int, t: float, delta: float) -> int:
     """Largest count whose p-value is <= delta, or -1 if even zero is too many.
 
     Because the tail is nondecreasing in the count, rejection at a candidate
     threshold is exactly "count <= this value"; the Monte-Carlo kernels rely
-    on that equivalence. Found by bisection, and cached for a run's walks."""
-    return bisect.bisect_right(range(n), delta, key=lambda k: binomial_tail(k, n, t)) - 1
+    on that equivalence. The search keeps lo < hi with tail(lo) <= delta <
+    tail(hi), from lo = -1 and hi = n, and narrows them with each
+    ``binomial_tail`` call. A call reads as many counts between them as fit
+    SEARCH_TERMS terms, at up to ceil(REACH·(sigma + 1)) + 1 a count: all of
+    them once they fit (every count at n <= 100), else counts spread evenly
+    over a span around the normal approximation's quantile, which doubles
+    while b* lies outside it. Cached for a run's walks."""
+    sigma = math.sqrt(n * t * (1.0 - t))
+    fit = max(2, SEARCH_TERMS // (math.ceil(REACH * (sigma + 1.0)) + 1))
+    z = _normal_quantile(delta) if n > fit else 0.0  # unread when one call reads all
+    # the quantile's skew correction is (z² - 1)(1 - 2t)/6 counts
+    guess, half = round(n * t + z * sigma), 2 + math.ceil(z * z / 6.0)
+    lo, hi = -1, n
+    while hi - lo > 1:
+        if hi - lo - 1 <= fit:
+            ks = np.arange(lo + 1, hi)
+        else:
+            mid = min(max(guess, lo + 1), hi - 1)
+            first, last = max(mid - half, lo + 1), min(mid + half, hi - 1)
+            # steps of at least 1, so the floors are distinct
+            ks = np.linspace(first, last, min(fit, last - first + 1)).astype(np.int64)
+            half *= 2
+        # the first count whose tail is over delta, or len(ks) if none is
+        over = int(np.append(binomial_tail(ks, n, t) > delta, True).argmax())
+        lo = int(ks[over - 1]) if over else lo
+        hi = int(ks[over]) if over < len(ks) else hi
+    return lo
 
 
 def _walk(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int, algorithm: str):

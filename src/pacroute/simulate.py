@@ -20,7 +20,8 @@ CHUNK_CELLS // CHUNK cells, and is tallied (and traced) before the next is
 drawn: memory is one chunk's working set, whatever the calibration size and
 replication count, plus one tally entry per threshold and the cells' CDF
 tables. Monte-Carlo chunks and the exact oracle read the count walk of
-:mod:`pacroute.calibrate`; the oracle sums its closed-form law one stop at a time.
+:mod:`pacroute.calibrate`; the oracle computes its closed-form law a block
+of stops at a time, and sums it one stop at a time.
 """
 
 from __future__ import annotations
@@ -316,16 +317,19 @@ def mc_joint_risk(
 
 def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
                    algorithm: str):
-    """The exact law of the selected threshold: for each stop j, yields
-    (probabilities, thresholds) of (prev = a - 1, stop = j) for a = 0..j.
+    """The exact law of the selected threshold, one block of stops at a time:
+    yields (bounds, probabilities, thresholds), flat over the block's pairs
+    (prev = a - 1, stop = j), stop by stop and a = 0..j within each; stop j
+    of the block holds entries ``bounds[i]:bounds[i + 1]``.
 
     The points that count as bad by position p are Binomial(n, q_p), q_p the
     bad mass at positions <= p, and never fewer as p grows, so the walk passes
     p with probability P(Binomial(n, q_p) <= b*). Given positions a..j-1
     empty, the points fall on the others, so G(a, j) = P(positions a..j-1
     empty, stop at j) is (mass off them)^n times a difference of two such
-    tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j). One tail call
-    serves up to LAW_BLOCK bad shares, of one stop or several."""
+    tails, and P(prev = i, stop = j) = G(i+1, j) - G(i, j). A block takes
+    stops until their pairs' bad shares, two a pair, reach LAW_BLOCK; each
+    numpy pass spans the block, and one tail call reads its shares."""
     b_star, position, bad_position, n_pos, threshold = _walk(w, loss, cfg_pac, n, algorithm)
     # masses by position; position n_pos holds the cells past a fixed grid
     mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
@@ -334,22 +338,33 @@ def _threshold_law(w: CellWorld, loss: LossSpec, cfg_pac: PacConfig, n: int,
     below = np.concatenate(([0.0], np.cumsum(mass)))  # mass on positions < a
     bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
     above = np.cumsum(mass[::-1])[::-1]  # mass on positions >= j
-    block = []  # (stop, scale, live, bad shares q_(j-1) and q_j) of stops not yet read
-    for j in range(n_pos + 1):
-        rest = below[:j + 1] + above[j]  # mass off positions a..j-1, a = 0..j
-        scale = np.append(rest[:j]**n, 1.0)
+    first = floor = 0  # no stop past those read has a pair a < floor with G > 0
+    while first <= n_pos:
+        # stops first..last, until their shares reach LAW_BLOCK: stop j has at
+        # most 2(j + 1 - floor), two for each a = floor..j
+        last, shares = first, 2 * (first + 1 - floor)
+        while last < n_pos and shares < LAW_BLOCK:
+            last += 1
+            shares += 2 * (last + 1 - floor)
+        sizes = np.arange(first + 1, last + 2)  # pairs of each stop
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        stop = np.repeat(np.arange(first, last + 1), sizes)
+        a = np.arange(bounds[-1]) - np.repeat(bounds[:-1], sizes)
+        rest = below[a] + above[stop]  # mass off positions a..j-1
+        scale = np.where(a < stop, rest**n, 1.0)
         live = np.flatnonzero(scale > 0.0)  # G is 0 where the points cannot fall
-        block.append((j, scale, live, (bad_below[live] + [[0.0], [bad_mass[j]]]) / rest[live]))
-        if j < n_pos and sum(q.size for *_, q in block) < LAW_BLOCK:
-            continue
-        tails = binomial_tail(b_star, n, np.concatenate([q for *_, q in block], axis=1))
-        ends = np.cumsum([q.shape[1] for *_, q in block])[:-1]
-        for (j, scale, live, _), (passed, stopped) in zip(block, np.split(tails, ends, axis=1)):
-            g = np.zeros(j + 1)  # every walk reaches position 0, and none stops past the last
-            g[live] = scale[live] * ((1.0 if j == 0 else passed)
-                                     - (0.0 if j == n_pos else stopped))
-            yield np.diff(g, prepend=0.0), threshold(j, np.arange(-1, j))
-        block = []
+        at, j = a[live], stop[live]
+        q = np.concatenate((bad_below[at], bad_below[at] + bad_mass[j])) / np.tile(rest[live], 2)
+        passed, stopped = np.split(binomial_tail(b_star, n, q), 2)
+        g = np.zeros(len(stop))  # every walk reaches position 0, and none stops past the last
+        g[live] = scale[live] * (np.where(j == 0, 1.0, passed)
+                                 - np.where(j == n_pos, 0.0, stopped))
+        probs = np.diff(g, prepend=0.0)
+        probs[bounds[:-1]] = g[bounds[:-1]]  # a = 0: G(0, j), less nothing
+        yield bounds.tolist(), probs, threshold(stop, a - 1)
+        # rest falls as j grows, so a pair a that is 0 at the last stop stays 0
+        floor = int(a[bounds[-2] + np.argmax(scale[bounds[-2]:] > 0.0)])
+        first = last + 1
 
 
 def enumerate_distribution(
@@ -367,8 +382,9 @@ def enumerate_distribution(
     cells-1) occupancy vectors follows in closed form (``_threshold_law``), at
     any n. ``x`` is an input in [0,1] for P(routed fast at x), or ``JOINT``
     for the joint exceedance probability. Both quantities are step functions
-    of the threshold, read by arrays for each stop. An n whose outcome count
-    has more digits than ``str`` writes is refused first."""
+    of the threshold, looked up once per block of stops; each stop is then
+    summed on its own, in stop order. An n whose outcome count has more
+    digits than ``str`` writes is refused first."""
     if x == JOINT:  # the bad mass at scores up to the threshold
         order = np.argsort(w.scores)
         scores, upto = w.scores[order], np.concatenate(
@@ -382,9 +398,12 @@ def enumerate_distribution(
         raise ValueError(f"oracle.n = {n} on {w.n_cells} cells has more outcomes than "
                          f"a report can write: the count has more than {limit} digits")
     value = total = 0.0
-    for probs, taus in _threshold_law(w, loss, cfg_pac, n, algorithm):
-        value += float((probs * upto[np.searchsorted(scores, taus, side="right")]).sum())
-        total += float(probs.sum())
+    for bounds, probs, taus in _threshold_law(w, loss, cfg_pac, n, algorithm):
+        weighted = probs * upto[np.searchsorted(scores, taus, side="right")]
+        # one sum per stop: a sum over 8 or more terms pairs them up, by its length
+        for lo, hi in zip(bounds, bounds[1:]):
+            value += float(weighted[lo:hi].sum())
+            total += float(probs[lo:hi].sum())
     return OracleResult(
         value=value,
         total_probability=total,

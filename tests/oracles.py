@@ -1,7 +1,7 @@
 """Independent test oracles, kept deliberately naive.
 
 The production oracle computes the law of the selected threshold in closed
-form, from binomial tails, one stop at a time. Two enumerators check it from
+form, from binomial tails, one block of stops at a time. Two enumerators check it from
 other routes, and a scalar form of the same closed form checks it at any n:
 
 - ``brute_force_enumerate`` loops over ordered cell assignments with product
@@ -15,6 +15,11 @@ other routes, and a scalar form of the same closed form checks it at any n:
 - ``threshold_law_scalar`` is the closed form one (prev, stop) pair at a
   time, each binomial tail read from a full ``binomial_pvalue_table``, and
   each threshold's quantity computed by ``exact_miscoverage``.
+
+``threshold_law_by_stop`` is the closed form as the production law computed
+it before it took a block of stops per numpy pass: one stop at a time, each
+stop's pairs in their own arrays. It reads the same tails, so the two agree
+bit for bit.
 
 Two references check the production tail ``calibrate.binomial_tail``.
 ``binomial_pvalue_table`` is the tail it replaced: a Python loop over all
@@ -271,6 +276,37 @@ def threshold_law_scalar(w, loss, pac, n, x, algorithm="calibrated"):
         elif pr.cell_at(w, x).score <= tau:
             value += prob
     return value, total
+
+
+def threshold_law_by_stop(w, loss, pac, n, algorithm="calibrated", block=256):
+    """For each stop j, (probabilities, thresholds) of (prev = a - 1, stop = j)
+    for a = 0..j: G(a, j) as in ``threshold_law_scalar``, with the pairs
+    whose (mass off a..j-1)^n is 0 skipped, and the tails of stops read
+    together until their bad shares reach ``block``."""
+    b_star, position, bad_position, n_pos, threshold = _walk(w, loss, pac, n, algorithm)
+    mass = np.bincount(position, weights=w.masses, minlength=n_pos + 1)
+    bad_mass = np.bincount(bad_position, weights=w.masses, minlength=n_pos + 1)
+    bad_mass[n_pos] = 0.0
+    below = np.concatenate(([0.0], np.cumsum(mass)))
+    bad_below = np.concatenate(([0.0], np.cumsum(bad_mass)))
+    above = np.cumsum(mass[::-1])[::-1]
+    stops, pending = [], []  # (stop, scale, live, bad shares q_(j-1) and q_j) not yet read
+    for j in range(n_pos + 1):
+        rest = below[:j + 1] + above[j]
+        scale = np.append(rest[:j]**n, 1.0)
+        live = np.flatnonzero(scale > 0.0)
+        pending.append((j, scale, live, (bad_below[live] + [[0.0], [bad_mass[j]]]) / rest[live]))
+        if j < n_pos and sum(q.size for *_, q in pending) < block:
+            continue
+        tails = binomial_tail(b_star, n, np.concatenate([q for *_, q in pending], axis=1))
+        ends = np.cumsum([q.shape[1] for *_, q in pending])[:-1]
+        for (j, scale, live, _), (passed, stopped) in zip(pending, np.split(tails, ends, axis=1)):
+            g = np.zeros(j + 1)
+            g[live] = scale[live] * ((1.0 if j == 0 else passed)
+                                     - (0.0 if j == n_pos else stopped))
+            stops.append((np.diff(g, prepend=0.0), threshold(j, np.arange(-1, j))))
+        pending = []
+    return stops
 
 
 def binomial_pvalue_table(n, t):

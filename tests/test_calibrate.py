@@ -125,6 +125,36 @@ def test_max_rejectable_count_memory_at_max_n():
     assert peak < 4 * 2**20
 
 
+def count_tail_calls(monkeypatch) -> list:
+    """The number of counts each ``binomial_tail`` call of ``calibrate`` reads
+    from now on."""
+    calls = []
+
+    def counted(k, n, t):
+        calls.append(np.size(k))
+        return binomial_tail(k, n, t)
+
+    monkeypatch.setattr(calibrate, "binomial_tail", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, t, delta", [(7, 0.5, 0.3), (100, 0.05, 0.05), (100, 0.5, 0.3),
+                                          (100, 0.999, 1e-12)])
+def test_max_rejectable_count_reads_every_count_in_one_call(monkeypatch, n, t, delta):
+    calls = count_tail_calls(monkeypatch)
+    b_star = max_rejectable_count.__wrapped__(n, t, delta)
+    assert calls == [n]
+    assert b_star == max_rejectable_count_scan(n, t, delta)
+
+
+def test_max_rejectable_count_searches_near_the_quantile_at_max_n(monkeypatch):
+    # a few calls of a few counts each, not one per bisection step (20)
+    calls = count_tail_calls(monkeypatch)
+    assert max_rejectable_count.__wrapped__(10**6, 0.05, 0.05) == 49641
+    per_count = math.ceil(calibrate.REACH * (math.sqrt(10**6 * 0.05 * 0.95) + 1.0)) + 1
+    assert len(calls) <= 3 and max(calls) * per_count <= calibrate.SEARCH_TERMS
+
+
 _open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 

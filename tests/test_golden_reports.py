@@ -1,4 +1,5 @@
-"""The w1 reports and traces, and two validate-world reports, pinned byte for byte.
+"""The w1 reports and traces, two validate-world reports, and reports on
+worlds whose draws and sums the w1 ones cannot see, pinned byte for byte.
 
 Any change to a report's bytes must be deliberate: update the hash here and
 say in the change log what changed and why.
@@ -15,7 +16,7 @@ import pytest
 
 from pacroute.cli import main
 
-from conftest import child_env, make_tied_scores, world_to_dict
+from conftest import child_env, make_distinct_scores, make_tied_scores, world_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +45,19 @@ TRACE_SHA256 = {
 TIED_AUDIT_SHA256 = {
     "report": "135c4d29978e24870c47b1027df31ebfaefed45bc5808c0fb68a2671af409598",
     "trace": "c44772f0a87c7836db1666f7f0fcc9016547ac8ad6b4e64c934b8b0192e4a868",
+}
+
+# oracle on conftest.make_distinct_scores(60), auto grid, alpha 0.5, keyed by
+# "n/delta_split/x". Its stops hold up to 61 pairs, and a sum of 8 or more
+# terms pairs them up. At n = 500 and delta_split 0.05 the law is so narrow
+# that no order of summing moves a bit. The delta_split 0.25 reports change
+# when the stops are summed a block at a time (both), in plain order
+# (n = 100) or padded with zeros (n = 500)
+DISTINCT_ORACLE_SHA256 = {
+    "500/0.05/joint": "67c370f9ff68aba99f42be7152733a64b5f77fd5e839e5dca297862fefd2c094",
+    "500/0.05/0.5": "48d7beaad039abf30c98bfaea2c6fff0052f07137ccaaf682dc3b0ab01a3f15d",
+    "100/0.25/joint": "37c6e5c9ed4d0b95fc38772f83b51e909bc154a455237ced5a6ed422fb12b54d",
+    "500/0.25/joint": "17f980a0da809468c8e8ac7b3add9218b20865228047bd99dd89414adadad4d5",
 }
 
 # validate-world on the w1 config, and on w1 with a gap between its cells
@@ -141,6 +155,25 @@ def test_tied_world_audit_and_trace_bytes(tmp_path, monkeypatch):
     with open("t.csv", encoding="utf-8", newline="") as f:
         assert len({row["tau_hat"] for row in csv.DictReader(f)}) >= 4
     assert {"report": _sha256(Path("r.json")), "trace": _sha256(Path("t.csv"))} == TIED_AUDIT_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_ORACLE_SHA256))
+def test_distinct_scores_oracle_bytes(case, tmp_path, monkeypatch):
+    n, delta_split, x = case.split("/")
+    # the report embeds the world path: keep it relative, so the bytes are fixed
+    monkeypatch.chdir(tmp_path)
+    Path("distinct.json").write_text(json.dumps(world_to_dict(make_distinct_scores(60))),
+                                     encoding="utf-8")
+    Path("oracle.json").write_text(json.dumps({
+        "world": "distinct.json",
+        "loss": {"kind": "zero_one", "epsilon": 0.0},
+        "pac": {"epsilon": 0.0, "alpha": 0.5, "delta_split": float(delta_split),
+                "threshold_grid": "auto"},
+        "oracle": {"n": int(n), "x": x if x == "joint" else float(x)},
+        "algorithm": "calibrated",
+    }), encoding="utf-8")
+    assert main(["oracle", "--config", "oracle.json", "--out", "r.json"]) == 0
+    assert _sha256(Path("r.json")) == DISTINCT_ORACLE_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATE_WORLD_SHA256))

@@ -46,6 +46,7 @@ from oracles import (
     joint_risk_by_test_draws,
     occupancy_enumerate,
     select_threshold_loop,
+    threshold_law_by_stop,
     threshold_law_scalar,
 )
 from test_worlds import world_strategy
@@ -566,7 +567,7 @@ def test_enumerate_matches_occupancy_enumerator(loss01, grid, alpha):
     st.floats(0.0, 1.0),
 )
 def test_enumerate_matches_scalar_law(w, grid, alpha, algorithm, n, x):
-    # the per-stop law against the pair-by-pair closed form, on worlds with
+    # the law against the pair-by-pair closed form, on worlds with
     # tied scores and zero-mass cells, at the sizes the Monte-Carlo runs use
     loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
     pac = pr.PacConfig(epsilon=0.0, alpha=alpha, threshold_grid=grid)
@@ -577,16 +578,66 @@ def test_enumerate_matches_scalar_law(w, grid, alpha, algorithm, n, x):
         assert res.total_probability == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("block", [1, 40])
+def law_by_stop(w, loss, pac, n, algorithm="calibrated"):
+    """``simulate._threshold_law``'s blocks cut into one (probabilities,
+    thresholds) pair per stop."""
+    return [(probs[lo:hi], taus[lo:hi])
+            for bounds, probs, taus in simulate._threshold_law(w, loss, pac, n, algorithm)
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def assert_law_bits_equal(got, want):
+    # bit for bit: -0.0 and 0.0 differ; a fixed grid's reference stop has one threshold
+    assert len(got) == len(want)
+    for (probs, taus), (ref_probs, ref_taus) in zip(got, want):
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert taus.tobytes() == np.broadcast_to(ref_taus, ref_probs.shape).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 40, 256])
 def test_law_does_not_depend_on_its_tail_blocks(loss01, monkeypatch, block):
-    # every stop's row is the same, bit for bit, whichever stops share a call
+    # every stop's probabilities and thresholds are the per-stop reference's,
+    # bit for bit, whichever stops share a block and a tail call
     w = make_distinct_scores(60)
     pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
-    want = list(simulate._threshold_law(w, loss01, pac, 500, "calibrated"))
+    want = threshold_law_by_stop(w, loss01, pac, 500)
     monkeypatch.setattr(simulate, "LAW_BLOCK", block)
-    got = list(simulate._threshold_law(w, loss01, pac, 500, "calibrated"))
-    assert all(np.array_equal(a, c) and np.array_equal(b, d) for (a, b), (c, d) in zip(want, got))
-    assert len(got) == len(want)
+    assert_law_bits_equal(law_by_stop(w, loss01, pac, 500), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    world_strategy(score=st.sampled_from((-0.5, 0.1, 0.5, 0.9))),
+    st.one_of(st.none(), st.lists(st.sampled_from((-1.0, 0.1, 0.3, 0.5, 0.9, 2.0)),
+                                  min_size=1, max_size=4, unique=True).map(sorted).map(tuple)),
+    st.sampled_from((0.1, 0.3, 0.5, 0.8)),
+    st.sampled_from(ALGORITHMS),
+    st.integers(1, 300),
+)
+def test_law_matches_per_stop_reference(w, grid, alpha, algorithm, n):
+    # the worlds of test_enumerate_matches_scalar_law: ties, zero-mass cells,
+    # grids with thresholds outside [0, 1]
+    loss = pr.LossSpec(kind="zero_one", epsilon=0.0)
+    pac = pr.PacConfig(epsilon=0.0, alpha=alpha, threshold_grid=grid)
+    assert_law_bits_equal(law_by_stop(w, loss, pac, n, algorithm),
+                          threshold_law_by_stop(w, loss, pac, n, algorithm))
+
+
+def test_law_tail_calls_stop_at_law_block_shares(loss01, monkeypatch):
+    # the block bounds the law's memory: a tail call takes stops until their
+    # shares reach LAW_BLOCK, so it holds fewer than LAW_BLOCK before its last
+    # stop, which adds at most two for each of its pairs: 2 * 61 here
+    shares = []
+
+    def counted(k, n, t):
+        shares.append(np.size(t))
+        return binomial_tail(k, n, t)
+
+    monkeypatch.setattr(simulate, "binomial_tail", counted)
+    pac = pr.PacConfig(epsilon=0.0, alpha=0.5, threshold_grid=None)
+    enumerate_distribution(make_distinct_scores(60), loss01, pac, 500, JOINT)
+    assert max(shares) < simulate.LAW_BLOCK + 2 * 61
+    assert len(shares) < 61 / 2
 
 
 def test_enumerate_warns_nothing_on_a_denormal_cell(loss01):
